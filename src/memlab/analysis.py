@@ -299,7 +299,7 @@ def unique_pairs_expected_enumerated(n: int, cap: int = 10_000_000) -> Fraction:
 
     total_inputs = n ** (2 * n)
     if total_inputs > cap:
-        raise CapExceeded(f"{total_inputs} inputs for n={n} exceeds cap {cap}")
+        raise CapExceeded(f"{n}^{2 * n} inputs for n={n} exceeds cap {cap}")
     total = 0
     for xs in itertools.product(range(1, n + 1), repeat=2 * n):
         total += len(unique_pairs(xs))

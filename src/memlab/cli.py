@@ -3,9 +3,9 @@ probabilistic checks, CSV reporting, and row replay.
 
 Every CSV row carries the child seed that produced it, all output is written
 in deterministic cell order regardless of the parallelism degree, and the
-exit status is 0 exactly when every assertion in the run held, so any command
-can serve as a CI gate.  `memlab replay --file F --line K` recomputes one
-data row and compares byte for byte.
+exit status is the verdict `report` gives on the CSV, so any command can serve
+as a CI gate.  `memlab replay --file F --line K` recomputes one data row and
+compares byte for byte.
 """
 from __future__ import annotations
 
@@ -22,11 +22,10 @@ from .analysis import (unique_pairs_expected, unique_pairs_expected_enumerated,
 from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, GameParams, derive_seed,
                         generate_valid_input, matches_of, read_deck_file,
                         verify_transcript, write_transcript_csv, Transcript)
-from .strategies import (DeckHost, SpaceBudget, make_strategy, multi_pass_play,
+from .strategies import (DeckHost, MultiPass, SpaceBudget, make_strategy, multi_pass_play,
                          multi_pass_time_bound, randomized_order)
 from .trees import (DEFAULT_TREE_CAP, build_guessing_tree, compile_prefix_tree,
                     fixed_position_tree, lemma43_check, random_tree, xy_equiv_check)
-from . import strategies
 
 PLAY_HEADER = "n,S,s,T,passes,correct"
 TRADEOFF_HEADER = "kind,n,S,s,seed,strategy,T,passes,correct,st_product,c_ratio,ok"
@@ -44,6 +43,27 @@ def _emit(out_path: str | None, lines: list[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _flag_cols(header: list[str]) -> list[int]:
+    return [i for i, h in enumerate(header) if h in ("ok", "correct") or h.endswith("_ok")]
+
+
+def _all_ok(lines: list[str]) -> bool:
+    """Every ok/correct/*_ok column of every data row is True."""
+    cols = _flag_cols(lines[0].split(","))
+    return all(row.split(",")[i] == "True" for row in lines[1:] for i in cols)
+
+
+def _finish(out_path: str | None, lines: list[str]) -> int:
+    """Write the CSV; the exit status is the verdict `report` gives on it."""
+    _emit(out_path, lines)
+    return 0 if _all_ok(lines) else 1
+
+
+def _pow2(n: int) -> list[int]:
+    """Slot counts 1, 2, 4, ... up to 2n."""
+    return [1 << k for k in range((2 * n).bit_length())]
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +85,7 @@ class SweepConfig:
     master_seed: int = 0
 
     def s_values(self, n: int) -> list[int]:
-        if self.s_spec == "pow2":
-            out, s = [], 1
-            while s <= 2 * n:
-                out.append(s)
-                s *= 2
-            return out
-        return list(self.s_spec)
+        return _pow2(n) if self.s_spec == "pow2" else list(self.s_spec)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -93,36 +107,36 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
+# config key -> (SweepConfig field, parser, CLI flag that overrides the key)
+_CONFIG_KEYS = {
+    "n": ("ns", _int_list, "n_list"),
+    "s": ("s_spec", lambda text: text if text == "pow2" else _int_list(text), "s_list"),
+    "seeds": ("seeds", int, "seeds"),
+    "strategy": ("strategy", str, "strategy"),
+    "jobs": ("jobs", int, None),
+    "seed": ("master_seed", int, None),
+}
+
+
 def sweep_config_from(args) -> SweepConfig:
     cfg = SweepConfig(jobs=args.jobs, master_seed=args.seed)
-    raw: dict[str, str] = {}
-    if getattr(args, "config", None):
-        raw = parse_config_file(args.config)
-    if "n" in raw:
-        cfg.ns = _int_list(raw["n"])
-    if "s" in raw:
-        cfg.s_spec = raw["s"] if raw["s"] == "pow2" else _int_list(raw["s"])
-    if "seeds" in raw:
-        cfg.seeds = int(raw["seeds"])
-    if "strategy" in raw:
-        cfg.strategy = raw["strategy"]
-    if "jobs" in raw:
-        cfg.jobs = int(raw["jobs"])
-    if "seed" in raw:
-        cfg.master_seed = int(raw["seed"])
-    if getattr(args, "n_list", None):
-        cfg.ns = _int_list(args.n_list)
-    if getattr(args, "s_list", None):
-        cfg.s_spec = args.s_list if args.s_list == "pow2" else _int_list(args.s_list)
-    if getattr(args, "seeds", None):
-        cfg.seeds = args.seeds
-    if getattr(args, "strategy", None):
-        cfg.strategy = args.strategy
+    raw = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for key, (name, parse, flag) in _CONFIG_KEYS.items():
+        val = getattr(args, flag, None) if flag else None
+        if val is None:
+            val = raw.get(key)
+        if val is not None:
+            setattr(cfg, name, parse(val))
+    slots = cfg.s_values(1)
+    if not cfg.ns or not slots or min(cfg.seeds, *cfg.ns, *slots) < 1:
+        raise ValueError("sweeps need seeds >= 1 and nonempty pair and slot lists of values >= 1")
     return cfg
 
 
 def _map_cells(fn, specs: list, jobs: int) -> list:
-    if jobs <= 1 or len(specs) <= 1:
+    # a forked pool starts all its workers at the first submit
+    jobs = min(jobs, len(specs), os.cpu_count() or 1)
+    if jobs <= 1:
         return [fn(spec) for spec in specs]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, specs))
@@ -175,34 +189,20 @@ def tradeoff_sweep(cfg: SweepConfig) -> tuple[list[str], bool]:
     c_cal = max(sm[6] for sm in summaries if sm[0] == n_min)
 
     lines = [TRADEOFF_HEADER]
-    all_ok = True
     for ((n, s), recs), sm in zip(zip(cells, results), summaries):
         for rec in recs:
             lines.append(_tradeoff_record_row(n, s, cfg.strategy, rec))
         _, _, budget, T_worst, passes_worst, recs_ok, ratio = sm
         ok = recs_ok and ratio <= 2.0 * c_cal
-        all_ok = all_ok and ok
         lines.append(f"summary,{n},{budget.S},{s},-1,{cfg.strategy},{T_worst},"
                      f"{passes_worst},{recs_ok},{budget.S * T_worst},{ratio!r},{ok}")
+    all_ok = _all_ok(lines)  # a summary row is ok only if its records are
     lines.append(f"calibration,{n_min},0,0,-1,{cfg.strategy},0,0,True,0,{c_cal!r},{all_ok}")
     return lines, all_ok
 
 
 # ---------------------------------------------------------------------------
 # Adversary sweep
-
-def _pick_adversary_strategy(token: str, n: int, seed: int) -> tuple[str, int]:
-    rnd = random.Random(derive_seed(seed, "pick"))
-    name = rnd.choice(["multipass", "rmultipass", "perfect"]) if token == "mixed" else token
-    if name == "perfect":
-        return name, 2 * n
-    pow2 = []
-    s = 1
-    while s <= 2 * n:
-        pow2.append(s)
-        s *= 2
-    return name, rnd.choice(pow2)
-
 
 def _adversary_row_for(n: int, s: int, seed: int, name: str) -> str:
     budget = SpaceBudget.for_slots(n, s)
@@ -217,17 +217,20 @@ def _adversary_row_for(n: int, s: int, seed: int, name: str) -> str:
 
 
 def _adversary_cell(spec: tuple) -> str:
-    n, k, master, token = spec
+    n, k, master, token, slots = spec
     seed = derive_seed(master, "adv", n, k)
-    name, s = _pick_adversary_strategy(token, n, seed)
+    rnd = random.Random(derive_seed(seed, "pick"))
+    name = rnd.choice(["multipass", "rmultipass", "perfect"]) if token == "mixed" else token
+    s = 2 * n if name == "perfect" else rnd.choice(slots)
     return _adversary_row_for(n, s, seed, name)
 
 
 def adversary_sweep(cfg: SweepConfig) -> tuple[list[str], bool]:
-    specs = [(n, k, cfg.master_seed, cfg.strategy) for n in cfg.ns for k in range(cfg.seeds)]
-    rows = _map_cells(_adversary_cell, specs, cfg.jobs)
-    ok = all(row.split(",")[-2:] == ["True", "True"] for row in rows)
-    return [ADVERSARY_HEADER] + rows, ok
+    """Each run draws its slot count from `cfg.s_values(n)`; perfect play gets 2n."""
+    specs = [(n, k, cfg.master_seed, cfg.strategy, cfg.s_values(n))
+             for n in cfg.ns for k in range(cfg.seeds)]
+    lines = [ADVERSARY_HEADER] + _map_cells(_adversary_cell, specs, cfg.jobs)
+    return lines, _all_ok(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +264,12 @@ def cmd_play(args) -> int:
     strat.play(host)
     tr = host.transcript
     report = verify_transcript(x, tr)
-    print(PLAY_HEADER)
-    print(f"{n},{budget.S},{budget.slots},{tr.flips},{tr.passes},{report.ok}")
+    row = f"{n},{budget.S},{budget.slots},{tr.flips},{tr.passes},{report.ok}"
+    code = _finish(None, [PLAY_HEADER, row])
     if args.out:
         with open(args.out, "w") as fh:
             write_transcript_csv(tr, fh)
-    return 0 if report.ok else 1
+    return code
 
 
 def cmd_adversary(args) -> int:
@@ -274,9 +277,7 @@ def cmd_adversary(args) -> int:
         cfg = sweep_config_from(args)
         if args.strategy is None:
             cfg.strategy = "mixed"
-        lines, ok = adversary_sweep(cfg)
-        _emit(args.out, lines)
-        return 0 if ok else 1
+        return _finish(args.out, adversary_sweep(cfg)[0])
     n = args.n
     strategy = args.strategy or "multipass"
     if strategy == "mixed":
@@ -291,8 +292,7 @@ def cmd_adversary(args) -> int:
             return 2
     else:
         s = max(1, n // 2)
-    row = _adversary_row_for(n, s, args.seed, strategy)
-    _emit(args.out, [ADVERSARY_HEADER, row])
+    code = _finish(args.out, [ADVERSARY_HEADER, _adversary_row_for(n, s, args.seed, strategy)])
     if args.audit:
         strat = make_strategy(strategy, n, args.seed)
         res = adversarial_play(strat, n, SpaceBudget.for_slots(n, s))
@@ -303,14 +303,11 @@ def cmd_adversary(args) -> int:
             print(f"audit: claim_ok={rep.claim_ok} accounting_ok={rep.accounting_ok} "
                   f"lower_bound_ok={rep.lower_bound_ok} deletions={rep.deletions} "
                   f"vanishings={rep.vanishings} pairs={rep.pair_count}", file=sys.stderr)
-    return 0 if row.split(",")[-2:] == ["True", "True"] else 1
+    return code
 
 
 def cmd_tradeoff(args) -> int:
-    cfg = sweep_config_from(args)
-    lines, ok = tradeoff_sweep(cfg)
-    _emit(args.out, lines)
-    return 0 if ok else 1
+    return _finish(args.out, tradeoff_sweep(sweep_config_from(args))[0])
 
 
 def _lemma_y_row(n: int, r: int, t: int, trials: int, seed: int) -> str:
@@ -321,18 +318,11 @@ def _lemma_y_row(n: int, r: int, t: int, trials: int, seed: int) -> str:
 def cmd_lemma_y(args) -> int:
     r = args.r if args.r is not None else y_sample_size(args.n, args.t)
     row = _lemma_y_row(args.n, r, args.t, args.trials, args.seed)
-    _emit(args.out, [LEMMA_Y_HEADER, row])
-    return 0 if row.endswith("True") else 1
+    return _finish(args.out, [LEMMA_Y_HEADER, row])
 
 
 def _xy_row(n: int, R: int, depth: int, seed: int, kind: str, cap: int) -> str:
-    if kind == "fixed":
-        tree = fixed_position_tree(n, R, depth)
-    elif kind.startswith("compiled_s"):
-        slots = int(kind.removeprefix("compiled_s"))
-        tree = compile_prefix_tree(strategies.MultiPass, n, R, depth, slots=slots)
-    else:
-        tree = random_tree(n, R, depth, seed)
+    tree = fixed_position_tree(n, R, depth) if kind == "fixed" else random_tree(n, R, depth, seed)
     ok = xy_equiv_check(tree, n, R, cap)
     return f"{n},{R},{depth},{seed},{kind},{ok}"
 
@@ -344,14 +334,13 @@ def cmd_xy_check(args) -> int:
         depth = 1 + k % min(4, 2 * n)
         seed = derive_seed(args.seed, "xy", n, R, k)
         rows.append(_xy_row(n, R, depth, seed, "random", args.cap_enum))
-    _emit(args.out, [XY_HEADER] + rows)
-    return 0 if all(r.endswith("True") for r in rows) else 1
+    return _finish(args.out, [XY_HEADER] + rows)
 
 
 def _lemma43_row(n: int, R: int, r: int, t: int, tree_kind: str, cap: int) -> str:
     if tree_kind.startswith("compiled_s"):
         slots = int(tree_kind.removeprefix("compiled_s"))
-        tree = compile_prefix_tree(strategies.MultiPass, n, R, r, slots=slots, cap=cap)
+        tree = compile_prefix_tree(MultiPass, n, R, r, slots=slots, cap=cap)
     elif tree_kind == "guessing":
         tree = build_guessing_tree(n, R, r, t, cap=cap)
     else:
@@ -364,8 +353,7 @@ def _lemma43_row(n: int, R: int, r: int, t: int, tree_kind: str, cap: int) -> st
 def cmd_lemma43(args) -> int:
     kind = f"compiled_s{args.s}" if args.tree == "compiled" else "guessing"
     row = _lemma43_row(args.n, args.R, args.r, args.t, kind, args.cap_tree)
-    _emit(args.out, [LEMMA43_HEADER, row])
-    return 0 if row.endswith("True") else 1
+    return _finish(args.out, [LEMMA43_HEADER, row])
 
 
 def _unique_row(n: int, trials: int, seed: int, cap: int) -> str:
@@ -383,8 +371,7 @@ def _unique_row(n: int, trials: int, seed: int, cap: int) -> str:
 
 def cmd_unique_pairs(args) -> int:
     row = _unique_row(args.n, args.trials, args.seed, args.cap_enum)
-    _emit(args.out, [UNIQUE_HEADER, row])
-    return 0 if row.endswith("True") else 1
+    return _finish(args.out, [UNIQUE_HEADER, row])
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +393,6 @@ def cmd_report(args) -> int:
             print(f"{path}: 0 rows, 0 failing")
             continue
         header = lines[0].split(",")
-        bool_cols = [i for i, h in enumerate(header)
-                     if h in ("ok", "correct") or h.endswith("_ok")]
         fails = []
         for lineno, line in enumerate(lines[1:], start=2):
             vals = line.split(",")
@@ -416,7 +401,7 @@ def cmd_report(args) -> int:
                       file=sys.stderr)
                 parse_fail = True
                 continue
-            row_ok = all(vals[i] == "True" for i in bool_cols)
+            row_ok = _all_ok([lines[0], line])
             if not row_ok:
                 fails.append(lineno)
             for i, h in enumerate(header):
@@ -431,31 +416,22 @@ def cmd_report(args) -> int:
     return 1 if any_fail else 0
 
 
-def _recompute_row(header: str, row: str, caps: tuple[int, int]) -> str | None:
-    cap_enum, cap_tree = caps
-    vals = row.split(",")
-    if header == TRADEOFF_HEADER:
-        kind, n, _S, s, seed, strategy = vals[0], int(vals[1]), vals[2], int(vals[3]), int(vals[4]), vals[5]
-        if kind != "record":
-            return None
-        rec = _tradeoff_record(n, s, seed, strategy)
-        return _tradeoff_record_row(n, s, strategy, rec)
-    if header == ADVERSARY_HEADER:
-        n, s, seed, strategy = int(vals[0]), int(vals[2]), int(vals[3]), vals[4]
-        return _adversary_row_for(n, s, seed, strategy)
-    if header == LEMMA_Y_HEADER:
-        n, r, t, trials, seed = (int(v) for v in vals[:5])
-        return _lemma_y_row(n, r, t, trials, seed)
-    if header == XY_HEADER:
-        n, R, depth, seed, kind = int(vals[0]), int(vals[1]), int(vals[2]), int(vals[3]), vals[4]
-        return _xy_row(n, R, depth, seed, kind, cap_enum)
-    if header == LEMMA43_HEADER:
-        n, R, r, t, kind = int(vals[0]), int(vals[1]), int(vals[2]), int(vals[3]), vals[4]
-        return _lemma43_row(n, R, r, t, kind, cap_tree)
-    if header == UNIQUE_HEADER:
-        n, trials, seed = int(vals[0]), int(vals[1]), int(vals[2])
-        return _unique_row(n, trials, seed, cap_enum)
-    return None
+def _replay_tradeoff(v: list[str], cap_enum: int, cap_tree: int) -> str | None:
+    if v[0] != "record":
+        return None
+    n, s, seed, strategy = int(v[1]), int(v[3]), int(v[4]), v[5]
+    return _tradeoff_record_row(n, s, strategy, _tradeoff_record(n, s, seed, strategy))
+
+
+# header -> recompute(fields, cap_enum, cap_tree); None marks an aggregate row
+_REPLAY = {
+    TRADEOFF_HEADER: _replay_tradeoff,
+    ADVERSARY_HEADER: lambda v, ce, ct: _adversary_row_for(int(v[0]), int(v[2]), int(v[3]), v[4]),
+    LEMMA_Y_HEADER: lambda v, ce, ct: _lemma_y_row(*map(int, v[:5])),
+    XY_HEADER: lambda v, ce, ct: _xy_row(*map(int, v[:4]), v[4], ce),
+    LEMMA43_HEADER: lambda v, ce, ct: _lemma43_row(*map(int, v[:4]), v[4], ct),
+    UNIQUE_HEADER: lambda v, ce, ct: _unique_row(*map(int, v[:3]), ce),
+}
 
 
 def cmd_replay(args) -> int:
@@ -466,7 +442,9 @@ def cmd_replay(args) -> int:
               file=sys.stderr)
         return 2
     header, original = lines[0], lines[args.line]
-    recomputed = _recompute_row(header, original, (args.cap_enum, args.cap_tree))
+    fields = original.split(",")
+    recompute = _REPLAY.get(header) if len(fields) == header.count(",") + 1 else None
+    recomputed = recompute and recompute(fields, args.cap_enum, args.cap_tree)
     if recomputed is None:
         print(f"rows under header {header!r} (or aggregate rows) cannot be replayed in isolation",
               file=sys.stderr)
@@ -531,17 +509,12 @@ def main(argv=None) -> int:
 
     p = add_cmd("adversary", help="adversarial game(s) with audits; "
                                   "--config/--n-list switches to sweep mode")
-    p.add_argument("--strategy",
-                   choices=["multipass", "rmultipass", "perfect", "mixed"],
-                   default=None, help="player (default multipass; mixed in sweeps)")
+    _add_sweep_flags(p, "multipass; mixed in sweeps",
+                     ["multipass", "rmultipass", "perfect", "mixed"])
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--space-bits", type=int, default=None)
     p.add_argument("--audit", action="store_true",
                    help="print involution/replay audit details to stderr")
-    p.add_argument("--config", help="sweep config file (key = value lines)")
-    p.add_argument("--n-list", help="comma-separated pair counts (sweep mode)")
-    p.add_argument("--s-list", help="comma-separated slot counts, or pow2")
-    p.add_argument("--seeds", type=int, help="runs per cell (sweep mode)")
     p.set_defaults(func=cmd_adversary)
 
     p = add_cmd("tradeoff", help="memory-time product sweep")
@@ -586,11 +559,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_replay)
 
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get("MEMLAB_SEED", "0"))
     if args.jobs is None:
         args.jobs = os.cpu_count() or 1
     try:
+        if args.seed is None:
+            args.seed = int(os.environ.get("MEMLAB_SEED", "0"))
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"memlab: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from memlab import (GameParams, SpaceBudget, YExperiment, binomial_tail_exact,
                     unique_pairs_mc, y_exact_distribution, y_expectation,
                     y_sample, y_sample_many, y_sample_size, y_tail_bound,
                     y_tail_estimate, y_tail_exact)
+from memlab.game_core import CapExceeded
 from memlab.strategies import MultiPass, randomized_order
 
 
@@ -245,6 +246,11 @@ class TestUniquePairs:
             exp = unique_pairs_expected(n)
             assert exp.from_all_pairs > exp.threshold
             assert exp.from_n_pairs > exp.threshold
+
+    def test_enumeration_refused_past_int_str_digit_limit(self):
+        # 1000^2000 has 6,001 digits, past Python's int-to-str limit
+        with pytest.raises(CapExceeded, match=r"1000\^2000 inputs"):
+            unique_pairs_expected_enumerated(1000)
 
     def test_mc_close_to_exact_at_n3(self):
         truth = float(unique_pairs_expected_enumerated(3))

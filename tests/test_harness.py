@@ -160,11 +160,119 @@ class TestCLI:
         assert code == 0
         assert len(out.strip().splitlines()) == 5  # header + fixed + 3 random
 
+    def test_bad_env_seed_exits_2(self, capsys):
+        code, _ = run_cli(["play", "--n", "4", "--space-bits", "6"], env_seed="abc")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("memlab: ")
+
+    def test_unique_pairs_past_enumeration_digit_limit(self):
+        code, out = run_cli(["unique-pairs", "--n", "1000", "--trials", "50"])
+        assert code == 0
+        assert out.splitlines()[1].split(",")[3] == "na"
+
+    @pytest.mark.parametrize("args", [
+        ["tradeoff", "--n-list", "4", "--seeds", "0"],
+        ["tradeoff", "--n-list", "4", "--s-list", "0,2"],
+        ["tradeoff", "--n-list", "0,4"],
+        ["adversary", "--n-list", "3", "--seeds", "0"],
+        ["adversary", "--n-list", "3", "--s-list", "1,-2"],
+    ])
+    def test_sweep_sizes_below_one_exit_2(self, args):
+        code, out = run_cli(["--jobs", "1"] + args)
+        assert code == 2 and out == ""
+
+    def test_config_seeds_zero_exits_2(self, tmp_path):
+        cfg_file = tmp_path / "zero.cfg"
+        cfg_file.write_text("n = 4\nseeds = 0\n")
+        code, _ = run_cli(["--jobs", "1", "tradeoff", "--config", str(cfg_file)])
+        assert code == 2
+
+    def test_adversary_sweep_draws_s_from_s_list(self):
+        code, out = run_cli(["--jobs", "1", "adversary", "--n-list", "4,5", "--seeds", "6",
+                             "--s-list", "1"])
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()[1:]]
+        assert len(rows) == 12
+        for vals in rows:
+            n, s, name = int(vals[0]), int(vals[2]), vals[4]
+            assert s == (2 * n if name == "perfect" else 1)
+        assert {vals[4] for vals in rows} - {"perfect"}
+
+    def test_adversary_sweep_default_s_list_is_pow2(self):
+        base = ["--jobs", "1", "--seed", "3", "adversary", "--n-list", "3,4", "--seeds", "4"]
+        assert run_cli(base) == run_cli(base + ["--s-list", "pow2"])
+
     def test_lemma43_compiled(self):
         code, out = run_cli(["lemma43", "--n", "8", "--R", "8", "--r", "4",
                              "--t", "2", "--tree", "compiled", "--s", "2"])
         assert code == 0
         assert out.splitlines()[1].endswith("True")
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, specs):
+        return map(fn, specs)
+
+
+class TestJobs:
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "made", [])
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+
+    def test_clamped_to_cells_and_cores(self):
+        assert cli._map_cells(abs, [-1, -2, -3], 10**6) == [1, 2, 3]
+        assert cli._map_cells(abs, list(range(-9, 0)), 10**6) == list(range(9, 0, -1))
+        assert _RecordingPool.made == [3, 4]
+
+    def test_unknown_core_count_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._map_cells(abs, [-1, -2], 8) == [1, 2]
+        assert _RecordingPool.made == []
+
+    def test_huge_jobs_flag_same_csv(self):
+        sweep = ["tradeoff", "--n-list", "2", "--seeds", "2"]
+        huge = run_cli(["--jobs", str(10**6)] + sweep)
+        assert _RecordingPool.made == [3]  # pow2 slots 1, 2, 4 at n=2
+        assert huge == run_cli(["--jobs", "1"] + sweep)
+
+
+# one command per replayable row kind: (argv, data row to replay)
+ROW_KINDS = [
+    (["xy-check", "--n", "2", "--R", "3", "--trees", "2"], 1),  # fixed
+    (["xy-check", "--n", "2", "--R", "3", "--trees", "2"], 2),  # random
+    (["lemma43", "--n", "4", "--R", "4", "--r", "2", "--t", "1",
+      "--tree", "compiled", "--s", "2"], 1),
+    (["lemma43", "--n", "4", "--R", "4", "--r", "2", "--t", "1", "--tree", "guessing"], 1),
+    (["unique-pairs", "--n", "2", "--trials", "200"], 1),
+    (["tradeoff", "--n-list", "2,4", "--seeds", "2"], 2),
+    (["adversary", "--n-list", "3", "--seeds", "2"], 1),
+    (["lemma-y", "--n", "50", "--t", "3", "--r", "30", "--trials", "2000"], 1),  # fails
+]
+
+
+@pytest.mark.parametrize("args,line", ROW_KINDS)
+def test_row_kind_replays_and_exit_matches_report(tmp_path, args, line):
+    out_file = tmp_path / "rows.csv"
+    code, _ = run_cli(["--seed", "6", "--jobs", "1", "--out", str(out_file)] + args)
+    assert code == run_cli(["report", str(out_file)])[0]
+    code, out = run_cli(["replay", "--file", str(out_file), "--line", str(line)])
+    assert code == 0
+    assert out.splitlines()[-1] == "replay: identical"
 
 
 class TestReportAndReplay:
@@ -223,6 +331,12 @@ class TestReportAndReplay:
         code, out = run_cli(["replay", "--file", str(out_file), "--line", "1"])
         assert code == 0
         assert "identical" in out
+
+    def test_replay_rejects_row_with_wrong_field_count(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(cli.UNIQUE_HEADER + "\n2,200\n")
+        code, _ = run_cli(["replay", "--file", str(bad), "--line", "1"])
+        assert code == 2
 
     def test_replay_rejects_aggregate_rows(self, tmp_path):
         tr, _ = self._write_sweeps(tmp_path)
