@@ -8,6 +8,15 @@ characterization: fix one perfect matching, orient matched and unmatched
 edges oppositely, and keep exactly the non-matching edges whose endpoints
 share a strongly connected component.
 
+The filter is decremental.  After the filter every surviving edge lies inside
+one cached component, so deleting (l, r) can only split that component.  A
+deleted matched edge is first repaired by an augmenting path from l to r; that
+path plus the deleted edge is a directed cycle in the old orientation, and
+reversing a cycle keeps every component, so the deletion becomes the deletion
+of a non-matching edge under the new matching.  One early-exit reachability
+probe then settles most deletions: if l still reaches r the component is
+intact and nothing vanishes; otherwise Tarjan rescans that one component.
+
 The audit utilities check the counting identities this discipline guarantees:
 deletions + vanishings == n(n-1) on a finished run, and the fixed-point-free
 pairing of non-matching edges in which at least one member of every pair was
@@ -60,8 +69,10 @@ class KnowledgeGraph:
 
     While driven through kg_answer, every present edge lies in some perfect
     matching, the edge set only shrinks, `mate` holds a maintained perfect
-    matching, and `comp` caches the filter's component ids so a deletion of a
-    non-matching edge only rescans its own component.
+    matching, and `comp` caches the filter's component ids.  A deletion runs
+    one reachability probe inside its component and rescans only that
+    component when the probe fails; `comp` is None until a first full filter
+    (graphs from kg_from_edges), and such graphs get a full rescan.
     """
 
     __slots__ = ("n", "adj", "mate", "status", "comp", "_comp_next", "closure_hook")
@@ -140,8 +151,10 @@ def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
     """Answer "is x_i = x_j?", mutating the graph on a deletion.
 
     Yes exactly when {i,j} is a present isolated edge.  A present non-isolated
-    edge is deleted and the vanish closure runs; same-side or already-removed
-    pairs answer No without mutation.
+    edge is deleted and the vanish closure runs: a matched edge is first
+    replaced by an augmenting path, then a probe asks whether l still reaches
+    r, and only a failed probe rescans the component.  Same-side or
+    already-removed pairs answer No without mutation.
     """
     if i == j:
         raise ValueError(f"queried a position against itself: {i}")
@@ -164,13 +177,14 @@ def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
         g.mate[r] = 0
         if not _augment(g, l):
             raise InvariantViolation(f"deleting {(l, r)} destroyed the last perfect matching")
+    comp = g.comp
+    if comp is None:
         vanished = _run_filter(g, range(1, 2 * g.n + 1))
-    elif g.comp is not None and g.comp[l] != 0 and g.comp[l] == g.comp[r]:
-        cid = g.comp[l]
-        verts = [v for v in range(1, 2 * g.n + 1) if g.comp[v] == cid]
-        vanished = _run_filter(g, verts)
+    elif _reaches(g, l, r):
+        vanished = []
     else:
-        vanished = _run_filter(g, range(1, 2 * g.n + 1))
+        cid = comp[l]
+        vanished = _run_filter(g, [v for v in range(1, 2 * g.n + 1) if comp[v] == cid])
     if g.closure_hook is not None:
         g.closure_hook(g, vanished)
     return False, AnswerEvents((l, r), tuple(vanished))
@@ -250,15 +264,32 @@ def hopcroft_karp(n: int, adj: list[set[int]]) -> list[int]:
                     q.append(m)
         return found
 
-    def dfs(l: int) -> bool:
-        for r in adj[l]:
-            m = mate[r]
-            if m == 0 or (dist[m] == dist[l] + 1 and dfs(m)):
-                mate[l] = r
-                mate[r] = l
-                return True
-        dist[l] = INF
-        return False
+    def dfs(root: int) -> None:
+        # Layered DFS on an explicit stack, so a long augmenting path cannot
+        # exhaust the interpreter's; path[k] --via[k]--> path[k+1], and a
+        # dead end leaves the layering (dist = INF).
+        path = [root]
+        via: list[int] = []
+        its = [iter(adj[root])]
+        while its:
+            l = path[-1]
+            for r in its[-1]:
+                m = mate[r]
+                if m == 0:
+                    via.append(r)
+                    _flip(mate, path, via)
+                    return
+                if dist[m] == dist[l] + 1:
+                    path.append(m)
+                    via.append(r)
+                    its.append(iter(adj[m]))
+                    break
+            else:
+                dist[l] = INF
+                path.pop()
+                its.pop()
+                if via:
+                    via.pop()
 
     while bfs():
         for l in range(1, n + 1):
@@ -268,21 +299,77 @@ def hopcroft_karp(n: int, adj: list[set[int]]) -> list[int]:
 
 
 def _augment(g: KnowledgeGraph, root: int) -> bool:
-    """Single augmenting-path search restoring the matching after a deletion."""
-    seen: set[int] = set()
+    """Single augmenting-path search restoring the matching after a deletion.
 
-    def dfs(l: int) -> bool:
-        for r in g.adj[l]:
+    Iterative DFS from the free left vertex `root`, visiting each right vertex
+    at most once; on reaching a free right vertex the path is flipped.
+    """
+    adj = g.adj
+    mate = g.mate
+    seen: set[int] = set()
+    path = [root]
+    via: list[int] = []
+    its = [iter(adj[root])]
+    while its:
+        for r in its[-1]:
             if r in seen:
                 continue
             seen.add(r)
-            if g.mate[r] == 0 or dfs(g.mate[r]):
-                g.mate[l] = r
-                g.mate[r] = l
+            m = mate[r]
+            via.append(r)
+            if m == 0:
+                _flip(mate, path, via)
                 return True
-        return False
+            path.append(m)
+            its.append(iter(adj[m]))
+            break
+        else:
+            path.pop()
+            its.pop()
+            if via:
+                via.pop()
+    return False
 
-    return dfs(root)
+
+def _flip(mate: list[int], path: list[int], via: list[int]) -> None:
+    """Match every left vertex of an augmenting path to the right vertex after it."""
+    for l, r in zip(path, via):
+        mate[l] = r
+        mate[r] = l
+
+
+def _reaches(g: KnowledgeGraph, l: int, r: int) -> bool:
+    """Does left `l` reach right `r` in the filter orientation?
+
+    Unmatched edges run left->right and matched edges right->left, so a walk
+    is a sequence of left vertices, x stepping to mate[y] for y in adj[x].
+    `l` reaches `r` iff it reaches a left neighbour of `r`: mate[r] is entered
+    only from `r`, and every other neighbour steps to `r`.  A forward search
+    from `l` and a backward search from those neighbours (the predecessors of
+    u are adj[mate[u]]) take one vertex each in turn and stop as soon as they
+    meet or either runs out, so the cheaper side bounds the work.
+    """
+    adj = g.adj
+    mate = g.mate
+    fwd = {l}
+    bwd = set(adj[r])
+    fstack = [l]
+    bstack = list(bwd)
+    while fstack and bstack:
+        for y in adj[fstack.pop()]:
+            x = mate[y]
+            if x not in fwd:
+                if x in bwd:
+                    return True
+                fwd.add(x)
+                fstack.append(x)
+        for x in adj[mate[bstack.pop()]]:
+            if x not in bwd:
+                if x in fwd:
+                    return True
+                bwd.add(x)
+                bstack.append(x)
+    return False
 
 
 def _run_filter(g: KnowledgeGraph, verts) -> list[tuple[int, int]]:
@@ -298,8 +385,9 @@ def _run_filter(g: KnowledgeGraph, verts) -> list[tuple[int, int]]:
         if l > g.n:
             continue
         ml = g.mate[l]
+        cl = comp.get(l)
         for r in g.adj[l]:
-            if r != ml and comp.get(l) != comp.get(r):
+            if r != ml and comp.get(r) != cl:
                 vanished.append((l, r))
     for l, r in vanished:
         g.adj[l].discard(r)

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,8 @@ from memlab import (InvariantViolation, SpaceBudget, adversarial_play,
                     kg_is_done, matches_of, realize_input, replay_consistent,
                     perfect_matchings, useful_edges_brute, validate_deck,
                     vanish_closure)
-from memlab.adversary import AdversaryLog, hopcroft_karp
+from memlab.adversary import (AnswerEvents, AdversaryLog, KnowledgeGraph,
+                              _augment, _run_filter, edge_key, hopcroft_karp)
 from memlab.strategies import FullMemory, GuessNow, MultiPass, make_strategy
 
 
@@ -133,6 +137,49 @@ class TestFilterOracle:
         assert checked  # the hook actually ran
 
 
+def _answer_full_rescan(g, i, j):
+    """Reference kg_answer: the same deletion, then the filter over all 2n vertices."""
+    key = edge_key(g.n, i, j)
+    if key is None or key[1] not in g.adj[key[0]]:
+        return False, AnswerEvents()
+    l, r = key
+    if g.isolated(l, r):
+        return True, AnswerEvents()
+    g.adj[l].discard(r)
+    g.adj[r].discard(l)
+    g.status[(l, r)] = "deleted"
+    if g.mate[l] == r:
+        g.mate[l] = g.mate[r] = 0
+        assert _augment(g, l)
+    return False, AnswerEvents((l, r), tuple(_run_filter(g, range(1, 2 * g.n + 1))))
+
+
+class TestDecrementalFilter:
+    """kg_answer's probe-then-rescan-one-component path against a full rescan."""
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_random_query_stream_matches_full_rescan(self, seed):
+        # uniform pairs delete matched edges far more often than the shipped
+        # strategies, so both probe outcomes follow augmentations here
+        rnd = random.Random(seed)
+        n = rnd.randint(2, 24)
+        fast, slow = kg_init(n), kg_init(n)
+        while not kg_is_done(fast):
+            i, j = rnd.sample(range(1, 2 * n + 1), 2)
+            got = kg_answer(fast, i, j)
+            assert got == _answer_full_rescan(slow, i, j), (seed, i, j)
+            assert fast.edges() == slow.edges()
+        assert kg_is_done(slow)
+
+    def test_unfiltered_graph_gets_a_full_rescan(self):
+        g = kg_from_edges(2, [(1, 3), (1, 4), (2, 3), (2, 4)])
+        assert g.comp is None
+        ans, ev = kg_answer(g, 1, 3)
+        assert ev == AnswerEvents((1, 3), ((2, 4),))
+        assert g.edges() == {(1, 4), (2, 3)}
+
+
 class TestRealize:
     def test_final_matching_structure(self):
         g = kg_init(2)
@@ -190,6 +237,21 @@ class TestInvolution:
             fe = _phi(n, matching, e)
             assert fe != e
             assert _phi(n, matching, fe) == e
+
+    def test_random_stream_deletes_more_than_half(self):
+        # deletions == n(n-1)/2 is not an identity: random queries can delete
+        # both edges of an involution pair, so the audit must check >=
+        rnd = random.Random(0)
+        n = rnd.randint(2, 9)
+        g = kg_init(n)
+        log = AdversaryLog(n, g.status)
+        while not kg_is_done(g):
+            i, j = rnd.sample(range(1, 2 * n + 1), 2)
+            log.note(i, j, *kg_answer(g, i, j))
+        rep = involution_audit(log, [(l, g.mate[l]) for l in range(1, n + 1)])
+        assert (n, rep.deletions, rep.vanishings) == (8, 46, 10)
+        assert rep.deletions > n * (n - 1) // 2
+        assert rep.ok
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_finished_runs_pass_audit(self, n):
@@ -270,3 +332,40 @@ class TestHopcroftKarp:
             return best
 
         assert size == brute(1, frozenset())
+
+
+def _staircase(n):
+    """Band graph: left i sees right n+i and n+i+1.  Its only perfect matching
+    is the diagonal, and an augmenting path in it can run the whole band."""
+    return [(i, n + i) for i in range(1, n + 1)] + [(i, n + i + 1) for i in range(1, n)]
+
+
+class TestDeepPaths:
+    """Matching searches must not recurse once per path step."""
+
+    def test_hopcroft_karp_on_n5000_staircase(self):
+        n = 5000
+        adj = [set() for _ in range(2 * n + 1)]
+        for l, r in _staircase(n):
+            adj[l].add(r)
+            adj[r].add(l)
+        mate = hopcroft_karp(n, adj)
+        assert all(mate[l] == n + l for l in range(1, n + 1))
+
+    def test_kg_from_edges_on_n5000_staircase(self):
+        n = 5000
+        g = kg_from_edges(n, _staircase(n))
+        assert all(g.mate[l] == n + l for l in range(1, n + 1))
+
+    def test_augment_path_longer_than_recursion_limit(self):
+        # matching l <-> n+l+1 leaves left n and right n+1 free; the only
+        # augmenting path walks n, 2n, n-1, 2n-1, ..., 1, n+1
+        n = sys.getrecursionlimit() + 100
+        g = KnowledgeGraph(n)
+        for l, r in _staircase(n):
+            g.adj[l].add(r)
+            g.adj[r].add(l)
+        for l in range(1, n):
+            g.mate[l], g.mate[n + l + 1] = n + l + 1, l
+        assert _augment(g, n)
+        assert all(g.mate[l] == n + l and g.mate[n + l] == l for l in range(1, n + 1))

@@ -202,6 +202,18 @@ class TestCLI:
         base = ["--jobs", "1", "--seed", "3", "adversary", "--n-list", "3,4", "--seeds", "4"]
         assert run_cli(base) == run_cli(base + ["--s-list", "pow2"])
 
+    def test_adversary_sweep_at_n128(self):
+        code, out = run_cli(["--jobs", "1", "adversary", "--n-list", "128",
+                             "--strategy", "mixed", "--seeds", "1"])
+        assert code == 0
+        header, row = out.strip().splitlines()
+        vals = dict(zip(header.split(","), row.split(",")))
+        n = int(vals["n"])
+        assert n == 128
+        assert int(vals["deletions"]) + int(vals["vanishings"]) == n * (n - 1)
+        assert int(vals["queries"]) >= n * (n - 1) // 2
+        assert vals["lower_bound_ok"] == vals["involution_ok"] == "True"
+
     def test_lemma43_compiled(self):
         code, out = run_cli(["lemma43", "--n", "8", "--R", "8", "--r", "4",
                              "--t", "2", "--tree", "compiled", "--s", "2"])
