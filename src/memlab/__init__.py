@@ -15,11 +15,10 @@ from .adversary import (AdversaryLog, AdversaryResult, InvariantViolation,
                         perfect_matchings, useful_edges_brute, vanish_closure)
 from .analysis import (MonteCarloWrapped, UniquePairsExpectation, YExperiment,
                        binomial_tail_exact, chernoff_tail, monte_carlo_wrap,
-                       play_with_flip_cap, relent, unique_pairs,
-                       unique_pairs_expected, unique_pairs_expected_enumerated,
-                       unique_pairs_mc, y_exact_distribution, y_expectation,
-                       y_sample, y_sample_many, y_sample_size, y_tail_bound,
-                       y_tail_estimate, y_tail_exact)
+                       relent, unique_pairs, unique_pairs_expected,
+                       unique_pairs_expected_enumerated, unique_pairs_mc,
+                       y_exact_distribution, y_expectation, y_sample_many,
+                       y_sample_size, y_tail_bound, y_tail_estimate, y_tail_exact)
 from .trees import (DecisionTree, PathStats, TreeNode, build_guessing_tree,
                     compile_prefix_tree, fixed_position_tree, lemma43_check,
                     path_distribution, productive_deck_count,

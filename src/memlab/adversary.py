@@ -88,12 +88,6 @@ class KnowledgeGraph:
         self._comp_next = 1
         self.closure_hook = None
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def present(self, l: int, r: int) -> bool:
-        return r in self.adj[l]
-
     def isolated(self, l: int, r: int) -> bool:
         return r in self.adj[l] and len(self.adj[l]) == 1 and len(self.adj[r]) == 1
 

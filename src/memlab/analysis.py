@@ -12,14 +12,13 @@ only in bounds and Monte Carlo estimates.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .game_core import CapExceeded, Deck
+from .game_core import DEFAULT_ENUM_CAP, CapExceeded, Deck
 from .strategies import DeckHost, FlipBudgetExceeded, SpaceBudget, Transcript
 
 
@@ -44,15 +43,6 @@ class YExperiment:
             raise ValueError(f"need trials >= 1, got {self.trials}")
 
 
-def y_sample(exp: YExperiment, rng: random.Random | None = None) -> int:
-    """One draw of the completed-pairs count."""
-    if rng is None:
-        rng = random.Random(exp.seed)
-    drawn = rng.sample(range(2 * exp.n), exp.r)
-    pairs = Counter(idx >> 1 for idx in drawn)
-    return sum(1 for c in pairs.values() if c == 2)
-
-
 def y_sample_many(n: int, r: int, trials: int, seed: int) -> np.ndarray:
     """Vectorized draws: argpartition of uniform noise picks r of 2n without replacement."""
     if not 0 <= r <= 2 * n:
@@ -64,12 +54,9 @@ def y_sample_many(n: int, r: int, trials: int, seed: int) -> np.ndarray:
     while done < trials:
         m = min(chunk, trials - done)
         noise = rng.random((m, 2 * n))
-        if r == 0:
-            out[done:done + m] = 0
-        else:
-            picks = np.argpartition(noise, min(r, 2 * n - 1), axis=1)[:, :r] >> 1
-            picks.sort(axis=1)
-            out[done:done + m] = (picks[:, 1:] == picks[:, :-1]).sum(axis=1)
+        picks = np.argpartition(noise, min(r, 2 * n - 1), axis=1)[:, :r] >> 1
+        picks.sort(axis=1)
+        out[done:done + m] = (picks[:, 1:] == picks[:, :-1]).sum(axis=1)
         done += m
     return out
 
@@ -138,33 +125,6 @@ def y_sample_size(n: int, t: int) -> int:
 # ---------------------------------------------------------------------------
 # Relative entropy / Chernoff
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Inputs of the binomial tail bound Pr[Bin(n, p) >= a n] <= e^(-n D(a||p)).
-
-    `for_sample` plugs in a = t/n and p = r^2/(4n^2), the rate that dominates
-    each completed-pairs indicator, which is how the sampling tail reduces to
-    a binomial one.
-    """
-
-    a: float
-    p: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.a < 1.0 or not 0.0 < self.p < 1.0:
-            raise ValueError(f"need a, p in (0,1), got a={self.a}, p={self.p}")
-        if self.p > self.a:
-            raise ValueError(f"bound needs p <= a, got p={self.p} > a={self.a}")
-
-    @classmethod
-    def for_sample(cls, n: int, r: int, t: int) -> "BoundParams":
-        return cls(a=t / n, p=r * r / (4.0 * n * n), n=n)
-
-    def tail(self) -> float:
-        return chernoff_tail(self.n, self.a, self.p)
-
-
 def relent(a: float, p: float) -> float:
     """Bernoulli relative entropy a ln(a/p) + (1-a) ln((1-a)/(1-p))."""
     if not 0.0 < a < 1.0 or not 0.0 < p < 1.0:
@@ -173,7 +133,11 @@ def relent(a: float, p: float) -> float:
 
 
 def chernoff_tail(n: int, a: float, p: float) -> float:
-    """Upper bound exp(-n D(a||p)) on Pr[Bin(n,p) >= an]; needs p <= a."""
+    """Upper bound exp(-n D(a||p)) on Pr[Bin(n,p) >= an]; needs p <= a.
+
+    The sampling tail reduces to this binomial one with a = t/n and
+    p = r^2/(4n^2), the rate that dominates each completed-pairs indicator.
+    """
     if p > a:
         raise ValueError(f"bound needs p <= a, got p={p} > a={a}")
     return math.exp(-n * relent(a, p))
@@ -211,17 +175,6 @@ class CappedRun:
     errored: bool
 
 
-def play_with_flip_cap(strategy, x: Deck, budget: SpaceBudget, cap: int,
-                       lean: bool = True) -> CappedRun:
-    """Run a player but halt it after `cap` flips; errored when incomplete."""
-    host = DeckHost(x, budget.slots, Transcript(lean=lean), flip_cap=cap)
-    try:
-        strategy.play(host)
-    except FlipBudgetExceeded:
-        return CappedRun(host.transcript, True)
-    return CappedRun(host.transcript, not host.done())
-
-
 class MonteCarloWrapped:
     """A player truncated at 10x its expected flip count, reporting an error
     when the game is unfinished at the cutoff.  When expected_T upper-bounds
@@ -234,7 +187,13 @@ class MonteCarloWrapped:
         self.cap = int(10 * expected_T)
 
     def play(self, x: Deck, budget: SpaceBudget, lean: bool = True) -> CappedRun:
-        return play_with_flip_cap(self.strategy, x, budget, self.cap, lean=lean)
+        """Run the player but halt it after `cap` flips; errored when incomplete."""
+        host = DeckHost(x, budget.slots, Transcript(lean=lean), flip_cap=self.cap)
+        try:
+            self.strategy.play(host)
+        except FlipBudgetExceeded:
+            return CappedRun(host.transcript, True)
+        return CappedRun(host.transcript, not host.done())
 
 
 def monte_carlo_wrap(strategy, expected_T: float) -> MonteCarloWrapped:
@@ -293,7 +252,7 @@ def unique_pairs_expected(n: int) -> UniquePairsExpectation:
     )
 
 
-def unique_pairs_expected_enumerated(n: int, cap: int = 10_000_000) -> Fraction:
+def unique_pairs_expected_enumerated(n: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Exact E[#outputs] over all n^(2n) inputs by full enumeration."""
     import itertools
 
@@ -307,14 +266,18 @@ def unique_pairs_expected_enumerated(n: int, cap: int = 10_000_000) -> Fraction:
 
 
 def unique_pairs_mc(n: int, trials: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo (mean, standard error) of the output count over uniform inputs."""
+    """Monte Carlo (mean, standard error) of the output count over uniform inputs.
+
+    One bincount tallies every trial: row k's values are shifted by k(n+1),
+    so each trial counts into its own block of n+1 bins.
+    """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     draws = rng.integers(1, n + 1, size=(trials, 2 * n))
-    counts = np.empty(trials, dtype=np.int64)
-    for k in range(trials):
-        row = draws[k]
-        occ = np.bincount(row, minlength=n + 1)
-        counts[k] = sum(1 for v in range(1, n + 1) if occ[v] == 2)
+    draws += np.arange(trials)[:, None] * (n + 1)
+    occ = np.bincount(draws.ravel(), minlength=trials * (n + 1)).reshape(trials, n + 1)
+    counts = (occ[:, 1:] == 2).sum(axis=1)
     mean = float(counts.mean())
     sigma = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
     return mean, sigma

@@ -161,13 +161,17 @@ def _tradeoff_cell(spec: tuple) -> list[tuple]:
             for k in range(nseeds)]
 
 
+def _c_ratio(budget: SpaceBudget, T: int) -> float:
+    """The memory-time constant S*T / (n^2 ceil(log2 2n))."""
+    return budget.S * T / (budget.n * budget.n * budget.bits_per_index)
+
+
 def _tradeoff_record_row(n: int, s: int, strategy: str, rec: tuple) -> str:
     budget = SpaceBudget.for_slots(n, s)
     dseed, T, passes, correct, in_bound = rec
-    ratio = budget.S * T / (n * n * budget.bits_per_index)
     ok = correct and in_bound
     return (f"record,{n},{budget.S},{s},{dseed},{strategy},{T},{passes},"
-            f"{correct},{budget.S * T},{ratio!r},{ok}")
+            f"{correct},{budget.S * T},{_c_ratio(budget, T)!r},{ok}")
 
 
 def tradeoff_sweep(cfg: SweepConfig) -> tuple[list[str], bool]:
@@ -177,25 +181,20 @@ def tradeoff_sweep(cfg: SweepConfig) -> tuple[list[str], bool]:
     specs = [(n, s, cfg.seeds, cfg.master_seed, cfg.strategy) for n, s in cells]
     results = _map_cells(_tradeoff_cell, specs, cfg.jobs)
 
+    # a cell's worst run: the largest T, then the most passes at that T
+    worst = [max((T, passes) for _, T, passes, _, _ in recs) for recs in results]
+    ratios = [_c_ratio(SpaceBudget.for_slots(n, s), T) for (n, s), (T, _) in zip(cells, worst)]
     n_min = min(cfg.ns)
-    summaries = []
-    for (n, s), recs in zip(cells, results):
-        budget = SpaceBudget.for_slots(n, s)
-        T_worst = max(r[1] for r in recs)
-        passes_worst = max(r[2] for r in recs if r[1] == T_worst)
-        recs_ok = all(r[3] and r[4] for r in recs)
-        ratio = budget.S * T_worst / (n * n * budget.bits_per_index)
-        summaries.append((n, s, budget, T_worst, passes_worst, recs_ok, ratio))
-    c_cal = max(sm[6] for sm in summaries if sm[0] == n_min)
+    c_cal = max(ratio for (n, _), ratio in zip(cells, ratios) if n == n_min)
 
     lines = [TRADEOFF_HEADER]
-    for ((n, s), recs), sm in zip(zip(cells, results), summaries):
-        for rec in recs:
-            lines.append(_tradeoff_record_row(n, s, cfg.strategy, rec))
-        _, _, budget, T_worst, passes_worst, recs_ok, ratio = sm
+    for (n, s), recs, (T, passes), ratio in zip(cells, results, worst, ratios):
+        lines += [_tradeoff_record_row(n, s, cfg.strategy, rec) for rec in recs]
+        budget = SpaceBudget.for_slots(n, s)
+        recs_ok = all(correct and in_bound for _, _, _, correct, in_bound in recs)
         ok = recs_ok and ratio <= 2.0 * c_cal
-        lines.append(f"summary,{n},{budget.S},{s},-1,{cfg.strategy},{T_worst},"
-                     f"{passes_worst},{recs_ok},{budget.S * T_worst},{ratio!r},{ok}")
+        lines.append(f"summary,{n},{budget.S},{s},-1,{cfg.strategy},{T},"
+                     f"{passes},{recs_ok},{budget.S * T},{ratio!r},{ok}")
     all_ok = _all_ok(lines)  # a summary row is ok only if its records are
     lines.append(f"calibration,{n_min},0,0,-1,{cfg.strategy},0,0,True,0,{c_cal!r},{all_ok}")
     return lines, all_ok
@@ -329,6 +328,8 @@ def _xy_row(n: int, R: int, depth: int, seed: int, kind: str, cap: int) -> str:
 
 def cmd_xy_check(args) -> int:
     n, R = args.n, args.R
+    if args.trees < 0:
+        raise ValueError(f"need --trees >= 0, got {args.trees}")
     rows = [_xy_row(n, R, min(2, 2 * n), 0, "fixed", args.cap_enum)]
     for k in range(args.trees):
         depth = 1 + k % min(4, 2 * n)

@@ -106,13 +106,9 @@ def _multiset_perms(counts: dict[int, int], slots: int, prefix: Deck) -> Iterato
         counts[v] += 1
 
 
-def deck_multiplicities(x: Iterable[int]) -> Counter:
-    return Counter(x)
-
-
 def validate_deck(x: Deck, R: int | None = None) -> int:
     """Check validity and return n; diagnostics name the offending multiplicities."""
-    counts = deck_multiplicities(x)
+    counts = Counter(x)
     if len(x) % 2 != 0:
         raise ValueError(f"deck length {len(x)} is odd")
     n = len(x) // 2

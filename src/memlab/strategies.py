@@ -272,12 +272,12 @@ def make_strategy(name: str, n: int, seed: int = 0):
 # Entry points
 
 def multi_pass_play(x: Deck, budget: SpaceBudget, order: list[int] | None = None,
-                    lean: bool = False, flip_cap: int | None = None) -> Transcript:
+                    lean: bool = False) -> Transcript:
     """Run the blocked scanner on a deck and return its transcript."""
     if budget.slots < 1:
         raise ValueError(
             f"S={budget.S} bits stores no card index: need at least {budget.bits_per_index} bits")
-    host = DeckHost(x, budget.slots, Transcript(lean=lean), flip_cap=flip_cap)
+    host = DeckHost(x, budget.slots, Transcript(lean=lean))
     MultiPass(order=order).play(host)
     return host.transcript
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .game_core import (CapExceeded, Deck, MatchTriple, Transcript,
+from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, Deck, MatchTriple, Transcript,
                         count_valid_inputs, enumerate_valid_inputs, matches_of)
 from .strategies import GameHost, ProtocolError
 from .analysis import y_exact_distribution
@@ -116,18 +116,17 @@ def tree_run(tree: DecisionTree, x: Deck) -> PathStats:
 # Exact distribution checks
 
 def x_exact_distribution(tree: DecisionTree, n: int, R: int,
-                         cap: int | None = None) -> list[Fraction]:
+                         cap: int = DEFAULT_ENUM_CAP) -> list[Fraction]:
     """Law of the equal-pairs count over a uniform valid deck, by enumeration."""
-    kwargs = {} if cap is None else {"cap": cap}
     tally = Counter()
     total = 0
-    for x in enumerate_valid_inputs(n, R, **kwargs):
+    for x in enumerate_valid_inputs(n, R, cap):
         tally[tree_run(tree, x).equal_pairs] += 1
         total += 1
     return [Fraction(tally.get(u, 0), total) for u in range(tree.depth // 2 + 1)]
 
 
-def xy_equiv_check(tree: DecisionTree, n: int, R: int, cap: int | None = None) -> bool:
+def xy_equiv_check(tree: DecisionTree, n: int, R: int, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """Exact rational equality of the tree's equal-pairs law with the
     completed-pairs law of drawing depth cards without replacement."""
     return x_exact_distribution(tree, n, R, cap) == y_exact_distribution(n, tree.depth)
@@ -136,15 +135,15 @@ def xy_equiv_check(tree: DecisionTree, n: int, R: int, cap: int | None = None) -
 # ---------------------------------------------------------------------------
 # Path-by-path counting
 
-def _iter_leaves(tree: DecisionTree) -> Iterator[tuple[dict[int, int], Counter, list[MatchTriple]]]:
-    if tree.root is None:
-        yield {}, Counter(), []
-        return
+def _iter_leaves(tree: DecisionTree) -> Iterator[tuple[dict[int, int], Counter, list[MatchTriple], int, int]]:
+    """Every leaf that some deck reaches, as (read value by position, read
+    count by value, outputs along the path, completed pairs u among the
+    reads, decks consistent with the reads)."""
     qvals: dict[int, int] = {}
     counts: Counter = Counter()
     outputs: list[MatchTriple] = []
 
-    def rec(node: TreeNode) -> Iterator[tuple[dict[int, int], Counter, list[MatchTriple]]]:
+    def rec(node: TreeNode) -> Iterator[None]:
         pos = node.pos
         for v in range(1, tree.R + 1):
             qvals[pos] = v
@@ -153,7 +152,7 @@ def _iter_leaves(tree: DecisionTree) -> Iterator[tuple[dict[int, int], Counter, 
             outputs.extend(outs)
             child = node.kids[v - 1]
             if child is None:
-                yield qvals, counts, outputs
+                yield
             else:
                 yield from rec(child)
             for _ in outs:
@@ -161,7 +160,15 @@ def _iter_leaves(tree: DecisionTree) -> Iterator[tuple[dict[int, int], Counter, 
             counts[v] -= 1
             del qvals[pos]
 
-    yield from rec(tree.root)
+    # a depth-0 tree is one leaf with no reads
+    for _ in rec(tree.root) if tree.root is not None else [None]:
+        if any(c > 2 for c in counts.values()):
+            continue
+        u = sum(1 for c in counts.values() if c == 2)
+        d = sum(1 for c in counts.values() if c == 1)
+        base = _consistent_count(tree.n, tree.R, u, d, len(qvals))
+        if base:
+            yield qvals, counts, outputs, u, base
 
 
 def _consistent_count(n: int, R: int, u: int, d: int, r: int) -> int:
@@ -206,15 +213,7 @@ def productive_deck_count(tree: DecisionTree, t: int) -> tuple[int, int]:
     n, R = tree.n, tree.R
     productive = 0
     total = 0
-    for qvals, counts, outputs in _iter_leaves(tree):
-        if any(c > 2 for c in counts.values()):
-            continue
-        u = sum(1 for c in counts.values() if c == 2)
-        d = sum(1 for c in counts.values() if c == 1)
-        r = len(qvals)
-        base = _consistent_count(n, R, u, d, r)
-        if base == 0:
-            continue
+    for qvals, counts, outputs, _, base in _iter_leaves(tree):
         total += base
         det = 0
         events: list[tuple[tuple[int, int], ...]] = []
@@ -242,7 +241,7 @@ def productive_deck_count(tree: DecisionTree, t: int) -> tuple[int, int]:
         for k in range(need, m + 1):
             sk = 0
             for A in combinations(events, k):
-                sk += _pinned_count(n, R, counts, r, A)
+                sk += _pinned_count(n, R, counts, len(qvals), A)
             got += (-1) ** (k - need) * math.comb(k - 1, need - 1) * sk
         productive += got
     return productive, total
@@ -250,17 +249,10 @@ def productive_deck_count(tree: DecisionTree, t: int) -> tuple[int, int]:
 
 def path_distribution(tree: DecisionTree) -> list[Fraction]:
     """Equal-pairs law by exact path counting (dual route to enumeration)."""
-    n, R = tree.n, tree.R
     tally: Counter = Counter()
-    for qvals, counts, _ in _iter_leaves(tree):
-        if any(c > 2 for c in counts.values()):
-            continue
-        u = sum(1 for c in counts.values() if c == 2)
-        d = sum(1 for c in counts.values() if c == 1)
-        base = _consistent_count(n, R, u, d, len(qvals))
-        if base:
-            tally[u] += base
-    total = count_valid_inputs(n, R)
+    for _, _, _, u, base in _iter_leaves(tree):
+        tally[u] += base
+    total = count_valid_inputs(tree.n, tree.R)
     return [Fraction(tally.get(u, 0), total) for u in range(tree.depth // 2 + 1)]
 
 
@@ -300,12 +292,11 @@ def lemma43_check(tree: DecisionTree, n: int, R: int, t: int) -> ProductivityRes
 
 
 def productive_fraction_brute(tree: DecisionTree, n: int, R: int, t: int,
-                              cap: int | None = None) -> Fraction:
+                              cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Deck-enumeration oracle for the productive fraction (small n only)."""
-    kwargs = {} if cap is None else {"cap": cap}
     productive = 0
     total = 0
-    for x in enumerate_valid_inputs(n, R, **kwargs):
+    for x in enumerate_valid_inputs(n, R, cap):
         total += 1
         if tree_run(tree, x).correct_outputs >= 2 * t:
             productive += 1
@@ -316,6 +307,8 @@ def productive_fraction_brute(tree: DecisionTree, n: int, R: int, t: int,
 # Tree builders
 
 def _check_tree_cap(n: int, R: int, depth: int, cap: int) -> None:
+    if n < 1 or depth < 0:
+        raise ValueError(f"need n >= 1 and depth >= 0, got n={n}, depth={depth}")
     if depth > 2 * n:
         raise ValueError(f"depth {depth} exceeds the {2 * n} distinct positions")
     nodes = (R ** (depth + 1) - 1) // (R - 1) if R > 1 else depth + 1
@@ -478,6 +471,8 @@ def compile_prefix_tree(make_player: Callable, n: int, R: int, depth: int,
     _check_tree_cap(n, R, depth, cap)
     if slots is None:
         slots = 2 * n
+    if slots < 1:
+        raise ValueError(f"need slots >= 1, got {slots}")
 
     def build(feed: tuple[int, ...], positions: tuple[int, ...]):
         qpos, next_pos, outs_by_step = _replay(make_player, n, slots, feed)

@@ -1,8 +1,8 @@
 import itertools
 import math
-import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +12,7 @@ from memlab import (GameParams, SpaceBudget, YExperiment, binomial_tail_exact,
                     multi_pass_play, relent, unique_pairs,
                     unique_pairs_expected, unique_pairs_expected_enumerated,
                     unique_pairs_mc, y_exact_distribution, y_expectation,
-                    y_sample, y_sample_many, y_sample_size, y_tail_bound,
+                    y_sample_many, y_sample_size, y_tail_bound,
                     y_tail_estimate, y_tail_exact)
 from memlab.game_core import CapExceeded
 from memlab.strategies import MultiPass, randomized_order
@@ -33,13 +33,11 @@ def _y_distribution_by_subsets(n, r):
 class TestYSample:
     def test_full_draw_is_always_n(self):
         for n in (1, 2, 5):
-            exp = YExperiment(n=n, r=2 * n, seed=3)
-            assert all(y_sample(exp, random.Random(k)) == n for k in range(20))
+            assert (y_sample_many(n, 2 * n, 20, seed=3) == n).all()
 
     def test_tiny_draws_are_zero(self):
         for r in (0, 1):
-            exp = YExperiment(n=4, r=r)
-            assert all(y_sample(exp, random.Random(k)) == 0 for k in range(20))
+            assert (y_sample_many(4, r, 20, seed=0) == 0).all()
 
     def test_r_beyond_deck_rejected(self):
         with pytest.raises(ValueError, match="r <= 2n"):
@@ -131,21 +129,6 @@ class TestYTailBound:
         est = y_tail_estimate(YExperiment(n=100, r=14, t=4, trials=30_000, seed=5))
         assert est.ok
         assert est.estimate <= est.bound + 3 * est.sigma
-
-
-class TestBoundParams:
-    def test_sampling_reduction(self):
-        from memlab.analysis import BoundParams
-        bp = BoundParams.for_sample(100, 14, 4)
-        assert bp.a == 0.04 and bp.p == pytest.approx(196 / 40000)
-        assert bp.tail() == chernoff_tail(100, bp.a, bp.p)
-
-    def test_validation(self):
-        from memlab.analysis import BoundParams
-        with pytest.raises(ValueError, match="p <= a"):
-            BoundParams(a=0.1, p=0.2, n=10)
-        with pytest.raises(ValueError, match="in \\(0,1\\)"):
-            BoundParams(a=1.0, p=0.2, n=10)
 
 
 class TestChernoff:
@@ -256,3 +239,12 @@ class TestUniquePairs:
         truth = float(unique_pairs_expected_enumerated(3))
         mean, sigma = unique_pairs_mc(3, 4000, seed=2)
         assert abs(mean - truth) <= 4 * sigma
+
+    @pytest.mark.parametrize("n,trials,seed", [(2, 50, 0), (3, 200, 1), (10, 100, 7),
+                                               (37, 40, 3), (100, 20, 11), (5, 1, 2)])
+    def test_mc_matches_row_by_row_oracle(self, n, trials, seed):
+        # same draws, counted one row at a time by unique_pairs
+        draws = np.random.default_rng(seed).integers(1, n + 1, (trials, 2 * n))
+        counts = np.array([len(unique_pairs(row)) for row in draws.tolist()])
+        sigma = counts.std(ddof=1) / math.sqrt(trials) if trials > 1 else float("inf")
+        assert unique_pairs_mc(n, trials, seed) == (float(counts.mean()), float(sigma))

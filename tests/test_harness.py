@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import os
 from contextlib import redirect_stdout
@@ -82,6 +83,22 @@ class TestTradeoffSweep:
         summary = [ln for ln in lines if ln.startswith("summary")]
         full = [ln for ln in summary if ln.split(",")[3] == "16"]  # s = 2n
         assert full and all(int(ln.split(",")[6]) == 16 for ln in full)
+
+    def test_summary_takes_most_passes_among_worst_T(self):
+        lines, _ = tradeoff_sweep(SweepConfig(ns=[2, 3, 4, 8], seeds=30, master_seed=3))
+        runs: dict = {}
+        split_ties = 0
+        for vals in (ln.split(",") for ln in lines[1:]):
+            cell = (vals[1], vals[3])
+            T, passes = int(vals[6]), int(vals[7])
+            if vals[0] == "record":
+                runs.setdefault(cell, []).append((T, passes))
+            elif vals[0] == "summary":
+                T_worst = max(t for t, _ in runs[cell])
+                tied = {p for t, p in runs[cell] if t == T_worst}
+                split_ties += len(tied) > 1
+                assert (T, passes) == (T_worst, max(tied)), cell
+        assert split_ties  # some cell has runs at the worst T with different passes
 
     def test_worst_time_monotone_in_slots(self):
         lines, ok = tradeoff_sweep(SweepConfig(ns=[8, 16], seeds=10, master_seed=3))
@@ -180,6 +197,22 @@ class TestCLI:
     def test_sweep_sizes_below_one_exit_2(self, args):
         code, out = run_cli(["--jobs", "1"] + args)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["xy-check", "--n", "0", "--R", "1"],
+        ["xy-check", "--n", "-1", "--R", "2"],
+        ["xy-check", "--n", "2", "--R", "3", "--trees", "-2"],
+        ["lemma43", "--n", "8", "--R", "8", "--r", "2", "--t", "1", "--tree", "compiled",
+         "--s", "0"],
+        ["lemma43", "--n", "8", "--R", "8", "--r", "2", "--t", "1", "--tree", "compiled",
+         "--s", "-1"],
+        ["unique-pairs", "--n", "10", "--trials", "0"],
+    ])
+    def test_bad_sizes_exit_2_without_traceback(self, capsys, args):
+        code, out = run_cli(args)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("memlab: ") and "Traceback" not in err
 
     def test_config_seeds_zero_exits_2(self, tmp_path):
         cfg_file = tmp_path / "zero.cfg"
@@ -356,3 +389,27 @@ class TestReportAndReplay:
         summary_line = next(i for i, ln in enumerate(lines) if ln.startswith("summary"))
         code, _ = run_cli(["replay", "--file", str(tr), "--line", str(summary_line)])
         assert code == 2
+
+
+def _load_tracer():
+    """perfbench/tracer.py, loaded by path (perfbench is not a package)."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(here, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerBindings:
+    """The traced benchmark run rebinds these names; a rename must fail here."""
+
+    def test_wrapped_cli_globals_exist(self):
+        tracer = _load_tracer()
+        for name in list(tracer.CLI_SPANS) + list(tracer.COUNTERS):
+            assert callable(getattr(cli, name, None)), name
+
+    def test_wrapped_adversary_names_exist(self):
+        from memlab import adversary
+        assert callable(adversary.kg_answer)
+        assert callable(adversary.edge_key)

@@ -8,7 +8,7 @@ from memlab import (GameParams, SpaceBudget, Transcript, enumerate_valid_inputs,
                     generate_valid_input, matches_of, multi_pass_play,
                     multi_pass_time_bound, perfect_memory_play, space_audit,
                     verify_transcript)
-from memlab.analysis import monte_carlo_wrap, play_with_flip_cap
+from memlab.analysis import monte_carlo_wrap
 from memlab.strategies import (DeckHost, FullMemory, MultiPass, ProtocolError,
                                make_strategy, randomized_order)
 
@@ -187,9 +187,10 @@ class TestFlipCap:
         for k in range(20):
             x = generate_valid_input(GameParams(8, 8, k))
             T = multi_pass_play(x, budget, lean=True).flips
-            run = play_with_flip_cap(MultiPass(), x, budget, T // 2)
+            wrapped = monte_carlo_wrap(MultiPass(), T / 20)
+            run = wrapped.play(x, budget)
             assert run.errored
-            assert run.transcript.flips <= T // 2
+            assert run.transcript.flips <= wrapped.cap <= T // 2
 
 
 class TestProtocol:
