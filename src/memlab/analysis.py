@@ -44,21 +44,19 @@ class YExperiment:
 
 
 def y_sample_many(n: int, r: int, trials: int, seed: int) -> np.ndarray:
-    """Vectorized draws: argpartition of uniform noise picks r of 2n without replacement."""
+    """Sequential urn, vectorized over trials: completed-pairs counts of r draws.
+
+    After k draws that completed y pairs, k - 2y drawn halves wait for their
+    mates among the 2n - k cards left, so draw k+1 completes a pair with
+    probability (k - 2y) / (2n - k).  Step k consumes one uniform per trial.
+    """
     if not 0 <= r <= 2 * n:
         raise ValueError(f"need 0 <= r <= 2n, got r={r}, n={n}")
     rng = np.random.default_rng(seed)
-    out = np.empty(trials, dtype=np.int64)
-    chunk = max(1, min(trials, 4_000_000 // max(1, 2 * n)))
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        noise = rng.random((m, 2 * n))
-        picks = np.argpartition(noise, min(r, 2 * n - 1), axis=1)[:, :r] >> 1
-        picks.sort(axis=1)
-        out[done:done + m] = (picks[:, 1:] == picks[:, :-1]).sum(axis=1)
-        done += m
-    return out
+    ys = np.zeros(trials, dtype=np.int64)
+    for k in range(r):
+        ys += rng.random(trials) * (2 * n - k) < k - 2 * ys
+    return ys
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,29 @@ def _y_distribution_by_subsets(n, r):
     return [Fraction(tally.get(u, 0), total) for u in range(r // 2 + 1)]
 
 
+def _y_urn_by_trial(n, r, trials, seed):
+    """Oracle: the urn run trial by trial on the same draws; row k of the
+    noise is step k.  Draw k completes a pair when its index among the
+    2n - k cards left falls on one of the k - 2y mates still face down."""
+    draws = np.random.default_rng(seed).random((r, trials))
+    ys = []
+    for j in range(trials):
+        y = 0
+        for k in range(r):
+            if int(draws[k, j] * (2 * n - k)) < k - 2 * y:
+                y += 1
+        ys.append(y)
+    return np.array(ys, dtype=np.int64)
+
+
+class _ConstantRng:
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
 class TestYSample:
     def test_full_draw_is_always_n(self):
         for n in (1, 2, 5):
@@ -43,14 +66,42 @@ class TestYSample:
         with pytest.raises(ValueError, match="r <= 2n"):
             YExperiment(n=2, r=5)
 
-    def test_vectorized_sampler_matches_exact_law(self):
-        # independent route: frequency of each value vs the closed form
-        n, r = 3, 4
-        ys = y_sample_many(n, r, 40_000, seed=12)
+    @pytest.mark.parametrize("n,seed", [(1, 0), (3, 11), (8, 5), (50, 2024)])
+    def test_same_draws_as_per_trial_urn(self, n, seed):
+        # pins the RNG stream that `replay` of a lemma-y row depends on; the
+        # ends of the range are near-deterministic, so r = n is added
+        for r in sorted({0, 1, 2, n, 2 * n - 1, 2 * n}):
+            expected = _y_urn_by_trial(n, r, 64, seed)
+            ys = y_sample_many(n, r, 64, seed)
+            assert ys.dtype == np.int64
+            assert np.array_equal(ys, expected), (n, r, seed)
+
+    @pytest.mark.parametrize("n,r", [(3, 4), (8, 7), (50, 30), (6, 12)])
+    def test_extreme_draws_give_support_ends(self, monkeypatch, n, r):
+        # u = 0 lands on a waiting mate whenever one is face down: the most
+        # pairs, floor(r/2); u just below 1 completes a pair only when every
+        # card left is a waiting mate: the fewest, max(0, r - n)
+        for value, expected in ((0.0, r // 2), (1.0 - 2.0 ** -53, max(0, r - n))):
+            monkeypatch.setattr(np.random, "default_rng", lambda seed: _ConstantRng(value))
+            assert (y_sample_many(n, r, 3, seed=0) == expected).all(), (value, n, r)
+
+    @pytest.mark.parametrize("n,r,seed", [(3, 4, 12), (8, 7, 13), (50, 30, 14), (1000, 65, 15)])
+    def test_urn_sampler_matches_exact_law(self, n, r, seed):
+        # frequency of each value within 4 sigma of the closed form, which
+        # equals the C(2n, r) subset enumeration for n <= 8 (see
+        # TestYExactDistribution), so the small points check both oracles
+        trials = 200_000
+        ys = y_sample_many(n, r, trials, seed)
         exact = y_exact_distribution(n, r)
+        counts = np.bincount(ys, minlength=len(exact))
+        assert len(counts) == len(exact)
         for u, p in enumerate(exact):
-            freq = (ys == u).mean()
-            assert abs(freq - float(p)) < 0.02, (u, freq, p)
+            p = float(p)
+            sigma = math.sqrt(p * (1.0 - p) / trials)
+            assert abs(counts[u] / trials - p) <= 4.0 * sigma, (u, counts[u], p)
+        mean = float(y_expectation(n, r))
+        var = sum(float(p) * (u - mean) ** 2 for u, p in enumerate(exact))
+        assert abs(ys.mean() - mean) <= 4.0 * math.sqrt(var / trials), (ys.mean(), mean)
 
 
 class TestYExactDistribution:

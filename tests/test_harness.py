@@ -383,6 +383,20 @@ class TestReportAndReplay:
         code, _ = run_cli(["replay", "--file", str(bad), "--line", "1"])
         assert code == 2
 
+    def test_retired_lemma_y_header_reports_but_does_not_replay(self, tmp_path, capsys):
+        # a row the argpartition sampler wrote for `--seed 8 lemma-y --n 100 --t 2 --trials 2000`
+        old = tmp_path / "old.csv"
+        old.write_text("n,r,t,trials,seed,estimate,bound,sigma,ok\n"
+                       "100,10,2,2000,8,0.0155,0.1353352832366127,0.007649171339036619,True\n")
+        capsys.readouterr()
+        code, out = run_cli(["report", str(old)])
+        assert code == 0
+        assert "1 rows, 0 failing" in out
+        code, _ = run_cli(["replay", "--file", str(old), "--line", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "before the urn sampler" in err and "code changed" in err
+
     def test_replay_rejects_aggregate_rows(self, tmp_path):
         tr, _ = self._write_sweeps(tmp_path)
         lines = tr.read_text().splitlines()
@@ -391,11 +405,11 @@ class TestReportAndReplay:
         assert code == 2
 
 
-def _load_tracer():
-    """perfbench/tracer.py, loaded by path (perfbench is not a package)."""
+def _load_perfbench(name):
+    """perfbench/<name>.py, loaded by path (perfbench is not a package)."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.path.join(here, "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    path = os.path.join(here, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -405,7 +419,7 @@ class TestTracerBindings:
     """The traced benchmark run rebinds these names; a rename must fail here."""
 
     def test_wrapped_cli_globals_exist(self):
-        tracer = _load_tracer()
+        tracer = _load_perfbench("tracer")
         for name in list(tracer.CLI_SPANS) + list(tracer.COUNTERS):
             assert callable(getattr(cli, name, None)), name
 
@@ -413,3 +427,16 @@ class TestTracerBindings:
         from memlab import adversary
         assert callable(adversary.kg_answer)
         assert callable(adversary.edge_key)
+
+
+class TestBenchmarkChecks:
+    """The benchmark re-checks every row the CLI writes; a format change that
+    its checker cannot read would count every row as a failed operation."""
+
+    def test_lemma_y_csv_passes_benchmark_check(self, tmp_path):
+        checks = _load_perfbench("checks")
+        out_file = tmp_path / "ly.csv"
+        code, _ = run_cli(["--seed", "1001", "--out", str(out_file), "lemma-y",
+                           "--n", "100", "--t", "2", "--trials", "10000"])
+        assert code == 0
+        assert checks.check_csv("lemma-y", out_file.read_text()) == (1, 0)
