@@ -24,7 +24,6 @@ deleted rather than vanished, giving deletions >= n(n-1)/2.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .game_core import Deck, MatchTriple, Transcript
@@ -68,11 +67,13 @@ class KnowledgeGraph:
     """Bipartite consistency graph between positions 1..n and n+1..2n.
 
     While driven through kg_answer, every present edge lies in some perfect
-    matching, the edge set only shrinks, `mate` holds a maintained perfect
-    matching, and `comp` caches the filter's component ids.  A deletion runs
-    one reachability probe inside its component and rescans only that
-    component when the probe fails; `comp` is None until a first full filter
-    (graphs from kg_from_edges), and such graphs get a full rescan.
+    matching, the edge set only shrinks, `mate` holds a perfect matching that
+    each matched deletion repairs with one augmenting path (kg_from_edges
+    builds it the same way, one path per left vertex), and `comp` caches the
+    filter's component ids.  A deletion runs one reachability probe inside its
+    component and rescans only that component when the probe fails; `comp` is
+    None until a first full filter (graphs from kg_from_edges), and such
+    graphs get a full rescan.
     """
 
     __slots__ = ("n", "adj", "mate", "status", "comp", "_comp_next", "closure_hook")
@@ -121,7 +122,8 @@ def kg_init(n: int) -> KnowledgeGraph:
 
 
 def kg_from_edges(n: int, edges) -> KnowledgeGraph:
-    """Graph over a given cross edge set; must admit a perfect matching."""
+    """Graph over a given cross edge set, matched by augmenting from every left
+    vertex; raises InvariantViolation when the edges admit no perfect matching."""
     g = KnowledgeGraph(n)
     for i, j in edges:
         key = edge_key(n, i, j)
@@ -130,9 +132,7 @@ def kg_from_edges(n: int, edges) -> KnowledgeGraph:
         l, r = key
         g.adj[l].add(r)
         g.adj[r].add(l)
-    g.mate = hopcroft_karp(n, g.adj)
-    if any(g.mate[l] == 0 for l in range(1, n + 1)):
-        raise InvariantViolation("edge set admits no perfect matching")
+    _match_free_lefts(g)
     return g
 
 
@@ -163,14 +163,7 @@ def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
     if len(g.adj[l]) == 1 and len(g.adj[r]) == 1:
         return True, _NO_EVENTS
 
-    g.adj[l].discard(r)
-    g.adj[r].discard(l)
-    g.status[(l, r)] = "deleted"
-    if g.mate[l] == r:
-        g.mate[l] = 0
-        g.mate[r] = 0
-        if not _augment(g, l):
-            raise InvariantViolation(f"deleting {(l, r)} destroyed the last perfect matching")
+    _delete_edge(g, l, r)
     comp = g.comp
     if comp is None:
         vanished = _run_filter(g, range(1, 2 * g.n + 1))
@@ -191,9 +184,7 @@ def vanish_closure(g: KnowledgeGraph) -> list[tuple[int, int]]:
     call removes nothing.  Raises InvariantViolation when no perfect matching
     exists at all.
     """
-    for l in range(1, g.n + 1):
-        if g.mate[l] == 0 and not _augment(g, l):
-            raise InvariantViolation("graph admits no perfect matching")
+    _match_free_lefts(g)
     vanished = _run_filter(g, range(1, 2 * g.n + 1))
     if g.closure_hook is not None:
         g.closure_hook(g, vanished)
@@ -232,68 +223,28 @@ def deck_from_matching(n: int, R: int, matching, assigned: dict[tuple[int, int],
 # ---------------------------------------------------------------------------
 # Matching + filter internals
 
-def hopcroft_karp(n: int, adj: list[set[int]]) -> list[int]:
-    """Maximum matching on the position graph; returns the mate array (0 = free)."""
-    INF = float("inf")
-    mate = [0] * (2 * n + 1)
-    dist = [0.0] * (n + 1)
+def _match_free_lefts(g: KnowledgeGraph) -> None:
+    """Complete the matching with one augmenting path per free left vertex."""
+    for l in range(1, g.n + 1):
+        if g.mate[l] == 0 and not _augment(g, l):
+            raise InvariantViolation("graph admits no perfect matching")
 
-    def bfs() -> bool:
-        q = deque()
-        for l in range(1, n + 1):
-            if mate[l] == 0:
-                dist[l] = 0
-                q.append(l)
-            else:
-                dist[l] = INF
-        found = False
-        while q:
-            l = q.popleft()
-            for r in adj[l]:
-                m = mate[r]
-                if m == 0:
-                    found = True
-                elif dist[m] == INF:
-                    dist[m] = dist[l] + 1
-                    q.append(m)
-        return found
 
-    def dfs(root: int) -> None:
-        # Layered DFS on an explicit stack, so a long augmenting path cannot
-        # exhaust the interpreter's; path[k] --via[k]--> path[k+1], and a
-        # dead end leaves the layering (dist = INF).
-        path = [root]
-        via: list[int] = []
-        its = [iter(adj[root])]
-        while its:
-            l = path[-1]
-            for r in its[-1]:
-                m = mate[r]
-                if m == 0:
-                    via.append(r)
-                    _flip(mate, path, via)
-                    return
-                if dist[m] == dist[l] + 1:
-                    path.append(m)
-                    via.append(r)
-                    its.append(iter(adj[m]))
-                    break
-            else:
-                dist[l] = INF
-                path.pop()
-                its.pop()
-                if via:
-                    via.pop()
-
-    while bfs():
-        for l in range(1, n + 1):
-            if mate[l] == 0:
-                dfs(l)
-    return mate
+def _delete_edge(g: KnowledgeGraph, l: int, r: int) -> None:
+    """Delete the present edge (l, r); a matched one is repaired by an
+    augmenting path from l, which can only end at r."""
+    g.adj[l].discard(r)
+    g.adj[r].discard(l)
+    g.status[(l, r)] = "deleted"
+    if g.mate[l] == r:
+        g.mate[l] = 0
+        g.mate[r] = 0
+        if not _augment(g, l):
+            raise InvariantViolation(f"deleting {(l, r)} destroyed the last perfect matching")
 
 
 def _augment(g: KnowledgeGraph, root: int) -> bool:
-    """Single augmenting-path search restoring the matching after a deletion.
+    """Single augmenting-path search; builds and repairs every matching here.
 
     Iterative DFS from the free left vertex `root`, visiting each right vertex
     at most once; on reaching a free right vertex the path is flipped.
@@ -573,18 +524,18 @@ class AdversaryHost(GameHost):
         return MatchTriple(i, j, v), True
 
     def _counterexample(self, i: int, j: int) -> Deck:
-        """A deck consistent with all answers in which {i,j} is not a match."""
-        n = self.kg.n
-        adj = [set(s) for s in self.kg.adj]
-        key = edge_key(n, i, j)
-        if key is not None and key[1] in adj[key[0]]:
-            adj[key[0]].discard(key[1])
-            adj[key[1]].discard(key[0])
-        mate = hopcroft_karp(n, adj)
-        if any(mate[l] == 0 for l in range(1, n + 1)):
-            raise InvariantViolation(f"pair {(i, j)} was forced after all")
-        matching = [(l, mate[l]) for l in range(1, n + 1)]
-        return deck_from_matching(n, n, matching, self.assigned)
+        """A deck consistent with all answers in which {i,j} is not a match.
+
+        The held matching realizes every answer; an unforced edge is not
+        isolated, so some perfect matching avoids it and deleting it from a
+        copy keeps one.
+        """
+        g = self.kg.copy()
+        key = edge_key(g.n, i, j)
+        if key is not None and key[1] in g.adj[key[0]]:
+            _delete_edge(g, *key)
+        matching = [(l, g.mate[l]) for l in range(1, g.n + 1)]
+        return deck_from_matching(g.n, g.n, matching, self.assigned)
 
 
 @dataclass

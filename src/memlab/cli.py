@@ -128,12 +128,21 @@ _CONFIG_KEYS = {
 def sweep_config_from(args) -> SweepConfig:
     cfg = SweepConfig(jobs=args.jobs, master_seed=args.seed)
     raw = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = [key for key in raw if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"{args.config}: unknown key {', '.join(unknown)}; "
+                         f"known keys are {', '.join(_CONFIG_KEYS)}")
     for key, (name, parse, flag) in _CONFIG_KEYS.items():
         val = getattr(args, flag, None) if flag else None
         if val is None:
             val = raw.get(key)
         if val is not None:
             setattr(cfg, name, parse(val))
+    # flags already passed argparse's choices; a config value must pass them too
+    choices = getattr(args, "strategy_choices", None)
+    if choices and cfg.strategy not in choices:
+        raise ValueError(f"{args.config}: strategy {cfg.strategy!r} is not one of "
+                         f"{', '.join(choices)}")
     slots = cfg.s_values(1)
     if not cfg.ns or not slots or min(cfg.seeds, *cfg.ns, *slots) < 1:
         raise ValueError("sweeps need seeds >= 1 and nonempty pair and slot lists of values >= 1")
@@ -247,8 +256,7 @@ def cmd_play(args) -> int:
         with open(args.deck) as fh:
             n, R, decks = read_deck_file(fh)
         if not decks:
-            print("deck file holds no decks", file=sys.stderr)
-            return 2
+            raise ValueError("deck file holds no decks")
         x = decks[0]
     else:
         n = args.n
@@ -258,13 +266,11 @@ def cmd_play(args) -> int:
         budget = SpaceBudget.for_slots(n, 2 * n)
     else:
         if args.space_bits is None:
-            print("--space-bits is required for this strategy", file=sys.stderr)
-            return 2
+            raise ValueError("--space-bits is required for this strategy")
         budget = SpaceBudget(args.space_bits, n)
         if budget.slots < 1:
-            print(f"S={budget.S} bits stores no card index: need at least "
-                  f"{budget.bits_per_index}", file=sys.stderr)
-            return 2
+            raise ValueError(f"S={budget.S} bits stores no card index: need at least "
+                             f"{budget.bits_per_index}")
     strat = make_strategy(args.strategy, n, args.seed)
     host = DeckHost(x, budget.slots, Transcript())
     strat.play(host)
@@ -287,15 +293,13 @@ def cmd_adversary(args) -> int:
     n = args.n
     strategy = args.strategy or "multipass"
     if strategy == "mixed":
-        print("--strategy mixed applies to sweep mode only", file=sys.stderr)
-        return 2
+        raise ValueError("--strategy mixed applies to sweep mode only")
     if strategy == "perfect":
         s = 2 * n
     elif args.space_bits is not None:
         s = SpaceBudget(args.space_bits, n).slots
         if s < 1:
-            print("space budget stores no card index", file=sys.stderr)
-            return 2
+            raise ValueError("space budget stores no card index")
     else:
         s = max(1, n // 2)
     code = _finish(args.out, [ADVERSARY_HEADER, _adversary_row_for(n, s, args.seed, strategy)])
@@ -446,21 +450,17 @@ def cmd_replay(args) -> int:
     with open(args.file) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if args.line < 1 or args.line >= len(lines):
-        print(f"line {args.line} out of range (file has {len(lines) - 1} data rows)",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"line {args.line} out of range (file has {len(lines) - 1} data rows)")
     header, original = lines[0], lines[args.line]
     if header in _RETIRED_HEADERS:
-        print(f"{_RETIRED_HEADERS[header]}; the code changed, so the row cannot be re-run",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"{_RETIRED_HEADERS[header]}; the code changed, "
+                         "so the row cannot be re-run")
     fields = original.split(",")
     recompute = _REPLAY.get(header) if len(fields) == header.count(",") + 1 else None
     recomputed = recompute and recompute(fields, args.cap_enum, args.cap_tree)
     if recomputed is None:
-        print(f"rows under header {header!r} (or aggregate rows) cannot be replayed in isolation",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"rows under header {header!r} (or aggregate rows) "
+                         "cannot be replayed in isolation")
     print(f"original:   {original}")
     print(f"recomputed: {recomputed}")
     if recomputed == original:
@@ -481,6 +481,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser, default_strategy: str,
     p.add_argument("--seeds", type=int, help="runs per cell")
     p.add_argument("--strategy", choices=strategy_choices, default=None,
                    help=f"player (default {default_strategy})")
+    p.set_defaults(strategy_choices=strategy_choices)
 
 
 def _add_globals(p: argparse.ArgumentParser, root: bool) -> None:

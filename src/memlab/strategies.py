@@ -241,15 +241,6 @@ class FullMemory:
                 host.store(p)
 
 
-class GuessNow:
-    """Deliberately incorrect player: declares (1, n+1) before looking at anything."""
-
-    name = "guessnow"
-
-    def play(self, host: GameHost) -> None:
-        host.declare(1, host.n + 1)
-
-
 def randomized_order(n: int, seed: int) -> list[int]:
     """Seeded permutation of 1..2n for the randomized-order multipass variant."""
     order = list(range(1, 2 * n + 1))

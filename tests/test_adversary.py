@@ -11,8 +11,42 @@ from memlab import (InvariantViolation, SpaceBudget, adversarial_play,
                     perfect_matchings, useful_edges_brute, validate_deck,
                     vanish_closure)
 from memlab.adversary import (AnswerEvents, AdversaryLog, KnowledgeGraph,
-                              _augment, _run_filter, edge_key, hopcroft_karp)
-from memlab.strategies import FullMemory, GuessNow, MultiPass, make_strategy
+                              _augment, _run_filter, edge_key)
+from memlab.strategies import FullMemory, MultiPass, make_strategy
+
+
+class GuessNow:
+    """Deliberately incorrect player: declares (1, n+1) before looking at anything."""
+
+    def play(self, host) -> None:
+        host.declare(1, host.n + 1)
+
+
+class FlipThenGuess:
+    """Deliberately incorrect player: plays with full memory over a random
+    prefix of a random order, then declares a random live pair the adversary
+    has not forced, preferring present edges."""
+
+    def __init__(self, seed: int):
+        self.rnd = random.Random(seed)
+        self.guess = None
+
+    def play(self, host) -> None:
+        rnd, n, g = self.rnd, host.n, host.kg
+        order = rnd.sample(range(1, 2 * n + 1), 2 * n)
+        # at most 2n-3 flips declare at most n-2 pairs; two live left cards are never forced
+        for p in order[:rnd.randrange(2 * n - 2)]:
+            hits = host.examine(p)
+            if hits:
+                host.declare(hits[0], p)
+            else:
+                host.store(p)
+        live = [p for p in range(1, 2 * n + 1) if host.live(p)]
+        keys = {(i, j): edge_key(n, i, j) for i in live for j in live if i < j}
+        unforced = [e for e, key in keys.items() if key is None or not g.isolated(*key)]
+        present = [e for e in unforced if keys[e] and keys[e][1] in g.adj[keys[e][0]]]
+        self.guess = rnd.choice(present if present and rnd.random() < 0.75 else unforced)
+        host.declare(*self.guess)
 
 
 class TestInit:
@@ -291,6 +325,21 @@ class TestAdversarialPlay:
         assert validate_deck(x, R=4) == 4
         assert x[0] != x[4]  # the guessed pair really is refutable
 
+    @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_mid_game_guess_rejected_with_counterexample(self, n, seed):
+        player = FlipThenGuess(seed)
+        res = adversarial_play(player, n)
+        assert res.incorrect and res.rejected_pair == player.guess
+        x = res.counterexample
+        assert validate_deck(x, R=n) == n
+        i, j = player.guess
+        assert x[i - 1] != x[j - 1]
+        assert all(rec.answer == (x[rec.i - 1] == x[rec.j - 1]) for rec in res.log.records)
+        assert all(x[o.i - 1] == x[o.j - 1] == o.v for o in res.transcript.outputs)
+        # the counterexample works on a copy: the graph keeps only the answers' deletions
+        assert list(res.log.status.values()).count("deleted") == res.log.deletions
+
     def test_termination_accounting_every_strategy(self):
         for n in (2, 3, 5, 7):
             for name in ("multipass", "rmultipass", "perfect"):
@@ -301,26 +350,20 @@ class TestAdversarialPlay:
                 assert res.log.deletions + res.log.vanishings == n * (n - 1)
 
 
-class TestHopcroftKarp:
+class TestKgFromEdges:
     def test_complete_graph(self):
-        g = kg_init(6)
-        mate = hopcroft_karp(6, g.adj)
-        assert all(mate[l] != 0 for l in range(1, 7))
+        g = kg_from_edges(6, kg_init(6).edges())
+        assert sorted(g.mate[l] for l in range(1, 7)) == list(range(7, 13))
+        assert all(g.mate[g.mate[l]] == l for l in range(1, 7))
 
     @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_brute_force_size(self, seed):
-        import random
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_brute_force(self, seed):
         rnd = random.Random(seed)
         n = rnd.randint(2, 5)
         edges = [(l, r) for l in range(1, n + 1)
                  for r in range(n + 1, 2 * n + 1) if rnd.random() < 0.5]
-        adj = [set() for _ in range(2 * n + 1)]
-        for l, r in edges:
-            adj[l].add(r)
-            adj[r].add(l)
-        mate = hopcroft_karp(n, adj)
-        size = sum(1 for l in range(1, n + 1) if mate[l] != 0)
+        adj = {l: {r for l2, r in edges if l2 == l} for l in range(1, n + 1)}
 
         def brute(l, used):
             if l > n:
@@ -331,7 +374,13 @@ class TestHopcroftKarp:
                     best = max(best, 1 + brute(l + 1, used | {r}))
             return best
 
-        assert size == brute(1, frozenset())
+        if brute(1, frozenset()) < n:
+            with pytest.raises(InvariantViolation):
+                kg_from_edges(n, edges)
+            return
+        g = kg_from_edges(n, edges)
+        assert sorted(g.mate[l] for l in range(1, n + 1)) == list(range(n + 1, 2 * n + 1))
+        assert all(g.mate[l] in adj[l] and g.mate[g.mate[l]] == l for l in range(1, n + 1))
 
 
 def _staircase(n):
@@ -342,15 +391,6 @@ def _staircase(n):
 
 class TestDeepPaths:
     """Matching searches must not recurse once per path step."""
-
-    def test_hopcroft_karp_on_n5000_staircase(self):
-        n = 5000
-        adj = [set() for _ in range(2 * n + 1)]
-        for l, r in _staircase(n):
-            adj[l].add(r)
-            adj[r].add(l)
-        mate = hopcroft_karp(n, adj)
-        assert all(mate[l] == n + l for l in range(1, n + 1))
 
     def test_kg_from_edges_on_n5000_staircase(self):
         n = 5000

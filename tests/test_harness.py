@@ -65,6 +65,36 @@ class TestConfig:
         raw = parse_config_file(os.path.join(here, "configs", "sweep.cfg"))
         assert "n" in raw and "s" in raw
 
+    @pytest.mark.parametrize("command,strategy", [
+        ("tradeoff", "perfect"),
+        ("tradeoff", "mixed"),
+        ("adversary", "guessnow"),
+    ])
+    def test_strategy_outside_subcommand_choices_exits_2(self, tmp_path, capsys,
+                                                          command, strategy):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(f"n = 4\nseeds = 1\nstrategy = {strategy}\n")
+        code, out = run_cli(["--jobs", "1", command, "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("memlab: ") and repr(strategy) in err
+
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text("n = 4\nseeds = 1\nsead = 5\n")
+        code, out = run_cli(["--jobs", "1", "tradeoff", "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("memlab: ") and "sead" in err
+
+    def test_flag_overrides_bad_config_strategy(self, tmp_path):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text("n = 4\nseeds = 1\nstrategy = perfect\n")
+        code, out = run_cli(["--jobs", "1", "tradeoff", "--config", str(cfg_file),
+                             "--strategy", "rmultipass"])
+        assert code == 0
+        assert {ln.split(",")[5] for ln in out.splitlines()[1:]} == {"rmultipass"}
+
 
 class TestTradeoffSweep:
     def test_byte_identical_reruns(self):
@@ -207,6 +237,10 @@ class TestCLI:
         ["lemma43", "--n", "8", "--R", "8", "--r", "2", "--t", "1", "--tree", "compiled",
          "--s", "-1"],
         ["unique-pairs", "--n", "10", "--trials", "0"],
+        ["play", "--n", "4"],
+        ["adversary", "--n", "4", "--strategy", "mixed"],
+        # any readable file: the line index is checked before the header
+        ["replay", "--file", __file__, "--line", "0"],
     ])
     def test_bad_sizes_exit_2_without_traceback(self, capsys, args):
         code, out = run_cli(args)
