@@ -127,6 +127,7 @@ _CONFIG_KEYS = {
 
 def sweep_config_from(args) -> SweepConfig:
     cfg = SweepConfig(jobs=args.jobs, master_seed=args.seed)
+    cfg.strategy = getattr(args, "sweep_strategy", cfg.strategy)
     raw = parse_config_file(args.config) if getattr(args, "config", None) else {}
     unknown = [key for key in raw if key not in _CONFIG_KEYS]
     if unknown:
@@ -286,10 +287,7 @@ def cmd_play(args) -> int:
 
 def cmd_adversary(args) -> int:
     if args.config or args.n_list:
-        cfg = sweep_config_from(args)
-        if args.strategy is None:
-            cfg.strategy = "mixed"
-        return _finish(args.out, adversary_sweep(cfg)[0])
+        return _finish(args.out, adversary_sweep(sweep_config_from(args))[0])
     n = args.n
     strategy = args.strategy or "multipass"
     if strategy == "mixed":
@@ -474,14 +472,15 @@ def cmd_replay(args) -> int:
 # Argument wiring
 
 def _add_sweep_flags(p: argparse.ArgumentParser, default_strategy: str,
-                     strategy_choices: list[str]) -> None:
+                     strategy_choices: list[str], sweep_strategy: str) -> None:
+    """`sweep_strategy` applies when neither --strategy nor the config names one."""
     p.add_argument("--config", help="sweep config file (key = value lines)")
     p.add_argument("--n-list", help="comma-separated pair counts")
     p.add_argument("--s-list", help="comma-separated slot counts, or pow2")
     p.add_argument("--seeds", type=int, help="runs per cell")
     p.add_argument("--strategy", choices=strategy_choices, default=None,
                    help=f"player (default {default_strategy})")
-    p.set_defaults(strategy_choices=strategy_choices)
+    p.set_defaults(strategy_choices=strategy_choices, sweep_strategy=sweep_strategy)
 
 
 def _add_globals(p: argparse.ArgumentParser, root: bool) -> None:
@@ -523,7 +522,7 @@ def main(argv=None) -> int:
     p = add_cmd("adversary", help="adversarial game(s) with audits; "
                                   "--config/--n-list switches to sweep mode")
     _add_sweep_flags(p, "multipass; mixed in sweeps",
-                     ["multipass", "rmultipass", "perfect", "mixed"])
+                     ["multipass", "rmultipass", "perfect", "mixed"], "mixed")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--space-bits", type=int, default=None)
     p.add_argument("--audit", action="store_true",
@@ -531,7 +530,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_adversary)
 
     p = add_cmd("tradeoff", help="memory-time product sweep")
-    _add_sweep_flags(p, "multipass", ["multipass", "rmultipass"])
+    _add_sweep_flags(p, "multipass", ["multipass", "rmultipass"], "multipass")
     p.set_defaults(func=cmd_tradeoff)
 
     p = add_cmd("lemma-y", help="Monte Carlo completed-pairs tail vs e^-t")

@@ -5,6 +5,10 @@ and may annotate edges with declared matches.  Trees are checked two ways:
 running a deck down its path (tree_run), and exact path-by-path counting of
 the decks consistent with each leaf, which yields the equal-pairs law and the
 productive-input fraction without enumerating the deck universe.
+
+Every builder (fixed, random, guessing, compiled player) is a per-node `step`
+function unfolded by `_unfold`, which alone owns the size refusals (R >= n,
+depth <= 2n, the node cap), the R-way branching and the padding rule.
 """
 from __future__ import annotations
 
@@ -306,58 +310,76 @@ def productive_fraction_brute(tree: DecisionTree, n: int, R: int, t: int,
 # ---------------------------------------------------------------------------
 # Tree builders
 
-def _check_tree_cap(n: int, R: int, depth: int, cap: int) -> None:
+# chance that random_tree annotates an edge with an output
+_OUT_PROB = 0.4
+
+
+def _unfold(n: int, R: int, depth: int, cap: int, step: Callable) -> DecisionTree:
+    """Unfold `step` into a uniform-depth R-way tree, the one recursion behind
+    every builder.
+
+    Nodes are visited in preorder, branches in value order.  At each node,
+    `step(vals, positions)` gets the values read along the path and the
+    positions they were read at, and returns (outputs on the edge into this
+    node, next position to read or None).  None pads the path with the lowest
+    unread position.  The root has no incoming edge, so it may not output.
+    """
     if n < 1 or depth < 0:
         raise ValueError(f"need n >= 1 and depth >= 0, got n={n}, depth={depth}")
     if depth > 2 * n:
         raise ValueError(f"depth {depth} exceeds the {2 * n} distinct positions")
+    if R < n:
+        raise ValueError(f"need R >= n, got R={R} < n={n}")
     nodes = (R ** (depth + 1) - 1) // (R - 1) if R > 1 else depth + 1
     if nodes > cap:
         raise CapExceeded(f"tree would hold ~{nodes} nodes, cap {cap}")
+
+    def rec(vals: tuple[int, ...], positions: tuple[int, ...]):
+        outs, pos = step(vals, positions)
+        if not vals and outs:
+            raise ValueError("tree emits output before its first read")
+        if len(vals) == depth:
+            return None, outs
+        if pos is None:
+            pos = min(p for p in range(1, 2 * n + 1) if p not in positions)
+        node = TreeNode(pos, R)
+        for v in range(1, R + 1):
+            node.kids[v - 1], node.outs[v - 1] = rec(vals + (v,), positions + (pos,))
+        return node, outs
+
+    return DecisionTree(rec((), ())[0], n, R, depth)
 
 
 def fixed_position_tree(n: int, R: int, depth: int,
                         cap: int = DEFAULT_TREE_CAP) -> DecisionTree:
     """Oblivious tree reading positions 1..depth with no outputs."""
-    _check_tree_cap(n, R, depth, cap)
-
-    def rec(k: int) -> TreeNode | None:
-        if k == depth:
-            return None
-        node = TreeNode(k + 1, R)
-        for v in range(R):
-            node.kids[v] = rec(k + 1)
-        return node
-
-    return DecisionTree(rec(0), n, R, depth)
+    return _unfold(n, R, depth, cap, lambda vals, positions: ((), None))
 
 
-def random_tree(n: int, R: int, depth: int, seed: int, out_prob: float = 0.4,
+def random_tree(n: int, R: int, depth: int, seed: int,
                 cap: int = DEFAULT_TREE_CAP) -> DecisionTree:
     """Random well-formed tree: random fresh position per node, sparse random
     output annotations that never repeat along a path."""
-    _check_tree_cap(n, R, depth, cap)
     rng = random.Random(seed)
+    path_outs = [frozenset()]  # outputs along the current path, by level
 
-    def rec(k: int, used: tuple[int, ...], path_outs: frozenset) -> TreeNode | None:
-        if k == depth:
-            return None
-        pos = rng.choice([p for p in range(1, 2 * n + 1) if p not in used])
-        node = TreeNode(pos, R)
-        for v in range(R):
-            outs: tuple[MatchTriple, ...] = ()
-            if rng.random() < out_prob:
+    def step(vals, positions):
+        k = len(vals)
+        outs: tuple[MatchTriple, ...] = ()
+        if k:
+            del path_outs[k:]
+            if rng.random() < _OUT_PROB:
                 i = rng.randrange(1, 2 * n)
                 j = rng.randrange(i + 1, 2 * n + 1)
-                w = rng.randrange(1, R + 1)
-                cand = MatchTriple(i, j, w)
-                if cand not in path_outs:
+                cand = MatchTriple(i, j, rng.randrange(1, R + 1))
+                if cand not in path_outs[-1]:
                     outs = (cand,)
-            node.kids[v] = rec(k + 1, used + (pos,), path_outs | set(outs))
-            node.outs[v] = outs
-        return node
+            path_outs.append(path_outs[-1] | set(outs))
+        if k == depth:
+            return outs, None
+        return outs, rng.choice([p for p in range(1, 2 * n + 1) if p not in positions])
 
-    return DecisionTree(rec(0, (), frozenset()), n, R, depth)
+    return _unfold(n, R, depth, cap, step)
 
 
 def build_guessing_tree(n: int, R: int, depth: int, t: int,
@@ -366,7 +388,6 @@ def build_guessing_tree(n: int, R: int, depth: int, t: int,
     equal pair among its reads, and speculates t+1 extra matches on each final
     edge (half-open singles paired with unread positions first, then fresh
     pairs on fresh values)."""
-    _check_tree_cap(n, R, depth, cap)
 
     def speculative(vals: tuple[int, ...]) -> list[MatchTriple]:
         counts = Counter(vals)
@@ -387,24 +408,19 @@ def build_guessing_tree(n: int, R: int, depth: int, t: int,
             outs.append(MatchTriple(p1, p2, unseen.pop(0)))
         return outs
 
-    def rec(k: int, vals: tuple[int, ...]) -> TreeNode | None:
+    def step(vals, positions):
+        if not vals:
+            return (), None
+        k, v = len(vals), vals[-1]
+        outs: list[MatchTriple] = []
+        earlier = [i + 1 for i, w in enumerate(vals[:-1]) if w == v]
+        if len(earlier) % 2 == 1:
+            outs.append(MatchTriple(earlier[-1], k, v))
         if k == depth:
-            return None
-        node = TreeNode(k + 1, R)
-        for v in range(1, R + 1):
-            vals2 = vals + (v,)
-            outs: list[MatchTriple] = []
-            seen = vals.count(v)
-            if seen % 2 == 1:
-                idx = [i for i, w in enumerate(vals) if w == v][seen - 1]
-                outs.append(MatchTriple(idx + 1, k + 1, v))
-            if k + 1 == depth:
-                outs.extend(speculative(vals2))
-            node.kids[v - 1] = rec(k + 1, vals2)
-            node.outs[v - 1] = tuple(outs)
-        return node
+            outs.extend(speculative(vals))
+        return tuple(outs), None
 
-    return DecisionTree(rec(0, ()), n, R, depth)
+    return _unfold(n, R, depth, cap, step)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +433,15 @@ class _NeedsRead(Exception):
 
 class _ReplayHost(GameHost):
     """Feeds a player scripted values: the k-th distinct position read gets
-    the k-th feed value; re-reads answer from the script without consuming."""
+    the k-th feed value; re-reads answer from the script without consuming.
+    Keeps the outputs declared after the last feed value was read."""
 
     def __init__(self, n: int, slots: int, feed: tuple[int, ...]):
         super().__init__(n, slots, Transcript(lean=True))
         self.feed = feed
         self.values: dict[int, int] = {}
         self.fresh: list[int] = []
-        self.outs_by_step: list[list[MatchTriple]] = [[] for _ in range(len(feed) + 1)]
+        self.outs: list[MatchTriple] = []
 
     def _equal_members(self, pos: int) -> list[int]:
         if pos not in self.values:
@@ -444,19 +461,9 @@ class _ReplayHost(GameHost):
 
     def declare(self, i: int, j: int) -> MatchTriple:
         triple = super().declare(i, j)
-        self.outs_by_step[len(self.fresh)].append(triple)
+        if len(self.fresh) == len(self.feed):
+            self.outs.append(triple)
         return triple
-
-
-def _replay(make_player: Callable, n: int, slots: int, feed: tuple[int, ...]):
-    host = _ReplayHost(n, slots, feed)
-    player = make_player()
-    try:
-        player.play(host)
-        nxt = None
-    except _NeedsRead as e:
-        nxt = e.pos
-    return tuple(host.fresh), nxt, [tuple(o) for o in host.outs_by_step]
 
 
 def compile_prefix_tree(make_player: Callable, n: int, R: int, depth: int,
@@ -464,38 +471,25 @@ def compile_prefix_tree(make_player: Callable, n: int, R: int, depth: int,
                         cap: int = DEFAULT_TREE_CAP) -> DecisionTree:
     """Unfold a deterministic player's first `depth` distinct reads into a tree.
 
-    Redundant re-reads collapse onto the known branch; once the player stops
-    reading, remaining levels query the lowest-indexed fresh position as
-    output-free dummies so every leaf sits at uniform depth.
+    Each node replays the player on the values along its path.  Redundant
+    re-reads collapse onto the known branch; once the player stops reading,
+    remaining levels query the lowest-indexed fresh position as output-free
+    dummies so every leaf sits at uniform depth.
     """
-    _check_tree_cap(n, R, depth, cap)
     if slots is None:
         slots = 2 * n
     if slots < 1:
         raise ValueError(f"need slots >= 1, got {slots}")
 
-    def build(feed: tuple[int, ...], positions: tuple[int, ...]):
-        qpos, next_pos, outs_by_step = _replay(make_player, n, slots, feed)
-        k = len(feed)
-        if list(qpos) != list(positions[:len(qpos)]):
+    def step(vals, positions):
+        host = _ReplayHost(n, slots, vals)
+        try:
+            make_player().play(host)
+            nxt = None
+        except _NeedsRead as e:
+            nxt = e.pos
+        if tuple(host.fresh) != positions[:len(host.fresh)]:
             raise ValueError("player is not deterministic: read order changed")
-        entry = outs_by_step[k]
-        if k == 0 and entry:
-            raise ValueError("player produced output before its first read")
-        if k == depth:
-            return None, entry
-        if next_pos is not None:
-            if len(qpos) != k:
-                raise ValueError("player consumed fewer reads than fed yet asked for more")
-            pos = next_pos
-        else:
-            pos = min(p for p in range(1, 2 * n + 1) if p not in positions)
-        node = TreeNode(pos, R)
-        for v in range(1, R + 1):
-            child, edge_outs = build(feed + (v,), positions + (pos,))
-            node.kids[v - 1] = child
-            node.outs[v - 1] = tuple(edge_outs)
-        return node, entry
+        return tuple(host.outs), nxt
 
-    root, _ = build((), ())
-    return DecisionTree(root, n, R, depth)
+    return _unfold(n, R, depth, cap, step)

@@ -87,6 +87,17 @@ class TestConfig:
         assert code == 2 and out == ""
         assert err.startswith("memlab: ") and "sead" in err
 
+    @pytest.mark.parametrize("strategy_line,expect", [
+        ("strategy = multipass\n", {"multipass"}),
+        ("", {"multipass", "rmultipass", "perfect"}),  # no key: the sweep rotates
+    ], ids=["config_names_one", "no_key"])
+    def test_adversary_sweep_takes_config_strategy(self, tmp_path, strategy_line, expect):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(f"n = 8\nseeds = 6\n{strategy_line}")
+        code, out = run_cli(["--jobs", "1", "adversary", "--config", str(cfg_file)])
+        assert code == 0
+        assert {ln.split(",")[4] for ln in out.splitlines()[1:]} == expect
+
     def test_flag_overrides_bad_config_strategy(self, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text("n = 4\nseeds = 1\nstrategy = perfect\n")
@@ -232,6 +243,9 @@ class TestCLI:
         ["xy-check", "--n", "0", "--R", "1"],
         ["xy-check", "--n", "-1", "--R", "2"],
         ["xy-check", "--n", "2", "--R", "3", "--trees", "-2"],
+        ["xy-check", "--n", "3", "--R", "-1"],
+        ["lemma43", "--n", "2000", "--R", "1", "--r", "1500", "--t", "1", "--tree", "compiled"],
+        ["lemma43", "--n", "2000", "--R", "1", "--r", "1500", "--t", "1", "--tree", "guessing"],
         ["lemma43", "--n", "8", "--R", "8", "--r", "2", "--t", "1", "--tree", "compiled",
          "--s", "0"],
         ["lemma43", "--n", "8", "--R", "8", "--r", "2", "--t", "1", "--tree", "compiled",

@@ -234,6 +234,23 @@ class TestProductivityBound:
         with pytest.raises(ValueError, match="depth <= n/2"):
             lemma43_check(deep, 8, 8, 2)
 
+    @pytest.mark.parametrize("kind,R,r,t,fraction", [
+        ("guessing", 8, 2, 1, Fraction(593, 90090)),
+        ("guessing", 8, 3, 1, Fraction(49, 2145)),
+        ("guessing", 8, 4, 1, Fraction(13, 165)),
+        ("guessing", 8, 4, 2, Fraction(19, 245700)),
+        ("guessing", 16, 3, 1, Fraction(323, 15015)),
+        ("compiled_s2", 8, 4, 1, Fraction(1, 65)),
+        ("compiled_s16", 8, 4, 1, Fraction(1, 65)),
+    ])
+    def test_pinned_fractions_at_n8(self, kind, R, r, t, fraction):
+        if kind == "guessing":
+            tree = build_guessing_tree(8, R, r, t)
+        else:
+            slots = int(kind.removeprefix("compiled_s"))
+            tree = compile_prefix_tree(MultiPass, 8, R, r, slots=slots)
+        assert lemma43_check(tree, 8, R, t).fraction == fraction
+
     def test_y_distribution_controls_compiled_outputs(self):
         # a compiled player only declares both-read pairs, so its >=2t-output
         # fraction equals the exact tail of the sampling law
