@@ -70,13 +70,13 @@ class KnowledgeGraph:
     matching, the edge set only shrinks, `mate` holds a perfect matching that
     each matched deletion repairs with one augmenting path (kg_from_edges
     builds it the same way, one path per left vertex), and `comp` caches the
-    filter's component ids.  A deletion runs one reachability probe inside its
-    component and rescans only that component when the probe fails; `comp` is
-    None until a first full filter (graphs from kg_from_edges), and such
-    graphs get a full rescan.
+    filter's component ids (Tarjan roots).  A deletion runs one reachability
+    probe inside its component and rescans only that component when the probe
+    fails; `comp` is None until a first full filter (graphs from
+    kg_from_edges), and such graphs get a full rescan.
     """
 
-    __slots__ = ("n", "adj", "mate", "status", "comp", "_comp_next", "closure_hook")
+    __slots__ = ("n", "adj", "mate", "status", "comp", "closure_hook")
 
     def __init__(self, n: int):
         if n < 1:
@@ -86,7 +86,6 @@ class KnowledgeGraph:
         self.mate: list[int] = [0] * (2 * n + 1)
         self.status: dict[tuple[int, int], str] = {}
         self.comp: list[int] | None = None
-        self._comp_next = 1
         self.closure_hook = None
 
     def isolated(self, l: int, r: int) -> bool:
@@ -104,7 +103,6 @@ class KnowledgeGraph:
         g.mate = list(self.mate)
         g.status = dict(self.status)
         g.comp = None if self.comp is None else list(self.comp)
-        g._comp_next = self._comp_next
         return g
 
 
@@ -318,11 +316,12 @@ def _reaches(g: KnowledgeGraph, l: int, r: int) -> bool:
 
 
 def _run_filter(g: KnowledgeGraph, verts) -> list[tuple[int, int]]:
-    """Useful-edge filter over `verts`: SCC the matched/unmatched orientation,
-    drop non-matching edges whose endpoints land in different components.
-
-    Degree-1 vertices carry only their matched edge, so they are skipped; the
-    component ids of rescanned vertices are refreshed in g.comp.
+    """Useful-edge filter over `verts` (Regin's matching characterization,
+    AAAI 1994): SCC the matched/unmatched orientation, drop non-matching
+    edges whose endpoints land in different components, and store in g.comp
+    each component's Tarjan root, one of its own vertices, as its id, so
+    disjoint components never share an id.  Skipped degree-1 vertices carry
+    only their matched edge and keep a stale id; a later rescan skips them too.
     """
     comp = _scc_ids(g, [v for v in verts if len(g.adj[v]) >= 2])
     vanished: list[tuple[int, int]] = []
@@ -340,19 +339,15 @@ def _run_filter(g: KnowledgeGraph, verts) -> list[tuple[int, int]]:
         g.status[(l, r)] = "vanished"
     if g.comp is None:
         g.comp = [0] * (2 * g.n + 1)
-    base = g._comp_next
-    top = 0
     for v, c in comp.items():
-        g.comp[v] = base + c
-        if c > top:
-            top = c
-    g._comp_next = base + top + 1
+        g.comp[v] = c
     vanished.sort()
     return vanished
 
 
 def _scc_ids(g: KnowledgeGraph, verts: list[int]) -> dict[int, int]:
-    """Tarjan over the induced orientation: unmatched left->right, matched right->left."""
+    """Tarjan over the induced orientation (unmatched left->right, matched
+    right->left); maps each vertex to the root of its component."""
     n = g.n
     adj = g.adj
     mate = g.mate
@@ -371,7 +366,6 @@ def _scc_ids(g: KnowledgeGraph, verts: list[int]) -> dict[int, int]:
     onstack: set[int] = set()
     stack: list[int] = []
     counter = 0
-    ncomp = 0
     for root in verts:
         if root in index:
             continue
@@ -402,11 +396,10 @@ def _scc_ids(g: KnowledgeGraph, verts: list[int]) -> dict[int, int]:
                 if low[v] < low[u]:
                     low[u] = low[v]
             if low[v] == index[v]:
-                ncomp += 1
                 while True:
                     w = stack.pop()
                     onstack.discard(w)
-                    comp[w] = ncomp
+                    comp[w] = v
                     if w == v:
                         break
     return comp
@@ -503,11 +496,6 @@ class AdversaryHost(GameHost):
             a, b = (pos, j) if pos < j else (j, pos)
             ans, events = kg_answer(self.kg, a, b)
             self.log.note(a, b, ans, events)
-            self.transcript.add_query(a, b, ans)
-            if events.deleted is not None:
-                self.transcript.add_delete(*events.deleted)
-                for e in events.vanished:
-                    self.transcript.add_vanish(*e)
             if ans:
                 hits.append(j)
         return hits

@@ -20,7 +20,7 @@ from .adversary import adversarial_play, involution_audit, replay_consistent
 from .analysis import (unique_pairs_expected, unique_pairs_expected_enumerated,
                        unique_pairs_mc, y_sample_size, y_tail_estimate, YExperiment)
 from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, GameParams, derive_seed,
-                        generate_valid_input, matches_of, read_deck_file,
+                        generate_valid_input, matches_of, read_deck_file, validate_deck,
                         verify_transcript, write_transcript_csv, Transcript)
 from .strategies import (DeckHost, MultiPass, SpaceBudget, make_strategy, multi_pass_play,
                          multi_pass_time_bound, randomized_order)
@@ -220,16 +220,16 @@ def tradeoff_sweep(cfg: SweepConfig) -> tuple[list[str], bool]:
 # ---------------------------------------------------------------------------
 # Adversary sweep
 
-def _adversary_row_for(n: int, s: int, seed: int, name: str) -> str:
+def _adversary_game(n: int, s: int, seed: int, name: str, keep_records: bool = False):
+    """One seeded adversary game: (CSV row, result, involution report or None)."""
     budget = SpaceBudget.for_slots(n, s)
     strat = make_strategy(name, n, seed)
-    res = adversarial_play(strat, n, budget, lean=True, keep_records=False)
+    res = adversarial_play(strat, n, budget, lean=True, keep_records=keep_records)
     lower_ok = res.log.queries >= n * (n - 1) // 2
-    inv_ok = False
-    if res.complete and not res.incorrect and res.matching is not None:
-        inv_ok = involution_audit(res.log, res.matching).ok
-    return (f"{n},{budget.S},{s},{seed},{name},{res.log.queries},"
-            f"{res.log.deletions},{res.log.vanishings},{lower_ok},{inv_ok}")
+    rep = None if res.matching is None else involution_audit(res.log, res.matching)
+    row = (f"{n},{budget.S},{s},{seed},{name},{res.log.queries},"
+           f"{res.log.deletions},{res.log.vanishings},{lower_ok},{rep is not None and rep.ok}")
+    return row, res, rep
 
 
 def _adversary_cell(spec: tuple) -> str:
@@ -238,7 +238,7 @@ def _adversary_cell(spec: tuple) -> str:
     rnd = random.Random(derive_seed(seed, "pick"))
     name = rnd.choice(["multipass", "rmultipass", "perfect"]) if token == "mixed" else token
     s = 2 * n if name == "perfect" else rnd.choice(slots)
-    return _adversary_row_for(n, s, seed, name)
+    return _adversary_game(n, s, seed, name)[0]
 
 
 def adversary_sweep(cfg: SweepConfig) -> tuple[list[str], bool]:
@@ -259,9 +259,10 @@ def cmd_play(args) -> int:
         if not decks:
             raise ValueError("deck file holds no decks")
         x = decks[0]
+        validate_deck(x, R)
     else:
         n = args.n
-        R = args.R or n
+        R = n if args.R is None else args.R
         x = generate_valid_input(GameParams(n, R, args.seed))
     if args.strategy == "perfect":
         budget = SpaceBudget.for_slots(n, 2 * n)
@@ -300,11 +301,9 @@ def cmd_adversary(args) -> int:
             raise ValueError("space budget stores no card index")
     else:
         s = max(1, n // 2)
-    code = _finish(args.out, [ADVERSARY_HEADER, _adversary_row_for(n, s, args.seed, strategy)])
+    row, res, rep = _adversary_game(n, s, args.seed, strategy, keep_records=args.audit)
+    code = _finish(args.out, [ADVERSARY_HEADER, row])
     if args.audit:
-        strat = make_strategy(strategy, n, args.seed)
-        res = adversarial_play(strat, n, SpaceBudget.for_slots(n, s))
-        rep = involution_audit(res.log, res.matching) if res.matching else None
         print(f"audit: complete={res.complete} replay_consistent={replay_consistent(res)}",
               file=sys.stderr)
         if rep:
@@ -436,7 +435,7 @@ def _replay_tradeoff(v: list[str], cap_enum: int, cap_tree: int) -> str | None:
 # header -> recompute(fields, cap_enum, cap_tree); None marks an aggregate row
 _REPLAY = {
     TRADEOFF_HEADER: _replay_tradeoff,
-    ADVERSARY_HEADER: lambda v, ce, ct: _adversary_row_for(int(v[0]), int(v[2]), int(v[3]), v[4]),
+    ADVERSARY_HEADER: lambda v, ce, ct: _adversary_game(int(v[0]), int(v[2]), int(v[3]), v[4])[0],
     LEMMA_Y_HEADER: lambda v, ce, ct: _lemma_y_row(*map(int, v[:5])),
     XY_HEADER: lambda v, ce, ct: _xy_row(*map(int, v[:4]), v[4], ce),
     LEMMA43_HEADER: lambda v, ce, ct: _lemma43_row(*map(int, v[:4]), v[4], ct),

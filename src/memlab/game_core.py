@@ -140,10 +140,7 @@ class Event(NamedTuple):
     """One transcript event; the meaning of a/b/c depends on kind.
 
     flip:   a=position, b=working-set size at the flip (-1 if unrecorded)
-    query:  a=i, b=j, c=1/0 answer
     output: a=i, b=j, c=v
-    delete: a=i, b=j        (adversary edge removal by a "No" answer)
-    vanish: a=i, b=j        (adversary edge removal by uselessness)
     pass:   a=pass index
     """
 
@@ -154,19 +151,18 @@ class Event(NamedTuple):
 
 
 class Transcript:
-    """Ordered event log of one game: flips, pairwise queries, outputs,
-    adversary edge removals, and pass boundaries.
+    """The player's record of one game: flips, outputs and pass boundaries;
+    the adversary's answers live only in its AdversaryLog.
 
     In lean mode only counters, outputs and the running working-set maximum
     are kept; the event list stays empty.  Output triples never repeat.
     """
 
-    __slots__ = ("events", "flips", "queries", "passes", "outputs", "_seen", "max_ws", "lean")
+    __slots__ = ("events", "flips", "passes", "outputs", "_seen", "max_ws", "lean")
 
     def __init__(self, lean: bool = False):
         self.events: list[Event] = []
         self.flips = 0
-        self.queries = 0
         self.passes = 0
         self.outputs: list[MatchTriple] = []
         self._seen: set[MatchTriple] = set()
@@ -184,11 +180,6 @@ class Transcript:
         if size > self.max_ws:
             self.max_ws = size
 
-    def add_query(self, i: int, j: int, answer: bool) -> None:
-        self.queries += 1
-        if not self.lean:
-            self.events.append(Event("query", i, j, int(answer)))
-
     def add_output(self, t: MatchTriple) -> None:
         if t in self._seen:
             raise ValueError(f"output repeated: {t}")
@@ -196,14 +187,6 @@ class Transcript:
         self.outputs.append(t)
         if not self.lean:
             self.events.append(Event("output", t.i, t.j, t.v))
-
-    def add_delete(self, i: int, j: int) -> None:
-        if not self.lean:
-            self.events.append(Event("delete", i, j))
-
-    def add_vanish(self, i: int, j: int) -> None:
-        if not self.lean:
-            self.events.append(Event("vanish", i, j))
 
     def add_pass(self, index: int) -> None:
         self.passes += 1
@@ -222,11 +205,10 @@ class VerificationReport:
     missing: tuple[MatchTriple, ...]
     unexpected: tuple[MatchTriple, ...]
     flips: int
-    queries: int
 
     def __str__(self) -> str:
         if self.ok:
-            return f"ok ({self.flips} flips, {self.queries} queries)"
+            return f"ok ({self.flips} flips)"
         return f"FAIL missing={list(self.missing)} unexpected={list(self.unexpected)}"
 
 
@@ -237,7 +219,7 @@ def verify_transcript(x: Deck, t: Transcript) -> VerificationReport:
     missing = tuple(sorted(want - got))
     unexpected = tuple(sorted(got - want))
     ok = not missing and not unexpected and len(t.outputs) == len(want)
-    return VerificationReport(ok, missing, unexpected, t.flips, t.queries)
+    return VerificationReport(ok, missing, unexpected, t.flips)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +245,8 @@ def read_transcript_csv(fh: IO[str]) -> Transcript:
         a, b, c = int(a), int(b), int(c)
         if kind == "flip":
             t.add_flip(a, b)
-        elif kind == "query":
-            t.add_query(a, b, bool(c))
         elif kind == "output":
             t.add_output(MatchTriple(a, b, c))
-        elif kind == "delete":
-            t.add_delete(a, b)
-        elif kind == "vanish":
-            t.add_vanish(a, b)
         elif kind == "pass":
             t.add_pass(a)
         else:

@@ -116,10 +116,10 @@ class TestTranscript:
         t = Transcript()
         t.add_pass(1)
         t.add_flip(3, 0)
-        t.add_query(1, 3, False)
+        t.add_flip(1, 1)
         t.add_output(MatchTriple(1, 2, 5))
-        assert (t.flips, t.queries, t.passes) == (1, 1, 1)
-        assert [e.kind for e in t.events] == ["pass", "flip", "query", "output"]
+        assert (t.flips, t.passes) == (2, 1)
+        assert [e.kind for e in t.events] == ["pass", "flip", "flip", "output"]
 
     def test_duplicate_output_rejected(self):
         t = Transcript()
@@ -132,16 +132,20 @@ class TestTranscript:
         t.add_pass(1)
         t.add_flip(1, 0)
         t.add_flip(4, 1)
-        t.add_query(1, 4, True)
         t.add_output(MatchTriple(1, 4, 2))
-        t.add_delete(1, 5)
-        t.add_vanish(2, 6)
+        t.add_pass(2)
         buf = io.StringIO()
         write_transcript_csv(t, buf)
         buf.seek(0)
         back = read_transcript_csv(buf)
         assert back.events == t.events
-        assert (back.flips, back.queries, back.passes) == (t.flips, t.queries, t.passes)
+        assert (back.flips, back.passes) == (t.flips, t.passes) == (2, 2)
+
+    def test_query_event_is_not_a_transcript_kind(self):
+        # adversary answers live in its AdversaryLog, not in the player's transcript
+        buf = io.StringIO("step,event,arg1,arg2,arg3\n1,query,1,4,1\n")
+        with pytest.raises(ValueError, match="unknown event kind"):
+            read_transcript_csv(buf)
 
 
 class TestVerify:

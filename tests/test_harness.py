@@ -189,6 +189,14 @@ class TestCLI:
         assert code == 0
         assert out.strip().splitlines()[1] == "2,8,4,4,0,True"
 
+    def test_play_deck_outside_header_alphabet_exits_2(self, tmp_path, capsys):
+        deck_file = tmp_path / "decks.txt"
+        deck_file.write_text("2 2\n5 5 7 7\n")
+        code, out = run_cli(["play", "--strategy", "perfect", "--deck", str(deck_file)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "outside 1..2" in err and "Traceback" not in err
+
     def test_env_seed_override(self):
         _, a = run_cli(["play", "--n", "4", "--space-bits", "6"], env_seed=4)
         _, b = run_cli(["play", "--n", "4", "--space-bits", "6", "--seed", "4"])
@@ -201,6 +209,22 @@ class TestCLI:
         vals = out.strip().splitlines()[1].split(",")
         assert int(vals[6]) + int(vals[7]) == 30
         assert vals[-2:] == ["True", "True"]
+
+    def test_adversary_audit_plays_once(self, monkeypatch, capsys):
+        calls = []
+        play = cli.adversarial_play
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return play(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "adversarial_play", counted)
+        code, out = run_cli(["adversary", "--n", "6", "--space-bits", "8", "--audit"])
+        err = capsys.readouterr().err
+        assert code == 0 and len(calls) == 1
+        assert out == run_cli(["adversary", "--n", "6", "--space-bits", "8"])[1]
+        assert "audit: complete=True replay_consistent=True" in err
+        assert "audit: claim_ok=True accounting_ok=True lower_bound_ok=True" in err
 
     def test_lemma_y_default_r(self):
         code, out = run_cli(["--seed", "2", "lemma-y", "--n", "100", "--t", "4",
@@ -252,6 +276,7 @@ class TestCLI:
          "--s", "-1"],
         ["unique-pairs", "--n", "10", "--trials", "0"],
         ["play", "--n", "4"],
+        ["play", "--n", "4", "--R", "0", "--space-bits", "6"],
         ["adversary", "--n", "4", "--strategy", "mixed"],
         # any readable file: the line index is checked before the header
         ["replay", "--file", __file__, "--line", "0"],
