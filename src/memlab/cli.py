@@ -256,12 +256,16 @@ def cmd_play(args) -> int:
     if args.deck:
         with open(args.deck) as fh:
             n, R, decks = read_deck_file(fh)
+        for flag, given, header in (("--n", args.n, n), ("--R", args.R, R)):
+            if given is not None and given != header:
+                raise ValueError(f"{flag} {given} conflicts with the deck file's header "
+                                 f"{flag[2:]}={header}")
         if not decks:
             raise ValueError("deck file holds no decks")
         x = decks[0]
         validate_deck(x, R)
     else:
-        n = args.n
+        n = 8 if args.n is None else args.n
         R = n if args.R is None else args.R
         x = generate_valid_input(GameParams(n, R, args.seed))
     if args.strategy == "perfect":
@@ -493,7 +497,8 @@ def _add_globals(p: argparse.ArgumentParser, root: bool) -> None:
     p.add_argument("--cap-enum", type=int, default=d(DEFAULT_ENUM_CAP),
                    help="max deck-universe size for exhaustive checks")
     p.add_argument("--cap-tree", type=int, default=d(DEFAULT_TREE_CAP),
-                   help="max node count for built trees")
+                   help="max R-way node count 1 + R + ... + R^depth for built trees, "
+                        "also those built on equality patterns")
 
 
 def main(argv=None) -> int:
@@ -512,8 +517,10 @@ def main(argv=None) -> int:
     p = add_cmd("play", help="one game against a real deck")
     p.add_argument("--strategy", choices=["multipass", "rmultipass", "perfect"],
                    default="multipass")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--R", type=int, default=None, help="alphabet size (default n)")
+    p.add_argument("--n", type=int, default=None,
+                   help="pair count (default 8, or the deck file's)")
+    p.add_argument("--R", type=int, default=None,
+                   help="alphabet size (default n, or the deck file's)")
     p.add_argument("--space-bits", type=int, default=None)
     p.add_argument("--deck", help="deck file; plays its first deck")
     p.set_defaults(func=cmd_play)

@@ -1,14 +1,27 @@
-"""R-way decision trees with per-edge match outputs.
+"""Decision trees with per-edge match outputs.
 
 A tree of depth r queries r distinct positions along every root-to-leaf path
-and may annotate edges with declared matches.  Trees are checked two ways:
-running a deck down its path (tree_run), and exact path-by-path counting of
-the decks consistent with each leaf, which yields the equal-pairs law and the
-productive-input fraction without enumerating the deck universe.
+and may annotate edges with declared matches.  A tree branches one of two ways:
+
+- R-way: every node has one branch per value 1..R.
+- Equality pattern, for blind builders that see only equality bits: values
+  along a path carry labels 1..K in first-read order, and a node whose path
+  has read K distinct values has min(K+1, R) branches.  Branch b <= K means
+  "equals the b-th distinct value read", branch K+1 "a value not read yet".
+  A pattern leaf stands for the perm(R, K) R-way leaves that relabel its K
+  values.  An output on an inner edge names only values read on its path; a
+  leaf edge may name unread labels, which stand for the lowest unread values.
+
+Trees are checked two ways: running a deck down its path (tree_run), and
+exact path-by-path counting of the decks consistent with each leaf, which
+yields the equal-pairs law and the productive-input fraction without
+enumerating the deck universe.
 
 Every builder (fixed, random, guessing, compiled player) is a per-node `step`
 function unfolded by `_unfold`, which alone owns the size refusals (R >= n,
-depth <= 2n, the node cap), the R-way branching and the padding rule.
+depth <= 2n, the R-way node cap), the branching and the padding rule.  The
+fixed, guessing and compiled trees branch on equality patterns; `random_tree`
+stays R-way because its random outputs are not symmetric under relabeling.
 """
 from __future__ import annotations
 
@@ -31,17 +44,20 @@ DEFAULT_TREE_CAP = 2_000_000
 class TreeNode:
     __slots__ = ("pos", "kids", "outs")
 
-    def __init__(self, pos: int, R: int):
+    def __init__(self, pos: int, branches: int):
         self.pos = pos
-        self.kids: list[TreeNode | None] = [None] * R
-        self.outs: list[tuple[MatchTriple, ...]] = [()] * R
+        self.kids: list[TreeNode | None] = [None] * branches
+        self.outs: list[tuple[MatchTriple, ...]] = [()] * branches
 
 
 class DecisionTree:
-    """Validated R-way tree: uniform depth, no position re-queried and no
-    output repeated along any path, all R branches present at every node."""
+    """Validated tree: uniform depth, no position re-queried and no output
+    repeated along any path, every branch present at every node (R of them,
+    or min(K+1, R) in a pattern tree), and in a pattern tree no inner-edge
+    output naming a value its path has not read."""
 
-    def __init__(self, root: TreeNode | None, n: int, R: int, depth: int):
+    def __init__(self, root: TreeNode | None, n: int, R: int, depth: int,
+                 pattern: bool = False):
         if depth < 0 or depth > 2 * n:
             raise ValueError(f"depth must lie in 0..2n, got {depth}")
         if (root is None) != (depth == 0):
@@ -50,6 +66,7 @@ class DecisionTree:
         self.n = n
         self.R = R
         self.depth = depth
+        self.pattern = pattern
         self.node_count = self._validate()
 
     def _validate(self) -> int:
@@ -57,33 +74,41 @@ class DecisionTree:
             return 0
         count = 0
 
-        def walk(node: TreeNode, level: int, queried: set[int], outs: set[MatchTriple]) -> None:
+        def walk(node: TreeNode, level: int, queried: set[int], outs: set[MatchTriple],
+                 k: int) -> None:
+            # k: distinct values read above this node, which sets a pattern node's width
             nonlocal count
             count += 1
             if not 1 <= node.pos <= 2 * self.n:
                 raise ValueError(f"queried position {node.pos} out of range")
             if node.pos in queried:
                 raise ValueError(f"position {node.pos} re-queried along a path")
-            if len(node.kids) != self.R or len(node.outs) != self.R:
-                raise ValueError(f"node must carry exactly R={self.R} branches")
+            width = min(k + 1, self.R) if self.pattern else self.R
+            if len(node.kids) != width or len(node.outs) != width:
+                raise ValueError(f"node must carry exactly {width} branches")
             queried.add(node.pos)
-            for v in range(self.R):
-                branch_outs = node.outs[v]
+            for v in range(1, width + 1):
+                branch_outs = node.outs[v - 1]
                 fresh = set(branch_outs)
                 if len(fresh) != len(branch_outs) or fresh & outs:
                     raise ValueError("output repeated along a path")
+                child = node.kids[v - 1]
                 for o in branch_outs:
                     if not (1 <= o.i < o.j <= 2 * self.n and 1 <= o.v <= self.R):
                         raise ValueError(f"malformed output {o}")
-                child = node.kids[v]
+                    # a later fresh read could take an unread label, so the
+                    # relabeling count of the leaves below would not hold
+                    if self.pattern and child is not None and o.v > max(k, v):
+                        raise ValueError(f"output {o} on an inner edge names a value "
+                                         "not read on its path")
                 if child is None:
                     if level + 1 != self.depth:
                         raise ValueError("non-uniform depth")
                 else:
-                    walk(child, level + 1, queried, outs | fresh)
+                    walk(child, level + 1, queried, outs | fresh, max(k, v))
             queried.discard(node.pos)
 
-        walk(self.root, 0, set(), set())
+        walk(self.root, 0, set(), set(), 0)
         return count
 
 
@@ -98,18 +123,38 @@ class PathStats:
     correct_outputs: int
 
 
+def _walk(tree: DecisionTree, x: Deck) -> Iterator[tuple[TreeNode, int, int]]:
+    """Follow the deck down the tree: per node, (node, branch taken, deck
+    value read).  A pattern node branches on the value's rank among the
+    distinct values read so far, in first-read order."""
+    rank: dict[int, int] = {}
+    node = tree.root
+    while node is not None:
+        v = x[node.pos - 1]
+        b = rank.setdefault(v, len(rank)) if tree.pattern else v - 1
+        yield node, b, v
+        node = node.kids[b]
+
+
+def _deck_values(values: list[int], R: int) -> list[int]:
+    """Deck value of each pattern label 1..R on a path that read `values`:
+    the read values in first-read order, then the unread ones ascending."""
+    seen = list(dict.fromkeys(values))
+    return seen + [w for w in range(1, R + 1) if w not in seen]
+
+
 def tree_run(tree: DecisionTree, x: Deck) -> PathStats:
     """Follow the deck's path; count equal value-pairs and correct outputs."""
     queried: list[int] = []
     values: list[int] = []
     outputs: list[MatchTriple] = []
-    node = tree.root
-    while node is not None:
-        v = x[node.pos - 1]
+    for node, b, v in _walk(tree, x):
         queried.append(node.pos)
         values.append(v)
-        outputs.extend(node.outs[v - 1])
-        node = node.kids[v - 1]
+        outputs.extend(node.outs[b])
+    if tree.pattern and outputs:
+        label = _deck_values(values, tree.R)
+        outputs = [MatchTriple(o.i, o.j, label[o.v - 1]) for o in outputs]
     eq = sum(c // 2 for c in Counter(values).values())
     truth = matches_of(x)
     correct = sum(1 for o in outputs if o in truth)
@@ -125,7 +170,9 @@ def x_exact_distribution(tree: DecisionTree, n: int, R: int,
     tally = Counter()
     total = 0
     for x in enumerate_valid_inputs(n, R, cap):
-        tally[tree_run(tree, x).equal_pairs] += 1
+        values = [v for _, _, v in _walk(tree, x)]
+        # a valid deck holds each value at most twice
+        tally[len(values) - len(set(values))] += 1
         total += 1
     return [Fraction(tally.get(u, 0), total) for u in range(tree.depth // 2 + 1)]
 
@@ -139,17 +186,23 @@ def xy_equiv_check(tree: DecisionTree, n: int, R: int, cap: int = DEFAULT_ENUM_C
 # ---------------------------------------------------------------------------
 # Path-by-path counting
 
-def _iter_leaves(tree: DecisionTree) -> Iterator[tuple[dict[int, int], Counter, list[MatchTriple], int, int]]:
+def _iter_leaves(tree: DecisionTree) -> Iterator[tuple[dict[int, int], Counter, list[MatchTriple],
+                                                      int, int, int]]:
     """Every leaf that some deck reaches, as (read value by position, read
     count by value, outputs along the path, completed pairs u among the
-    reads, decks consistent with the reads)."""
+    reads, decks consistent with the reads, R-way leaves it stands for).
+
+    A pattern leaf with u complete and d half pairs stands for the
+    perm(R, u + d) relabelings of its values, each reached by as many decks
+    and, its outputs relabeled alike, productive on as many; an R-way leaf
+    stands for itself."""
     qvals: dict[int, int] = {}
     counts: Counter = Counter()
     outputs: list[MatchTriple] = []
 
     def rec(node: TreeNode) -> Iterator[None]:
         pos = node.pos
-        for v in range(1, tree.R + 1):
+        for v in range(1, len(node.kids) + 1):
             qvals[pos] = v
             counts[v] += 1
             outs = node.outs[v - 1]
@@ -172,7 +225,8 @@ def _iter_leaves(tree: DecisionTree) -> Iterator[tuple[dict[int, int], Counter, 
         d = sum(1 for c in counts.values() if c == 1)
         base = _consistent_count(tree.n, tree.R, u, d, len(qvals))
         if base:
-            yield qvals, counts, outputs, u, base
+            weight = math.perm(tree.R, u + d) if tree.pattern else 1
+            yield qvals, counts, outputs, u, base, weight
 
 
 def _consistent_count(n: int, R: int, u: int, d: int, r: int) -> int:
@@ -217,8 +271,8 @@ def productive_deck_count(tree: DecisionTree, t: int) -> tuple[int, int]:
     n, R = tree.n, tree.R
     productive = 0
     total = 0
-    for qvals, counts, outputs, _, base in _iter_leaves(tree):
-        total += base
+    for qvals, counts, outputs, _, base, weight in _iter_leaves(tree):
+        total += base * weight
         det = 0
         events: list[tuple[tuple[int, int], ...]] = []
         for i, j, v in outputs:
@@ -236,7 +290,7 @@ def productive_deck_count(tree: DecisionTree, t: int) -> tuple[int, int]:
                     events.append(((i, v), (j, v)))
         need = 2 * t - det
         if need <= 0:
-            productive += base
+            productive += base * weight
             continue
         m = len(events)
         if m < need:
@@ -247,15 +301,15 @@ def productive_deck_count(tree: DecisionTree, t: int) -> tuple[int, int]:
             for A in combinations(events, k):
                 sk += _pinned_count(n, R, counts, len(qvals), A)
             got += (-1) ** (k - need) * math.comb(k - 1, need - 1) * sk
-        productive += got
+        productive += got * weight
     return productive, total
 
 
 def path_distribution(tree: DecisionTree) -> list[Fraction]:
     """Equal-pairs law by exact path counting (dual route to enumeration)."""
     tally: Counter = Counter()
-    for _, _, _, u, base in _iter_leaves(tree):
-        tally[u] += base
+    for _, _, _, u, base, weight in _iter_leaves(tree):
+        tally[u] += base * weight
     total = count_valid_inputs(tree.n, tree.R)
     return [Fraction(tally.get(u, 0), total) for u in range(tree.depth // 2 + 1)]
 
@@ -314,15 +368,18 @@ def productive_fraction_brute(tree: DecisionTree, n: int, R: int, t: int,
 _OUT_PROB = 0.4
 
 
-def _unfold(n: int, R: int, depth: int, cap: int, step: Callable) -> DecisionTree:
-    """Unfold `step` into a uniform-depth R-way tree, the one recursion behind
+def _unfold(n: int, R: int, depth: int, cap: int, step: Callable,
+            pattern: bool) -> DecisionTree:
+    """Unfold `step` into a uniform-depth tree, the one recursion behind
     every builder.
 
     Nodes are visited in preorder, branches in value order.  At each node,
-    `step(vals, positions)` gets the values read along the path and the
-    positions they were read at, and returns (outputs on the edge into this
-    node, next position to read or None).  None pads the path with the lowest
-    unread position.  The root has no incoming edge, so it may not output.
+    `step(vals, positions)` gets the values read along the path (pattern
+    labels when `pattern`) and the positions they were read at, and returns
+    (outputs on the edge into this node, next position to read or None).
+    None pads the path with the lowest unread position.  The root has no
+    incoming edge, so it may not output.  The node cap bounds the R-way tree
+    whichever the branching, so both kinds refuse the same sizes.
     """
     if n < 1 or depth < 0:
         raise ValueError(f"need n >= 1 and depth >= 0, got n={n}, depth={depth}")
@@ -342,18 +399,19 @@ def _unfold(n: int, R: int, depth: int, cap: int, step: Callable) -> DecisionTre
             return None, outs
         if pos is None:
             pos = min(p for p in range(1, 2 * n + 1) if p not in positions)
-        node = TreeNode(pos, R)
-        for v in range(1, R + 1):
+        width = min(len(set(vals)) + 1, R) if pattern else R
+        node = TreeNode(pos, width)
+        for v in range(1, width + 1):
             node.kids[v - 1], node.outs[v - 1] = rec(vals + (v,), positions + (pos,))
         return node, outs
 
-    return DecisionTree(rec((), ())[0], n, R, depth)
+    return DecisionTree(rec((), ())[0], n, R, depth, pattern)
 
 
 def fixed_position_tree(n: int, R: int, depth: int,
                         cap: int = DEFAULT_TREE_CAP) -> DecisionTree:
     """Oblivious tree reading positions 1..depth with no outputs."""
-    return _unfold(n, R, depth, cap, lambda vals, positions: ((), None))
+    return _unfold(n, R, depth, cap, lambda vals, positions: ((), None), pattern=True)
 
 
 def random_tree(n: int, R: int, depth: int, seed: int,
@@ -379,15 +437,15 @@ def random_tree(n: int, R: int, depth: int, seed: int,
             return outs, None
         return outs, rng.choice([p for p in range(1, 2 * n + 1) if p not in positions])
 
-    return _unfold(n, R, depth, cap, step)
+    return _unfold(n, R, depth, cap, step, pattern=False)
 
 
 def build_guessing_tree(n: int, R: int, depth: int, t: int,
                         cap: int = DEFAULT_TREE_CAP) -> DecisionTree:
     """Adversarially productive tree: reads positions 1..depth, declares every
     equal pair among its reads, and speculates t+1 extra matches on each final
-    edge (half-open singles paired with unread positions first, then fresh
-    pairs on fresh values)."""
+    edge (half-open singles, in first-read order, paired with unread positions
+    first, then pairs of unread positions on the lowest unread values)."""
 
     def speculative(vals: tuple[int, ...]) -> list[MatchTriple]:
         counts = Counter(vals)
@@ -420,7 +478,7 @@ def build_guessing_tree(n: int, R: int, depth: int, t: int,
             outs.extend(speculative(vals))
         return tuple(outs), None
 
-    return _unfold(n, R, depth, cap, step)
+    return _unfold(n, R, depth, cap, step, pattern=True)
 
 
 # ---------------------------------------------------------------------------
@@ -492,4 +550,4 @@ def compile_prefix_tree(make_player: Callable, n: int, R: int, depth: int,
             raise ValueError("player is not deterministic: read order changed")
         return tuple(host.outs), nxt
 
-    return _unfold(n, R, depth, cap, step)
+    return _unfold(n, R, depth, cap, step, pattern=True)

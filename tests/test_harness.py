@@ -197,6 +197,23 @@ class TestCLI:
         assert code == 2 and out == ""
         assert "outside 1..2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags,ok", [
+        (["--n", "7", "--R", "1"], False),
+        (["--n", "7"], False),
+        (["--R", "3"], False),
+        (["--n", "2", "--R", "2"], True),
+    ])
+    def test_play_deck_refuses_conflicting_sizes(self, tmp_path, capsys, flags, ok):
+        deck_file = tmp_path / "decks.txt"
+        deck_file.write_text("2 2\n1 2 2 1\n")
+        code, out = run_cli(["play", "--strategy", "perfect", "--deck", str(deck_file)] + flags)
+        err = capsys.readouterr().err
+        if ok:
+            assert code == 0 and out.strip().splitlines()[1] == "2,8,4,4,0,True"
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("memlab: ") and "deck file" in err and "Traceback" not in err
+
     def test_env_seed_override(self):
         _, a = run_cli(["play", "--n", "4", "--space-bits", "6"], env_seed=4)
         _, b = run_cli(["play", "--n", "4", "--space-bits", "6", "--seed", "4"])

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from memlab import (CapExceeded, GameParams, MatchTriple, SpaceBudget,
-                    enumerate_valid_inputs, generate_valid_input,
+                    count_valid_inputs, enumerate_valid_inputs, generate_valid_input,
                     matches_of, multi_pass_play, y_exact_distribution)
-from memlab.strategies import MultiPass
+from memlab.strategies import MultiPass, randomized_order
 from memlab.trees import (DecisionTree, TreeNode, build_guessing_tree,
                           compile_prefix_tree, fixed_position_tree,
-                          lemma43_check, path_distribution,
+                          lemma43_check, path_distribution, productive_deck_count,
                           productive_fraction_brute, random_tree, tree_run,
                           x_exact_distribution, xy_equiv_check)
 
@@ -39,6 +39,31 @@ def _clone(node):
     return new
 
 
+def _expand(tree):
+    """The R-way tree a pattern tree stands for: each R-way branch follows the
+    pattern branch of its value's first-read rank, and an output's label k
+    names the k-th value read on the path, or past them the unread values
+    in ascending order."""
+    R = tree.R
+
+    def rec(pnode, values):
+        node = TreeNode(pnode.pos, R)
+        for v in range(1, R + 1):
+            path = values + (v,)
+            seen = list(dict.fromkeys(path))
+            deck_value = seen + [w for w in range(1, R + 1) if w not in seen]
+            b = seen.index(v)
+            node.outs[v - 1] = tuple(MatchTriple(o.i, o.j, deck_value[o.v - 1])
+                                     for o in pnode.outs[b])
+            kid = pnode.kids[b]
+            node.kids[v - 1] = None if kid is None else rec(kid, path)
+        return node
+
+    assert tree.pattern
+    root = None if tree.root is None else rec(tree.root, ())
+    return DecisionTree(root, tree.n, R, tree.depth)
+
+
 class TestValidation:
     def test_requery_rejected(self):
         node = TreeNode(1, 2)
@@ -62,6 +87,26 @@ class TestValidation:
         node.kids = [TreeNode(2, 2), None]
         with pytest.raises(ValueError, match="depth"):
             DecisionTree(node, 2, 2, 2)
+
+    def test_pattern_inner_edge_names_unread_value_rejected(self):
+        # label 2 is unread after the first read; the next read's fresh
+        # branch could take it, so the relabeling weights would not hold
+        root = TreeNode(1, 1)
+        root.kids[0] = TreeNode(2, 2)
+        root.outs[0] = (MatchTriple(3, 4, 2),)
+        with pytest.raises(ValueError, match="not read on its path"):
+            DecisionTree(root, 2, 2, 2, pattern=True)
+        # the same output on a leaf edge names the lowest unread value
+        root.outs[0] = ()
+        root.kids[0].outs[0] = (MatchTriple(3, 4, 2),)
+        tree = DecisionTree(root, 2, 2, 2, pattern=True)
+        assert tree_run(tree, (1, 1, 2, 2)).correct_outputs == 1
+
+    def test_pattern_width_enforced(self):
+        root = TreeNode(1, 2)
+        root.kids = [TreeNode(2, 2), TreeNode(2, 2)]
+        with pytest.raises(ValueError, match="exactly 1 branch"):
+            DecisionTree(root, 2, 3, 2, pattern=True)
 
     def test_depth_zero(self):
         tree = DecisionTree(None, 2, 2, 0)
@@ -178,7 +223,9 @@ class TestCompile:
 class TestGuessingTree:
     def test_structure_and_wellformedness(self):
         tree = build_guessing_tree(8, 8, 4, 2)
-        assert tree.depth == 4 and tree.node_count == 1 + 8 + 64 + 512
+        # 1, 1, 2 and 5 equality patterns of 0..3 reads
+        assert tree.depth == 4 and tree.node_count == 1 + 1 + 2 + 5
+        assert _expand(tree).node_count == 1 + 8 + 64 + 512
 
     def test_speculative_outputs_count(self):
         tree = build_guessing_tree(6, 6, 2, 1)
@@ -258,3 +305,49 @@ class TestProductivityBound:
         res = lemma43_check(tree, 8, 8, 1)
         tail = sum(y_exact_distribution(8, 4)[2:], Fraction(0))
         assert res.fraction == tail
+
+
+def _pattern_trees(n, R, depth):
+    """Every pattern-tree builder at one size: fixed, guessing for each t the
+    depth admits, and compiled multipass with slots 1, 2, 2n in scan order
+    and in a seeded order."""
+    yield "fixed", fixed_position_tree(n, R, depth)
+    for t in range(1, max(1, depth // 2) + 1):
+        yield f"guessing t={t}", build_guessing_tree(n, R, depth, t)
+    for slots in sorted({1, 2, 2 * n}):
+        yield f"compiled s={slots}", compile_prefix_tree(MultiPass, n, R, depth, slots=slots)
+        order = randomized_order(n, seed=n)
+        yield (f"compiled s={slots} shuffled",
+               compile_prefix_tree(lambda: MultiPass(order=order), n, R, depth, slots=slots))
+
+
+# decks enumerated per cell at most; the n=4, R>4 cells (12,600 and 176,400
+# decks) run tree_run on seeded decks and check fractions by path counting only
+_DECK_ENUM_LIMIT = 3_000
+
+
+class TestPatternExpansionOracle:
+    """A pattern tree against its R-way expansion, the route every builder
+    took before equality patterns: same laws, fractions and deck walks."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pattern_tree_agrees_with_expansion(self, n):
+        for R in sorted({n, n + 1, 2 * n}):
+            small = count_valid_inputs(n, R) <= _DECK_ENUM_LIMIT
+            decks = (list(enumerate_valid_inputs(n, R)) if small else
+                     [generate_valid_input(GameParams(n, R, k)) for k in range(200)])
+            for depth in range(min(4, n) + 1):
+                for name, tree in _pattern_trees(n, R, depth):
+                    where = (n, R, depth, name)
+                    full = _expand(tree)
+                    assert path_distribution(tree) == path_distribution(full), where
+                    for x in decks:
+                        assert tree_run(tree, x) == tree_run(full, x), (where, x)
+                    for t in range(1, max(1, depth // 2) + 1):
+                        got, total = productive_deck_count(tree, t)
+                        assert (got, total) == productive_deck_count(full, t), (where, t)
+                        if depth <= n // 2 and t <= depth // 2:
+                            assert lemma43_check(tree, n, R, t) == lemma43_check(full, n, R, t)
+                        if small:
+                            brute = productive_fraction_brute(full, n, R, t)
+                            assert brute == Fraction(got, total), (where, t)
