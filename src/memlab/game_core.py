@@ -176,6 +176,16 @@ class Transcript:
         if not self.lean:
             self.events.append(Event("flip", pos, ws_size))
 
+    def add_flips(self, positions: list[int], ws_size: int) -> None:
+        """add_flip for each position in turn, all at one working-set size."""
+        if not positions:
+            return
+        self.flips += len(positions)
+        if ws_size > self.max_ws:
+            self.max_ws = ws_size
+        if not self.lean:
+            self.events.extend([Event("flip", p, ws_size) for p in positions])
+
     def note_ws(self, size: int) -> None:
         if size > self.max_ws:
             self.max_ws = size

@@ -6,13 +6,20 @@ the value itself; the host fills in values when a match is declared.  Hosts
 drive the same player classes against either a real deck (here) or the
 adaptive adversary (see adversary.py), so a player's choices are a function
 of equality bits and its own state alone.
+
+Hosts own the two examine loops the shipped players are made of: `fill`
+(store each miss, declare each hit) and `scan` (declare each hit until the
+working set empties).  `GameHost` runs them one flip at a time, which the
+adversary and the tree compiler need and which serves as the oracle;
+`DeckHost.scan` examines only the cards that can hit and records each run of
+misses between them in one step.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .game_core import Deck, MatchTriple, Transcript
+from .game_core import Deck, MatchTriple, Transcript, validate_deck
 
 
 class ProtocolError(RuntimeError):
@@ -59,7 +66,9 @@ class GameHost:
     """Drives one game: owns the table, the working set, and the transcript.
 
     Subclasses answer the equality bits (`_equal_members`) and assign values
-    to declared matches (`_declare_value`).
+    to declared matches (`_declare_value`).  The two examine loops every
+    shipped player is built from, `fill` and `scan`, live here; a subclass
+    may replace them with a faster loop that plays the same game.
     """
 
     def __init__(self, n: int, slots: int, transcript: Transcript | None = None,
@@ -99,17 +108,13 @@ class GameHost:
         if len(self.working) + 1 > self.slots:
             raise ProtocolError(f"working set overflow: {len(self.working) + 1} > {self.slots} slots")
         self.working.add(pos)
-        self._on_store(pos)
         self.transcript.note_ws(len(self.working))
 
     def drop(self, pos: int) -> None:
-        if pos in self.working:
-            self.working.discard(pos)
-            self._on_drop(pos)
+        self.working.discard(pos)
 
     def clear_working(self) -> None:
-        for pos in list(self.working):
-            self.drop(pos)
+        self.working.clear()
 
     def declare(self, i: int, j: int) -> MatchTriple:
         """Output a match for positions i and j; the host supplies the value."""
@@ -122,12 +127,39 @@ class GameHost:
         if matched:
             self.removed.add(i)
             self.removed.add(j)
-            self.drop(i)
-            self.drop(j)
+            self.working.discard(i)
+            self.working.discard(j)
         return triple
 
     def pass_boundary(self, index: int) -> None:
         self.transcript.add_pass(index)
+
+    # -- examine loops ---------------------------------------------------
+    def fill(self, positions) -> None:
+        """Examine each live position in turn, declaring a hit against its
+        first stored match and storing a miss; stop once the table is clear."""
+        for p in positions:
+            if self.done():
+                break
+            if p in self.removed:
+                continue
+            hits = self.examine(p)
+            if hits:
+                self.declare(hits[0], p)
+            else:
+                self.store(p)
+
+    def scan(self, positions) -> None:
+        """Examine each live position in turn until the working set is empty,
+        declaring a hit against its first stored match."""
+        for p in positions:
+            if not self.working:
+                break
+            if p in self.removed:
+                continue
+            hits = self.examine(p)
+            if hits:
+                self.declare(hits[0], p)
 
     # -- backend hooks ---------------------------------------------------
     def _equal_members(self, pos: int) -> list[int]:
@@ -136,38 +168,63 @@ class GameHost:
     def _declare_value(self, i: int, j: int) -> tuple[MatchTriple, bool]:
         raise NotImplementedError
 
-    def _on_store(self, pos: int) -> None:
-        pass
-
-    def _on_drop(self, pos: int) -> None:
-        pass
-
 
 class DeckHost(GameHost):
-    """Host backed by a real deck; equality bits come from the card values."""
+    """Host backed by a real deck; equality bits come from the card values.
+
+    Only a stored card or its partner (the other card of its value) can hit,
+    so `scan` examines those one by one and records each run of misses
+    between two of them in one transcript step.
+    """
 
     def __init__(self, x: Deck, slots: int, transcript: Transcript | None = None,
                  flip_cap: int | None = None):
+        validate_deck(x)
         super().__init__(len(x) // 2, slots, transcript, flip_cap)
         self.x = x
-        self._stored_by_value: dict[int, list[int]] = {}
+        # partner[p]: the other position holding x[p - 1]; index 0 is unused
+        self.partner = [0] * (len(x) + 1)
+        first: dict[int, int] = {}
+        for pos, v in enumerate(x, start=1):
+            q = first.setdefault(v, pos)
+            if q != pos:
+                self.partner[pos], self.partner[q] = q, pos
 
     def _equal_members(self, pos: int) -> list[int]:
-        return sorted(self._stored_by_value.get(self.x[pos - 1], ()))
+        w = self.working
+        return sorted(p for p in (pos, self.partner[pos]) if p in w)
 
     def _declare_value(self, i: int, j: int) -> tuple[MatchTriple, bool]:
         v = self.x[i - 1]
         return MatchTriple(i, j, v), self.x[j - 1] == v
 
-    def _on_store(self, pos: int) -> None:
-        self._stored_by_value.setdefault(self.x[pos - 1], []).append(pos)
+    def scan(self, positions) -> None:
+        working, removed, partner = self.working, self.removed, self.partner
+        top = 2 * self.n
+        run: list[int] = []
+        for p in positions:
+            if not working:
+                break
+            if p in removed:
+                continue
+            if 0 < p <= top and p not in working and partner[p] not in working:
+                run.append(p)
+                continue
+            # a possible hit, a stored card or an out-of-range position: alone
+            self._flip_misses(run)
+            run = []
+            hits = self.examine(p)
+            if hits:
+                self.declare(hits[0], p)
+        self._flip_misses(run)
 
-    def _on_drop(self, pos: int) -> None:
-        bucket = self._stored_by_value.get(self.x[pos - 1])
-        if bucket is not None:
-            bucket.remove(pos)
-            if not bucket:
-                del self._stored_by_value[self.x[pos - 1]]
+    def _flip_misses(self, run: list[int]) -> None:
+        """Record a run of misses; the working set is the same at each flip."""
+        t, cap = self.transcript, self.flip_cap
+        if cap is not None and t.flips + len(run) > cap:
+            t.add_flips(run[:cap - t.flips], len(self.working))
+            raise FlipBudgetExceeded(f"flip cap {cap} reached")
+        t.add_flips(run, len(self.working))
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +262,8 @@ class MultiPass:
                 continue
             host.clear_working()
             host.pass_boundary(b + 1)
-            for p in block:
-                hits = host.examine(p)
-                if hits:
-                    host.declare(hits[0], p)
-                else:
-                    host.store(p)
-            if not host.working:
-                continue
-            for p in order[(b + 1) * s:]:
-                if not host.working:
-                    break
-                if not host.live(p):
-                    continue
-                hits = host.examine(p)
-                if hits:
-                    host.declare(hits[0], p)
+            host.fill(block)
+            host.scan(order[(b + 1) * s:])
 
 
 class FullMemory:
@@ -229,16 +272,7 @@ class FullMemory:
     name = "perfect"
 
     def play(self, host: GameHost) -> None:
-        for p in range(1, 2 * host.n + 1):
-            if host.done():
-                break
-            if not host.live(p):
-                continue
-            hits = host.examine(p)
-            if hits:
-                host.declare(hits[0], p)
-            else:
-                host.store(p)
+        host.fill(range(1, 2 * host.n + 1))
 
 
 def randomized_order(n: int, seed: int) -> list[int]:

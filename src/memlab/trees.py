@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, Deck, MatchTriple, Transcript,
-                        count_valid_inputs, enumerate_valid_inputs, matches_of)
+                        count_valid_inputs, enumerate_valid_inputs, validate_deck)
 from .strategies import GameHost, ProtocolError
 from .analysis import y_exact_distribution
 
@@ -145,6 +145,12 @@ def _deck_values(values: list[int], R: int) -> list[int]:
 
 def tree_run(tree: DecisionTree, x: Deck) -> PathStats:
     """Follow the deck's path; count equal value-pairs and correct outputs."""
+    validate_deck(x)
+    return _run(tree, x)
+
+
+def _run(tree: DecisionTree, x: Deck) -> PathStats:
+    """tree_run on a deck already known to be valid."""
     queried: list[int] = []
     values: list[int] = []
     outputs: list[MatchTriple] = []
@@ -156,8 +162,8 @@ def tree_run(tree: DecisionTree, x: Deck) -> PathStats:
         label = _deck_values(values, tree.R)
         outputs = [MatchTriple(o.i, o.j, label[o.v - 1]) for o in outputs]
     eq = sum(c // 2 for c in Counter(values).values())
-    truth = matches_of(x)
-    correct = sum(1 for o in outputs if o in truth)
+    # on a valid deck, i < j holding v at both ends is exactly a match
+    correct = sum(1 for o in outputs if x[o.i - 1] == o.v == x[o.j - 1])
     return PathStats(tuple(queried), tuple(values), tuple(outputs), eq, correct)
 
 
@@ -356,7 +362,7 @@ def productive_fraction_brute(tree: DecisionTree, n: int, R: int, t: int,
     total = 0
     for x in enumerate_valid_inputs(n, R, cap):
         total += 1
-        if tree_run(tree, x).correct_outputs >= 2 * t:
+        if _run(tree, x).correct_outputs >= 2 * t:
             productive += 1
     return Fraction(productive, total)
 

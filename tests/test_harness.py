@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 import os
@@ -342,6 +343,34 @@ class TestCLI:
                              "--t", "2", "--tree", "compiled", "--s", "2"])
         assert code == 0
         assert out.splitlines()[1].endswith("True")
+
+
+# sha256 of the --out bytes of fixed-seed runs; a change to any of them means
+# the players, the deck host or the CSV writers changed what they produce
+_GOLDEN = {
+    ("tradeoff", "--n-list", "8,16,32", "--s-list", "pow2", "--seeds", "3",
+     "--strategy", "multipass"):
+        "28f4bb1e11dbf3794f49bedda87dd015e52bc2ae8fdb418e09d502b83bc81698",
+    ("tradeoff", "--n-list", "8,16,32", "--s-list", "pow2", "--seeds", "3",
+     "--strategy", "rmultipass"):
+        "8699cf6f8d42d928cef17f0ea8b8a18434b5fc7ab75489294ed0358f8598155b",
+    ("play", "--strategy", "multipass", "--n", "16", "--space-bits", "20"):
+        "18d06b5fb66c0c7522ceb3570701c41a8a46fcdbf3099954289a057ef86d5b8d",
+    ("play", "--strategy", "rmultipass", "--n", "16", "--space-bits", "20"):
+        "d8d2c6738b85814f57b1991d1f07b094e8240a788023621f4fae9c43131142f4",
+    ("play", "--strategy", "perfect", "--n", "16"):
+        "132d5b61497bab85573c63e171eff716d7d0a4831060c0d2c143722dadd9253d",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("args", list(_GOLDEN),
+                             ids=lambda a: f"{a[0]}-{a[a.index('--strategy') + 1]}")
+    def test_out_bytes_pinned(self, tmp_path, args):
+        out = tmp_path / "out.csv"
+        code, _ = run_cli(["--jobs", "1", "--seed", "7", "--out", str(out), *args])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN[args]
 
 
 class _RecordingPool:

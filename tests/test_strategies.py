@@ -9,8 +9,8 @@ from memlab import (GameParams, SpaceBudget, Transcript, enumerate_valid_inputs,
                     multi_pass_time_bound, perfect_memory_play, space_audit,
                     verify_transcript)
 from memlab.analysis import monte_carlo_wrap
-from memlab.strategies import (DeckHost, FullMemory, MultiPass, ProtocolError,
-                               make_strategy, randomized_order)
+from memlab.strategies import (DeckHost, FlipBudgetExceeded, FullMemory, GameHost, MultiPass,
+                               ProtocolError, make_strategy, randomized_order)
 
 
 class TestSpaceBudget:
@@ -222,3 +222,114 @@ class TestProtocol:
         assert isinstance(make_strategy("perfect", 4), FullMemory)
         with pytest.raises(ValueError):
             make_strategy("psychic", 4)
+
+
+class TestDeckHostValidation:
+    def test_value_three_times_rejected(self):
+        with pytest.raises(ValueError, match="multiplicities"):
+            DeckHost((1, 1, 1, 2), slots=2)
+
+    def test_truncated_player_rejects_invalid_deck(self):
+        with pytest.raises(ValueError, match="multiplicities"):
+            monte_carlo_wrap(MultiPass(), 10).play((3, 3, 3, 1, 2, 2), SpaceBudget.for_slots(3, 1))
+
+
+class _StepHost(DeckHost):
+    """DeckHost with the generic flip-by-flip scan: the oracle for DeckHost.scan."""
+
+    scan = GameHost.scan
+
+
+def _outcome(host_cls, x, slots, lean, cap, play):
+    """Everything a game leaves behind, and the error it ended on, if any."""
+    host = host_cls(x, slots, Transcript(lean=lean), flip_cap=cap)
+    err = None
+    try:
+        play(host)
+    except (FlipBudgetExceeded, ProtocolError) as e:
+        err = (type(e), str(e))
+    t = host.transcript
+    return dict(err=err, events=t.events, flips=t.flips, passes=t.passes, outputs=t.outputs,
+                max_ws=t.max_ws, removed=host.removed, working=host.working)
+
+
+def _assert_same_game(x, slots, lean, cap, play):
+    want = _outcome(_StepHost, x, slots, lean, cap, play)
+    got = _outcome(DeckHost, x, slots, lean, cap, play)
+    assert got == want
+    return got
+
+
+class TestDeckHostScanOracle:
+    """DeckHost.scan, which records runs of misses in one step, against the
+    generic one-flip-at-a-time GameHost.scan."""
+
+    @given(st.integers(1, 24), st.integers(0, 10**6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_multipass_games_agree(self, n, seed, data):
+        x = generate_valid_input(GameParams(n, n + seed % 3, seed))
+        slots = data.draw(st.integers(1, 2 * n), label="slots")
+        order = data.draw(st.sampled_from([None, randomized_order(n, seed)]), label="order")
+        lean = data.draw(st.booleans(), label="lean")
+        play = MultiPass(order=order).play
+        T = _assert_same_game(x, slots, lean, None, play)["flips"]
+        # every cap on small decks, a drawn one on the rest
+        caps = range(T + 1) if n <= 6 else [data.draw(st.integers(0, T), label="cap")]
+        for cap in caps:
+            got = _assert_same_game(x, slots, lean, cap, play)
+            assert got["flips"] == min(cap, T)
+            assert (got["err"] is not None) == (cap < T)
+
+    @given(st.integers(1, 8), st.integers(0, 10**6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_scans_agree(self, n, seed, data):
+        # fill a block, then scan a list that may hold removed, stored,
+        # repeated and out-of-range positions
+        x = generate_valid_input(GameParams(n, n, seed))
+        slots = data.draw(st.integers(1, 2 * n), label="slots")
+        block = data.draw(st.lists(st.integers(1, 2 * n), max_size=slots, unique=True),
+                          label="block")
+        rest = data.draw(st.lists(st.integers(-1, 2 * n + 2), max_size=4 * n), label="rest")
+        cap = data.draw(st.one_of(st.none(), st.integers(0, len(block) + len(rest))), label="cap")
+        lean = data.draw(st.booleans(), label="lean")
+
+        def play(host):
+            host.fill(block)
+            host.scan(rest)
+
+        _assert_same_game(x, slots, lean, cap, play)
+
+    # deck (1, 2, 3, 1, 2, 3): after fill([1, 2]) cards 1 and 2 are stored,
+    # and only 1, 2, 4, 5 can hit
+    @pytest.mark.parametrize("rest,err,flips,removed", [
+        ([3, 9, 4], "out of range", 3, set()),
+        ([3, 0], "out of range", 3, set()),
+        ([3, 6, 3, 6, 4, 5, 3], None, 8, {1, 2, 4, 5}),
+        ([4, 1, 3, 5, 3], None, 5, {1, 2, 4, 5}),
+        ([3, 2], "against itself", 4, set()),
+        ([5, 6, 4, 6], None, 5, {1, 2, 4, 5}),
+    ])
+    def test_hand_built_scans(self, rest, err, flips, removed):
+        def play(host):
+            host.fill([1, 2])
+            host.scan(rest)
+
+        for lean in (False, True):
+            got = _assert_same_game((1, 2, 3, 1, 2, 3), 2, lean, None, play)
+            assert (got["err"] is None) == (err is None)
+            if err is not None:
+                assert err in got["err"][1]
+            assert got["flips"] == flips
+            assert got["removed"] == removed
+
+    def test_cap_inside_a_run_of_misses(self):
+        def play(host):
+            host.fill([1])
+            host.scan([2, 3, 5, 6, 4])
+
+        x = (1, 2, 3, 1, 2, 3)
+        for cap in range(7):
+            got = _assert_same_game(x, 1, False, cap, play)
+            assert got["flips"] == min(cap, 6)
+            assert [e.a for e in got["events"] if e.kind == "flip"] == [1, 2, 3, 5, 6, 4][:cap]
+            assert (got["err"] is not None) == (cap < 6)
