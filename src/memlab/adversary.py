@@ -446,13 +446,11 @@ class QueryRecord:
     i: int
     j: int
     answer: bool
-    deleted: tuple[int, int] | None
-    vanished: tuple[tuple[int, int], ...]
 
 
 class AdversaryLog:
-    """Per-query audit trail: answers, the single deletion a "No" on a present
-    edge causes, and the vanish set of the closure that follows."""
+    """Per-query audit trail: the answers, the deletion and vanish counts, and
+    in `status` how each removed edge went."""
 
     def __init__(self, n: int, status: dict[tuple[int, int], str], keep_records: bool = True):
         self.n = n
@@ -469,7 +467,7 @@ class AdversaryLog:
             self.deletions += 1
         self.vanishings += len(events.vanished)
         if self._keep:
-            self.records.append(QueryRecord(i, j, answer, events.deleted, events.vanished))
+            self.records.append(QueryRecord(i, j, answer))
 
 
 class AdversaryHost(GameHost):

@@ -184,9 +184,9 @@ class MonteCarloWrapped:
         self.strategy = strategy
         self.cap = int(10 * expected_T)
 
-    def play(self, x: Deck, budget: SpaceBudget, lean: bool = True) -> CappedRun:
+    def play(self, x: Deck, budget: SpaceBudget) -> CappedRun:
         """Run the player but halt it after `cap` flips; errored when incomplete."""
-        host = DeckHost(x, budget.slots, Transcript(lean=lean), flip_cap=self.cap)
+        host = DeckHost(x, budget.slots, Transcript(lean=True), flip_cap=self.cap)
         try:
             self.strategy.play(host)
         except FlipBudgetExceeded:

@@ -22,8 +22,8 @@ from .analysis import (unique_pairs_expected, unique_pairs_expected_enumerated,
 from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, GameParams, derive_seed,
                         generate_valid_input, matches_of, read_deck_file, validate_deck,
                         verify_transcript, write_transcript_csv, Transcript)
-from .strategies import (DeckHost, MultiPass, SpaceBudget, make_strategy, multi_pass_play,
-                         multi_pass_time_bound, randomized_order)
+from .strategies import (PLAYERS, DeckHost, MultiPass, SpaceBudget, make_strategy,
+                         multi_pass_play, multi_pass_time_bound, randomized_order)
 from .trees import (DEFAULT_TREE_CAP, build_guessing_tree, compile_prefix_tree,
                     fixed_position_tree, lemma43_check, random_tree, xy_equiv_check)
 
@@ -120,13 +120,17 @@ _CONFIG_KEYS = {
     "s": ("s_spec", lambda text: text if text == "pow2" else _int_list(text), "s_list"),
     "seeds": ("seeds", int, "seeds"),
     "strategy": ("strategy", str, "strategy"),
-    "jobs": ("jobs", int, None),
-    "seed": ("master_seed", int, None),
+    "jobs": ("jobs", int, "jobs"),
+    "seed": ("master_seed", int, "seed"),
 }
+# below a key's flag and config key, above SweepConfig's default
+_FALLBACKS = {"seed": lambda: os.environ.get("MEMLAB_SEED", "0"),
+              "jobs": lambda: os.cpu_count()}
 
 
 def sweep_config_from(args) -> SweepConfig:
-    cfg = SweepConfig(jobs=args.jobs, master_seed=args.seed)
+    """Each key: its flag, else its config key, else its fallback, else the default."""
+    cfg = SweepConfig()
     cfg.strategy = getattr(args, "sweep_strategy", cfg.strategy)
     raw = parse_config_file(args.config) if getattr(args, "config", None) else {}
     unknown = [key for key in raw if key not in _CONFIG_KEYS]
@@ -134,9 +138,11 @@ def sweep_config_from(args) -> SweepConfig:
         raise ValueError(f"{args.config}: unknown key {', '.join(unknown)}; "
                          f"known keys are {', '.join(_CONFIG_KEYS)}")
     for key, (name, parse, flag) in _CONFIG_KEYS.items():
-        val = getattr(args, flag, None) if flag else None
+        val = getattr(args, flag, None)
         if val is None:
             val = raw.get(key)
+        if val is None and key in _FALLBACKS:
+            val = _FALLBACKS[key]()
         if val is not None:
             setattr(cfg, name, parse(val))
     # flags already passed argparse's choices; a config value must pass them too
@@ -168,7 +174,7 @@ def _tradeoff_record(n: int, s: int, dseed: int, strategy: str) -> tuple:
     order = randomized_order(n, derive_seed(dseed, "order")) if strategy == "rmultipass" else None
     tr = multi_pass_play(x, budget, order=order, lean=True)
     correct = set(tr.outputs) == matches_of(x)
-    in_bound = tr.flips <= multi_pass_time_bound(n, budget)
+    in_bound = tr.flips <= multi_pass_time_bound(budget)
     return dseed, tr.flips, tr.passes, correct, in_bound
 
 
@@ -236,7 +242,7 @@ def _adversary_cell(spec: tuple) -> str:
     n, k, master, token, slots = spec
     seed = derive_seed(master, "adv", n, k)
     rnd = random.Random(derive_seed(seed, "pick"))
-    name = rnd.choice(["multipass", "rmultipass", "perfect"]) if token == "mixed" else token
+    name = rnd.choice(list(PLAYERS)) if token == "mixed" else token
     s = 2 * n if name == "perfect" else rnd.choice(slots)
     return _adversary_game(n, s, seed, name)[0]
 
@@ -274,9 +280,6 @@ def cmd_play(args) -> int:
         if args.space_bits is None:
             raise ValueError("--space-bits is required for this strategy")
         budget = SpaceBudget(args.space_bits, n)
-        if budget.slots < 1:
-            raise ValueError(f"S={budget.S} bits stores no card index: need at least "
-                             f"{budget.bits_per_index}")
     strat = make_strategy(args.strategy, n, args.seed)
     host = DeckHost(x, budget.slots, Transcript())
     strat.play(host)
@@ -301,8 +304,6 @@ def cmd_adversary(args) -> int:
         s = 2 * n
     elif args.space_bits is not None:
         s = SpaceBudget(args.space_bits, n).slots
-        if s < 1:
-            raise ValueError("space budget stores no card index")
     else:
         s = max(1, n // 2)
     row, res, rep = _adversary_game(n, s, args.seed, strategy, keep_records=args.audit)
@@ -399,7 +400,7 @@ def cmd_report(args) -> int:
             with open(path) as fh:
                 lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
         except OSError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
+            print(f"memlab: {path}: {exc}", file=sys.stderr)
             parse_fail = True
             continue
         if not lines:
@@ -410,7 +411,7 @@ def cmd_report(args) -> int:
         for lineno, line in enumerate(lines[1:], start=2):
             vals = line.split(",")
             if len(vals) != len(header):
-                print(f"{path}:{lineno}: expected {len(header)} fields, got {len(vals)}",
+                print(f"memlab: {path}:{lineno}: expected {len(header)} fields, got {len(vals)}",
                       file=sys.stderr)
                 parse_fail = True
                 continue
@@ -490,10 +491,10 @@ def _add_globals(p: argparse.ArgumentParser, root: bool) -> None:
     # accepted both before and after the subcommand; the later wins
     d = (lambda v: v) if root else (lambda v: argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=d(None),
-                   help="master seed (default: $MEMLAB_SEED, else 0)")
+                   help="master seed (default: a sweep config's seed, else $MEMLAB_SEED, else 0)")
     p.add_argument("--out", default=d(None), help="output path (default: stdout)")
     p.add_argument("--jobs", type=int, default=d(None),
-                   help="parallel cells for sweeps (default: all cores)")
+                   help="parallel cells for sweeps (default: the config's jobs, else all cores)")
     p.add_argument("--cap-enum", type=int, default=d(DEFAULT_ENUM_CAP),
                    help="max deck-universe size for exhaustive checks")
     p.add_argument("--cap-tree", type=int, default=d(DEFAULT_TREE_CAP),
@@ -515,8 +516,7 @@ def main(argv=None) -> int:
         return p
 
     p = add_cmd("play", help="one game against a real deck")
-    p.add_argument("--strategy", choices=["multipass", "rmultipass", "perfect"],
-                   default="multipass")
+    p.add_argument("--strategy", choices=list(PLAYERS), default="multipass")
     p.add_argument("--n", type=int, default=None,
                    help="pair count (default 8, or the deck file's)")
     p.add_argument("--R", type=int, default=None,
@@ -527,8 +527,7 @@ def main(argv=None) -> int:
 
     p = add_cmd("adversary", help="adversarial game(s) with audits; "
                                   "--config/--n-list switches to sweep mode")
-    _add_sweep_flags(p, "multipass; mixed in sweeps",
-                     ["multipass", "rmultipass", "perfect", "mixed"], "mixed")
+    _add_sweep_flags(p, "multipass; mixed in sweeps", [*PLAYERS, "mixed"], "mixed")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--space-bits", type=int, default=None)
     p.add_argument("--audit", action="store_true",
@@ -577,11 +576,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_replay)
 
     args = parser.parse_args(argv)
-    if args.jobs is None:
-        args.jobs = os.cpu_count() or 1
     try:
-        if args.seed is None:
-            args.seed = int(os.environ.get("MEMLAB_SEED", "0"))
+        # a sweep config's seed key ranks between --seed and this fallback
+        if args.seed is None and not getattr(args, "config", None):
+            args.seed = int(_FALLBACKS["seed"]())
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"memlab: {exc}", file=sys.stderr)

@@ -3,8 +3,8 @@
 A deck is a tuple of 2n values in 1..R in which exactly n distinct values
 occur exactly twice each.  Positions and values are 1-based throughout,
 including all serialized forms.  This module owns deck generation and
-enumeration, match extraction, the event transcript every player produces,
-and the brute-force verification report the test suite leans on.
+enumeration, pairing and match extraction, the event transcript every player
+produces, and the brute-force verification report the test suite leans on.
 """
 from __future__ import annotations
 
@@ -120,17 +120,27 @@ def validate_deck(x: Deck, R: int | None = None) -> int:
     return n
 
 
+def deck_partners(x: Deck) -> list[int]:
+    """partner[p]: the other position holding x[p - 1]; partner[0] = 0.
+
+    Pairs the deck and checks it in one pass: on a valid deck partner is a
+    permutation, while a value seen once (partner 0) or a third time (its
+    first position again) repeats an entry; validate_deck words the refusal.
+    """
+    partner = [0] * (len(x) + 1)
+    first: dict[int, int] = {}
+    for pos, v in enumerate(x, start=1):
+        q = first.setdefault(v, pos)
+        if q != pos:
+            partner[pos], partner[q] = q, pos
+    if len(set(partner)) < len(partner):
+        validate_deck(x)
+    return partner
+
+
 def matches_of(x: Deck) -> set[MatchTriple]:
     """The n matches of a valid deck, as (i, j, v) triples with i < j."""
-    validate_deck(x)
-    first: dict[int, int] = {}
-    out: set[MatchTriple] = set()
-    for pos, v in enumerate(x, start=1):
-        if v in first:
-            out.add(MatchTriple(first[v], pos, v))
-        else:
-            first[v] = pos
-    return out
+    return {MatchTriple(i, j, x[i - 1]) for i, j in enumerate(deck_partners(x)) if i < j}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .game_core import Deck, MatchTriple, Transcript, validate_deck
+from .game_core import Deck, MatchTriple, Transcript, deck_partners
 
 
 class ProtocolError(RuntimeError):
@@ -35,8 +35,8 @@ class SpaceBudget:
     """Memory budget: S bits for a game of n pairs.
 
     A stored position costs ceil(log2(2n)) bits since indices range over
-    1..2n; `slots` is how many positions fit.  Loop counters and other
-    bookkeeping are unmetered.
+    1..2n; `slots` is how many positions fit, at least one.  Loop counters
+    and other bookkeeping are unmetered.
     """
 
     S: int
@@ -45,8 +45,9 @@ class SpaceBudget:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if self.S < 0:
-            raise ValueError(f"need S >= 0, got {self.S}")
+        if self.slots < 1:
+            raise ValueError(f"S={self.S} bits stores no card index: "
+                             f"need at least {self.bits_per_index} bits")
 
     @property
     def bits_per_index(self) -> int:
@@ -179,16 +180,9 @@ class DeckHost(GameHost):
 
     def __init__(self, x: Deck, slots: int, transcript: Transcript | None = None,
                  flip_cap: int | None = None):
-        validate_deck(x)
+        self.partner = deck_partners(x)
         super().__init__(len(x) // 2, slots, transcript, flip_cap)
         self.x = x
-        # partner[p]: the other position holding x[p - 1]; index 0 is unused
-        self.partner = [0] * (len(x) + 1)
-        first: dict[int, int] = {}
-        for pos, v in enumerate(x, start=1):
-            q = first.setdefault(v, pos)
-            if q != pos:
-                self.partner[pos], self.partner[q] = q, pos
 
     def _equal_members(self, pos: int) -> list[int]:
         w = self.working
@@ -243,9 +237,8 @@ class MultiPass:
     a seeded permutation gives the randomized-order variant.
     """
 
-    def __init__(self, order: list[int] | None = None, name: str = "multipass"):
+    def __init__(self, order: list[int] | None = None):
         self.order = order
-        self.name = name
 
     def play(self, host: GameHost) -> None:
         n2 = 2 * host.n
@@ -269,8 +262,6 @@ class MultiPass:
 class FullMemory:
     """Baseline with unbounded recall: one scan, declaring matches on sight."""
 
-    name = "perfect"
-
     def play(self, host: GameHost) -> None:
         host.fill(range(1, 2 * host.n + 1))
 
@@ -282,15 +273,20 @@ def randomized_order(n: int, seed: int) -> list[int]:
     return order
 
 
+# the shipped players by CLI name -> make(n, seed); the `mixed` sweep draws
+# from this order, so reordering it changes that sweep's bytes
+PLAYERS = {
+    "multipass": lambda n, seed: MultiPass(),
+    "rmultipass": lambda n, seed: MultiPass(order=randomized_order(n, seed)),
+    "perfect": lambda n, seed: FullMemory(),
+}
+
+
 def make_strategy(name: str, n: int, seed: int = 0):
-    """Shipped strategies by CLI name: multipass, rmultipass, perfect."""
-    if name == "multipass":
-        return MultiPass()
-    if name == "rmultipass":
-        return MultiPass(order=randomized_order(n, seed), name="rmultipass")
-    if name == "perfect":
-        return FullMemory()
-    raise ValueError(f"unknown strategy {name!r}")
+    """A shipped player by CLI name; `seed` orders rmultipass's table."""
+    if name not in PLAYERS:
+        raise ValueError(f"unknown strategy {name!r}")
+    return PLAYERS[name](n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +295,20 @@ def make_strategy(name: str, n: int, seed: int = 0):
 def multi_pass_play(x: Deck, budget: SpaceBudget, order: list[int] | None = None,
                     lean: bool = False) -> Transcript:
     """Run the blocked scanner on a deck and return its transcript."""
-    if budget.slots < 1:
-        raise ValueError(
-            f"S={budget.S} bits stores no card index: need at least {budget.bits_per_index} bits")
     host = DeckHost(x, budget.slots, Transcript(lean=lean))
     MultiPass(order=order).play(host)
     return host.transcript
 
 
-def multi_pass_time_bound(n: int, budget: SpaceBudget) -> int:
+def multi_pass_time_bound(budget: SpaceBudget) -> int:
     """Flip ceiling ceil(2n/s) * 2n that multi_pass_play never exceeds."""
-    if budget.slots < 1:
-        raise ValueError("budget stores no card index")
-    s = budget.slots
-    return -(-2 * n // s) * 2 * n
+    n2 = 2 * budget.n
+    return -(-n2 // budget.slots) * n2
 
 
 def perfect_memory_play(x: Deck, lean: bool = False) -> Transcript:
     """Run the full-memory baseline; flips every position exactly once."""
-    n = len(x) // 2
-    host = DeckHost(x, 2 * n, Transcript(lean=lean))
+    host = DeckHost(x, len(x), Transcript(lean=lean))
     FullMemory().play(host)
     return host.transcript
 

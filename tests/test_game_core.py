@@ -11,6 +11,7 @@ from memlab import (CapExceeded, GameParams, MatchTriple, Transcript,
                     verify_transcript)
 from memlab.game_core import (read_deck_file, read_transcript_csv,
                               write_deck_file, write_transcript_csv)
+from memlab.strategies import DeckHost
 
 
 class TestGameParams:
@@ -109,6 +110,43 @@ class TestMatches:
         assert sorted(positions) == list(range(1, 13))
         for m in ms:
             assert m.i < m.j and x[m.i - 1] == x[m.j - 1] == m.v
+
+
+def _assert_pairs_like_validate_deck(x):
+    """DeckHost and matches_of accept exactly the decks the Counter-based
+    validate_deck accepts, pair them as brute force does, and refuse the
+    rest with validate_deck's message."""
+    try:
+        validate_deck(x)
+    except ValueError as e:
+        for build in (lambda: DeckHost(x, 1), lambda: matches_of(x)):
+            with pytest.raises(ValueError) as refused:
+                build()
+            assert str(refused.value) == str(e)
+        return
+    pairs = {(i, j) for j in range(1, len(x) + 1) for i in range(1, j) if x[i - 1] == x[j - 1]}
+    assert matches_of(x) == {MatchTriple(i, j, x[i - 1]) for i, j in pairs}
+    partner = DeckHost(x, 1).partner
+    assert {(i, j) for i, j in enumerate(partner) if i < j} == pairs
+    assert partner[0] == 0 and all(partner[j] == i for i, j in pairs)
+
+
+class TestPairingOracle:
+    @pytest.mark.parametrize("n,R", [(n, R) for n in (1, 2, 3) for R in range(n, 5)])
+    def test_every_small_deck(self, n, R):
+        for x in enumerate_valid_inputs(n, R):
+            _assert_pairs_like_validate_deck(x)
+
+    # a value three times and one once balance the count of distinct values
+    @pytest.mark.parametrize("x", [(), (1,), (1, 2), (1, 1, 1), (1, 1, 1, 1),
+                                   (1, 1, 1, 2, 3, 3), (2, 1, 1, 1, 2, 3)])
+    def test_hand_built(self, x):
+        _assert_pairs_like_validate_deck(x)
+
+    @given(st.lists(st.integers(1, 4), max_size=8).map(tuple))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_tuples(self, x):
+        _assert_pairs_like_validate_deck(x)
 
 
 class TestTranscript:

@@ -2,13 +2,19 @@ import hashlib
 import importlib.util
 import io
 import os
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memlab import cli
 from memlab.cli import (SweepConfig, adversary_sweep, parse_config_file,
                         sweep_config_from, tradeoff_sweep)
+
+
+_SWEEP_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs", "sweep.cfg")
 
 
 def run_cli(args, env_seed=None):
@@ -43,7 +49,7 @@ class TestConfig:
         class Args:
             config = str(cfg_file)
             jobs = 1
-            seed = 0
+            seed = None  # not given: the config's seed applies
             n_list = None
             s_list = "1,2"
             seeds = None
@@ -106,6 +112,20 @@ class TestConfig:
                              "--strategy", "rmultipass"])
         assert code == 0
         assert {ln.split(",")[5] for ln in out.splitlines()[1:]} == {"rmultipass"}
+
+    # configs/sweep.cfg says seed = 0: it ranks below --seed, above $MEMLAB_SEED
+    def test_seed_flag_beats_config_seed(self):
+        config = run_cli(["--jobs", "1", "--seed", "7", "tradeoff", "--config", _SWEEP_CFG,
+                          "--n-list", "8", "--seeds", "1"])
+        flags = run_cli(["--jobs", "1", "--seed", "7", "tradeoff", "--n-list", "8",
+                         "--s-list", "pow2", "--seeds", "1", "--strategy", "multipass"])
+        assert config[0] == 0 and config == flags
+        assert hashlib.sha256(config[1].encode()).hexdigest().startswith("94c837c7")
+
+    def test_config_seed_beats_env_seed(self):
+        sweep = ["--jobs", "1", "tradeoff", "--config", _SWEEP_CFG, "--n-list", "8", "--seeds", "1"]
+        assert run_cli(sweep, env_seed=7) == run_cli(["--seed", "0"] + sweep)
+        assert run_cli(sweep, env_seed=7) != run_cli(["--seed", "7"] + sweep)
 
 
 class TestTradeoffSweep:
@@ -360,6 +380,11 @@ _GOLDEN = {
         "d8d2c6738b85814f57b1991d1f07b094e8240a788023621f4fae9c43131142f4",
     ("play", "--strategy", "perfect", "--n", "16"):
         "132d5b61497bab85573c63e171eff716d7d0a4831060c0d2c143722dadd9253d",
+    ("adversary", "--n", "16", "--space-bits", "20", "--strategy", "multipass"):
+        "3bfabea430062603a4cf20e7196b0c97b0e0c2216c97a76e98817b093e310e10",
+    # the mixed rotation draws every shipped player
+    ("adversary", "--n-list", "8,16", "--seeds", "3", "--strategy", "mixed"):
+        "99527d7bb4bffcc73b34089753b74e11edfd437cf19c37e654fd8a61f43fcfb2",
 }
 
 
@@ -413,6 +438,18 @@ class TestJobs:
         huge = run_cli(["--jobs", str(10**6)] + sweep)
         assert _RecordingPool.made == [3]  # pow2 slots 1, 2, 4 at n=2
         assert huge == run_cli(["--jobs", "1"] + sweep)
+
+    def test_jobs_flag_beats_config_key_beats_core_count(self, tmp_path):
+        cfg_file = tmp_path / "jobs.cfg"
+        cfg_file.write_text("jobs = 2\n")
+        sweep = ["tradeoff", "--n-list", "2", "--seeds", "1"]
+        configured = sweep + ["--config", str(cfg_file)]
+        assert run_cli(["--jobs", "1"] + configured)[0] == 0
+        assert _RecordingPool.made == []  # --jobs 1 runs serially
+        assert run_cli(configured)[0] == 0
+        assert _RecordingPool.made == [2]
+        assert run_cli(sweep)[0] == 0
+        assert _RecordingPool.made == [2, 3]  # all 4 cores, capped at 3 cells
 
 
 # one command per replayable row kind: (argv, data row to replay)
@@ -516,6 +553,14 @@ class TestReportAndReplay:
         err = capsys.readouterr().err
         assert "before the urn sampler" in err and "code changed" in err
 
+    def test_replay_adversary_row_without_a_slot_exits_2(self, tmp_path, capsys):
+        row = tmp_path / "adv.csv"
+        row.write_text(cli.ADVERSARY_HEADER + "\n8,0,0,1,multipass,28,28,28,True,True\n")
+        code, out = run_cli(["replay", "--file", str(row), "--line", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("memlab: S=0 bits stores no card index: need at least 4 bits")
+
     def test_replay_rejects_aggregate_rows(self, tmp_path):
         tr, _ = self._write_sweeps(tmp_path)
         lines = tr.read_text().splitlines()
@@ -559,3 +604,103 @@ class TestBenchmarkChecks:
                            "--n", "100", "--t", "2", "--trials", "10000"])
         assert code == 0
         assert checks.check_csv("lemma-y", out_file.read_text()) == (1, 0)
+
+
+# files the grammar test names, good and bad; argv holds their names and
+# the test swaps in paths
+_GRAMMAR_FILES = {
+    "deck.txt": "2 2\n1 2 2 1\n",
+    "bad_deck.txt": "2 2\n1 1 1 2\n",
+    "empty.txt": "",
+    "bad.cfg": "n = 4\nsead = 1\n",
+    # a row with no slot: the budget stores no card index
+    "adv_s0.csv": cli.ADVERSARY_HEADER + "\n8,0,0,1,multipass,28,28,28,True,True\n",
+    "adv.csv": cli.ADVERSARY_HEADER + "\n4,3,1,5,rmultipass,1,1,1,True,True\n",
+    "tr_s0.csv": cli.TRADEOFF_HEADER + "\nrecord,4,0,0,5,multipass,1,1,True,0,0.0,True\n",
+    "retired.csv": "n,r,t,trials,seed,estimate,bound,sigma,ok\n4,2,1,10,1,0.1,0.3,0.1,True\n",
+}
+
+
+@pytest.fixture(scope="module")
+def grammar_paths(tmp_path_factory):
+    d = tmp_path_factory.mktemp("grammar")
+    for name, text in _GRAMMAR_FILES.items():
+        (d / name).write_text(text)
+    return {name: str(d / name) for name in [*_GRAMMAR_FILES, "missing.csv"]} | {
+        "sweep.cfg": _SWEEP_CFG}
+
+
+def _flags(**choices):
+    """Each flag left out or given one of its values; a value None is a bare flag."""
+    parts = [st.one_of(st.just(()),
+                       st.sampled_from(vals).map(lambda v, f=f: (f,) if v is None else (f, v)))
+             for f, vals in choices.items()]
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def _given(**choices):
+    """Each flag given one of its values."""
+    return st.tuples(*(st.sampled_from(vals).map(lambda v, f=f: [f, v])
+                       for f, vals in choices.items())).map(lambda ps: sum(ps, []))
+
+
+def _dashed(build, **choices):
+    return build(**{"--" + k.replace("_", "-"): v for k, v in choices.items()})
+
+
+def _cmd(name, *parts):
+    return st.tuples(*parts).map(lambda ps: [name] + [a for p in ps for a in p])
+
+
+def _grammar():
+    """Bounded argv over the whole grammar: n <= 4, sweeps always get --n-list
+    and --seeds <= 2, and every run is serial with small caps.  Required flags
+    are always given, and a bad value is one choice among good ones."""
+    sizes = ["1", "2", "3", "4", "0", "-1", "x"]
+    bits = ["1", "2", "3", "4", "6", "20", "0", "-1"]  # 3 bits is one index at n = 4
+    players = ["multipass", "rmultipass", "perfect"]
+    files = sorted([*_GRAMMAR_FILES, "missing.csv", "sweep.cfg"])
+    sweep = dict(strategy=players + ["mixed", "psychic"], s_list=["pow2", "1", "3", "0,2"],
+                 config=["sweep.cfg", "sweep.cfg", "bad.cfg"])
+    grid = _dashed(_given, n_list=["2", "1,3", "4", "0", "x", ""], seeds=["1", "2", "0"])
+    commands = st.one_of(
+        _cmd("play", _dashed(_given, space_bits=bits),
+             _dashed(_flags, strategy=players, n=sizes, R=["1", "2", "8", "0"],
+                     deck=["deck.txt", "bad_deck.txt", "empty.txt", "missing.csv"])),
+        _cmd("adversary", _dashed(_flags, strategy=sweep["strategy"], n=sizes,
+                                  space_bits=bits, audit=[None])),
+        _cmd("adversary", grid, _dashed(_flags, **sweep)),
+        _cmd("tradeoff", grid, _dashed(_flags, **sweep)),
+        _cmd("lemma-y", _dashed(_given, n=["1", "4", "10", "0"], t=["1", "2", "5", "0"]),
+             _dashed(_flags, r=["0", "2", "7", "30", "-1"], trials=["1", "50", "0"])),
+        _cmd("xy-check", _dashed(_given, n=sizes, R=["1", "3", "4", "8", "0"]),
+             _dashed(_flags, trees=["0", "2", "-1"])),
+        _cmd("lemma43", _dashed(_given, n=sizes, R=["1", "2", "4", "8"],
+                                r=["0", "1", "2", "3"], t=["1", "2", "0"]),
+             _dashed(_flags, tree=["compiled", "guessing"], s=["1", "2", "0", "-1"])),
+        _cmd("unique-pairs", _dashed(_given, n=sizes), _dashed(_flags, trials=["1", "50", "0"])),
+        _cmd("report", st.lists(st.sampled_from(files), max_size=2)),
+        _cmd("replay", _dashed(_given, file=files, line=["1", "2", "0", "-1", "x"])),
+    )
+    globals_ = _dashed(_flags, seed=["0", "3", "12", "7", "x"], cap_enum=["1", "500", "20000"],
+                       cap_tree=["1", "1000", "20000"])
+    return st.tuples(globals_, commands).map(lambda gc: ["--jobs", "1"] + gc[0] + gc[1])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argv=_grammar())
+def test_cli_grammar_exits_cleanly(grammar_paths, argv):
+    """Any argv ends in exit 0, 1 or 2 without a traceback, and an exit 2
+    names the problem first: `memlab: ` for bad values, argparse's `usage:`
+    for bad grammar."""
+    argv = [grammar_paths.get(a, a) for a in argv]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in text, (argv, code, text)
+    if code == 2:
+        assert text.startswith(("memlab: ", "usage:")), (argv, text)

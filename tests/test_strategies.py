@@ -40,7 +40,7 @@ class TestMultiPass:
 
     def test_single_slot_worst_case(self):
         # oracle: exhaustive run over all 6 decks; worst T hand-traced to 6
-        bound = multi_pass_time_bound(2, SpaceBudget.for_slots(2, 1))
+        bound = multi_pass_time_bound(SpaceBudget.for_slots(2, 1))
         assert bound == 16
         worst = 0
         for x in enumerate_valid_inputs(2, 2):
@@ -52,7 +52,7 @@ class TestMultiPass:
 
     def test_n4_s2_hundred_decks(self):
         budget = SpaceBudget.for_slots(4, 2)
-        bound = multi_pass_time_bound(4, budget)
+        bound = multi_pass_time_bound(budget)
         assert bound == 32
         for k in range(100):
             x = generate_valid_input(GameParams(4, 4, k))
@@ -75,13 +75,13 @@ class TestMultiPass:
         budget = SpaceBudget.for_slots(8, s)
         t = multi_pass_play(x, budget, lean=True)
         assert set(t.outputs) == matches_of(x)
-        assert t.flips <= multi_pass_time_bound(8, budget)
+        assert t.flips <= multi_pass_time_bound(budget)
 
 
 class TestTimeBound:
     @pytest.mark.parametrize("n,s,want", [(2, 4, 4), (2, 1, 16), (64, 8, 2048)])
     def test_formula(self, n, s, want):
-        assert multi_pass_time_bound(n, SpaceBudget.for_slots(n, s)) == want
+        assert multi_pass_time_bound(SpaceBudget.for_slots(n, s)) == want
 
 
 class TestPerfectMemory:
@@ -164,7 +164,7 @@ class TestRandomizedOrder:
 
     def test_correct_and_bounded(self):
         budget = SpaceBudget.for_slots(16, 4)
-        bound = multi_pass_time_bound(16, budget)
+        bound = multi_pass_time_bound(budget)
         for k in range(30):
             x = generate_valid_input(GameParams(16, 16, k))
             t = multi_pass_play(x, budget, order=randomized_order(16, k), lean=True)
@@ -217,8 +217,8 @@ class TestProtocol:
             host.examine(1)
 
     def test_make_strategy_names(self):
-        assert make_strategy("multipass", 4).name == "multipass"
-        assert make_strategy("rmultipass", 4, 1).name == "rmultipass"
+        assert make_strategy("multipass", 4).order is None
+        assert make_strategy("rmultipass", 4, 1).order == randomized_order(4, 1)
         assert isinstance(make_strategy("perfect", 4), FullMemory)
         with pytest.raises(ValueError):
             make_strategy("psychic", 4)
