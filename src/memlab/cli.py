@@ -10,6 +10,7 @@ compares byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -334,8 +335,9 @@ def cmd_lemma_y(args) -> int:
 
 
 def _xy_row(n: int, R: int, depth: int, seed: int, kind: str, cap: int) -> str:
-    tree = fixed_position_tree(n, R, depth) if kind == "fixed" else random_tree(n, R, depth, seed)
-    ok = xy_equiv_check(tree, n, R, cap)
+    tree = (fixed_position_tree(n, R, depth, cap=cap) if kind == "fixed"
+            else random_tree(n, R, depth, seed, cap=cap))
+    ok = xy_equiv_check(tree, n, R)
     return f"{n},{R},{depth},{seed},{kind},{ok}"
 
 
@@ -343,11 +345,11 @@ def cmd_xy_check(args) -> int:
     n, R = args.n, args.R
     if args.trees < 0:
         raise ValueError(f"need --trees >= 0, got {args.trees}")
-    rows = [_xy_row(n, R, min(2, 2 * n), 0, "fixed", args.cap_enum)]
+    rows = [_xy_row(n, R, min(2, 2 * n), 0, "fixed", args.cap_tree)]
     for k in range(args.trees):
         depth = 1 + k % min(4, 2 * n)
         seed = derive_seed(args.seed, "xy", n, R, k)
-        rows.append(_xy_row(n, R, depth, seed, "random", args.cap_enum))
+        rows.append(_xy_row(n, R, depth, seed, "random", args.cap_tree))
     return _finish(args.out, [XY_HEADER] + rows)
 
 
@@ -442,7 +444,7 @@ _REPLAY = {
     TRADEOFF_HEADER: _replay_tradeoff,
     ADVERSARY_HEADER: lambda v, ce, ct: _adversary_game(int(v[0]), int(v[2]), int(v[3]), v[4])[0],
     LEMMA_Y_HEADER: lambda v, ce, ct: _lemma_y_row(*map(int, v[:5])),
-    XY_HEADER: lambda v, ce, ct: _xy_row(*map(int, v[:4]), v[4], ce),
+    XY_HEADER: lambda v, ce, ct: _xy_row(*map(int, v[:4]), v[4], ct),
     LEMMA43_HEADER: lambda v, ce, ct: _lemma43_row(*map(int, v[:4]), v[4], ct),
     UNIQUE_HEADER: lambda v, ce, ct: _unique_row(*map(int, v[:3]), ce),
 }
@@ -496,13 +498,17 @@ def _add_globals(p: argparse.ArgumentParser, root: bool) -> None:
     p.add_argument("--jobs", type=int, default=d(None),
                    help="parallel cells for sweeps (default: the config's jobs, else all cores)")
     p.add_argument("--cap-enum", type=int, default=d(DEFAULT_ENUM_CAP),
-                   help="max deck-universe size for exhaustive checks")
+                   help="max deck-universe size for deck-enumeration checks (unique-pairs)")
     p.add_argument("--cap-tree", type=int, default=d(DEFAULT_TREE_CAP),
-                   help="max R-way node count 1 + R + ... + R^depth for built trees, "
-                        "also those built on equality patterns")
+                   help="max R-way node count 1 + R + ... + R^depth for the trees of "
+                        "xy-check and lemma43, also those built on equality patterns")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The whole grammar, built on the first call and kept for the process:
+    parsing leaves no state in it, and each `func` looks its helpers up as
+    module globals when it runs."""
     parser = argparse.ArgumentParser(
         prog="memlab",
         description="Space-bounded pair-matching game lab: players, adaptive "
@@ -574,8 +580,11 @@ def main(argv=None) -> int:
     p.add_argument("--file", required=True)
     p.add_argument("--line", type=int, required=True, help="1-based data row index")
     p.set_defaults(func=cmd_replay)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         # a sweep config's seed key ranks between --seed and this fallback
         if args.seed is None and not getattr(args, "config", None):

@@ -49,9 +49,14 @@ class SpaceBudget:
             raise ValueError(f"S={self.S} bits stores no card index: "
                              f"need at least {self.bits_per_index} bits")
 
+    @staticmethod
+    def index_bits(n: int) -> int:
+        """ceil(log2(2n)): the bits one of the positions 1..2n costs."""
+        return (2 * n - 1).bit_length()
+
     @property
     def bits_per_index(self) -> int:
-        return (2 * self.n - 1).bit_length()
+        return self.index_bits(self.n)
 
     @property
     def slots(self) -> int:
@@ -59,8 +64,7 @@ class SpaceBudget:
 
     @classmethod
     def for_slots(cls, n: int, slots: int) -> "SpaceBudget":
-        bits = (2 * n - 1).bit_length()
-        return cls(S=slots * bits, n=n)
+        return cls(S=slots * cls.index_bits(n), n=n)
 
 
 class GameHost:
@@ -174,8 +178,9 @@ class DeckHost(GameHost):
     """Host backed by a real deck; equality bits come from the card values.
 
     Only a stored card or its partner (the other card of its value) can hit,
-    so `scan` examines those one by one and records each run of misses
-    between two of them in one transcript step.
+    so `fill` decides hit or miss from the partner alone, and `scan` examines
+    those one by one and records each run of misses between two of them in
+    one transcript step.
     """
 
     def __init__(self, x: Deck, slots: int, transcript: Transcript | None = None,
@@ -191,6 +196,31 @@ class DeckHost(GameHost):
     def _declare_value(self, i: int, j: int) -> tuple[MatchTriple, bool]:
         v = self.x[i - 1]
         return MatchTriple(i, j, v), self.x[j - 1] == v
+
+    def fill(self, positions) -> None:
+        working, removed, partner, t = self.working, self.removed, self.partner, self.transcript
+        top, cap = 2 * self.n, self.flip_cap
+        for p in positions:
+            if len(removed) == top:
+                break
+            if p in removed:
+                continue
+            if not 0 < p <= top or p in working:
+                # an out-of-range position or a stored card: the generic step
+                GameHost.fill(self, (p,))
+                continue
+            if cap is not None and t.flips >= cap:
+                raise FlipBudgetExceeded(f"flip cap {cap} reached")
+            t.add_flip(p, len(working))
+            q = partner[p]
+            if q in working:
+                self.declare(q, p)
+            elif len(working) < self.slots:
+                working.add(p)
+                t.note_ws(len(working))
+            else:
+                raise ProtocolError(f"working set overflow: {len(working) + 1} > "
+                                    f"{self.slots} slots")
 
     def scan(self, positions) -> None:
         working, removed, partner = self.working, self.removed, self.partner

@@ -35,7 +35,7 @@ from typing import Callable, Iterator
 
 from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, Deck, MatchTriple, Transcript,
                         count_valid_inputs, enumerate_valid_inputs, validate_deck)
-from .strategies import GameHost, ProtocolError
+from .strategies import GameHost, ProtocolError, SpaceBudget
 from .analysis import y_exact_distribution
 
 DEFAULT_TREE_CAP = 2_000_000
@@ -172,7 +172,8 @@ def _run(tree: DecisionTree, x: Deck) -> PathStats:
 
 def x_exact_distribution(tree: DecisionTree, n: int, R: int,
                          cap: int = DEFAULT_ENUM_CAP) -> list[Fraction]:
-    """Law of the equal-pairs count over a uniform valid deck, by enumeration."""
+    """Law of the equal-pairs count over a uniform valid deck, by enumeration:
+    the slow oracle for `path_distribution`."""
     tally = Counter()
     total = 0
     for x in enumerate_valid_inputs(n, R, cap):
@@ -181,12 +182,6 @@ def x_exact_distribution(tree: DecisionTree, n: int, R: int,
         tally[len(values) - len(set(values))] += 1
         total += 1
     return [Fraction(tally.get(u, 0), total) for u in range(tree.depth // 2 + 1)]
-
-
-def xy_equiv_check(tree: DecisionTree, n: int, R: int, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Exact rational equality of the tree's equal-pairs law with the
-    completed-pairs law of drawing depth cards without replacement."""
-    return x_exact_distribution(tree, n, R, cap) == y_exact_distribution(n, tree.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +215,11 @@ def _iter_leaves(tree: DecisionTree) -> Iterator[tuple[dict[int, int], Counter, 
                 yield from rec(child)
             for _ in outs:
                 outputs.pop()
+            # drop a value no longer read, so each leaf's census of counts
+            # costs its depth, not R
             counts[v] -= 1
+            if not counts[v]:
+                del counts[v]
             del qvals[pos]
 
     # a depth-0 tree is one leaf with no reads
@@ -320,6 +319,19 @@ def path_distribution(tree: DecisionTree) -> list[Fraction]:
     return [Fraction(tally.get(u, 0), total) for u in range(tree.depth // 2 + 1)]
 
 
+def _check_shape(tree: DecisionTree, n: int, R: int) -> None:
+    if tree.n != n or tree.R != R:
+        raise ValueError("tree shape disagrees with n, R")
+
+
+def xy_equiv_check(tree: DecisionTree, n: int, R: int) -> bool:
+    """Exact rational equality of the tree's equal-pairs law, counted path by
+    path, with the completed-pairs law of drawing depth cards without
+    replacement."""
+    _check_shape(tree, n, R)
+    return path_distribution(tree) == y_exact_distribution(n, tree.depth)
+
+
 @dataclass(frozen=True)
 class ProductivityResult:
     n: int
@@ -337,8 +349,7 @@ def lemma43_check(tree: DecisionTree, n: int, R: int, t: int) -> ProductivityRes
     """Exact fraction of decks on which the tree emits >= 2t correct outputs,
     against the shallow-tree productivity bound (n-r-t)^-t + e^-t."""
     r = tree.depth
-    if tree.n != n or tree.R != R:
-        raise ValueError("tree shape disagrees with n, R")
+    _check_shape(tree, n, R)
     if R < n:
         raise ValueError(f"need R >= n, got R={R} < n={n}")
     if r > n // 2:
@@ -540,10 +551,8 @@ def compile_prefix_tree(make_player: Callable, n: int, R: int, depth: int,
     remaining levels query the lowest-indexed fresh position as output-free
     dummies so every leaf sits at uniform depth.
     """
-    if slots is None:
-        slots = 2 * n
-    if slots < 1:
-        raise ValueError(f"need slots >= 1, got {slots}")
+    # the budget refuses a slot count that stores no card index
+    slots = SpaceBudget.for_slots(n, 2 * n if slots is None else slots).slots
 
     def step(vals, positions):
         host = _ReplayHost(n, slots, vals)

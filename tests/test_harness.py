@@ -2,6 +2,8 @@ import hashlib
 import importlib.util
 import io
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -363,6 +365,73 @@ class TestCLI:
                              "--t", "2", "--tree", "compiled", "--s", "2"])
         assert code == 0
         assert out.splitlines()[1].endswith("True")
+
+    def test_lemma43_without_a_slot_exits_2_with_budget_message(self, capsys):
+        code, out = run_cli(["lemma43", "--n", "8", "--R", "8", "--r", "2", "--t", "1",
+                             "--tree", "compiled", "--s", "0"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("memlab: S=0 bits stores no card index: need at least 4 bits")
+
+    # the fixed tree has depth 2, the random trees depths 1, 2, 3, 4 in turn:
+    # at n=3, R=4 they hold 21 and 5, 21, 85, 341 R-way nodes
+    @pytest.mark.parametrize("argv,cap", [
+        (["--cap-tree", "1", "xy-check", "--n", "3", "--R", "4", "--trees", "2"], 1),
+        (["xy-check", "--n", "3", "--R", "4", "--trees", "4", "--cap-tree", "21"], 21),
+    ])
+    def test_xy_check_honours_cap_tree(self, capsys, argv, cap):
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("memlab: tree would hold") and f"cap {cap}" in err
+
+    def test_xy_check_runs_past_the_deck_cap(self):
+        # n=8, R=8 has 8.2e10 decks; path counting never enumerates them,
+        # so the deck cap does not apply
+        code, out = run_cli(["--cap-enum", "1", "xy-check", "--n", "8", "--R", "8",
+                             "--trees", "4"])
+        rows = out.splitlines()
+        assert code == 0 and len(rows) == 6
+        assert all(row.endswith(",True") for row in rows[1:])
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; no call may see another's
+    flags, environment or errors."""
+
+    def _fresh(self, argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "MEMLAB_SEED"}
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-m", "memlab.cli", *argv], env=env,
+                              capture_output=True, text=True, check=False)
+        return proc.returncode, proc.stdout
+
+    def test_env_seed_read_on_every_call(self):
+        lemma = ["lemma-y", "--n", "10", "--t", "1", "--trials", "20"]
+        assert run_cli(["--seed", "5"] + lemma)[1].splitlines()[1].split(",")[4] == "5"
+        code, out = run_cli(lemma, env_seed=9)
+        assert code == 0 and out.splitlines()[1].split(",")[4] == "9"
+        assert (code, out) == run_cli(["--seed", "9"] + lemma)
+
+    def test_grammar_error_leaves_the_parser_whole(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["play", "--n", "abc"])
+        assert exc.value.code == 2 and "usage:" in capsys.readouterr().err
+        argv = ["--jobs", "1", "--seed", "3", "xy-check", "--n", "2", "--R", "3", "--trees", "3"]
+        assert run_cli(argv) == self._fresh(argv)
+
+    @pytest.mark.parametrize("before", [True, False])
+    def test_out_does_not_leak_into_the_next_call(self, tmp_path, before):
+        out_file = tmp_path / "first.csv"
+        cmd = ["unique-pairs", "--n", "2", "--trials", "50"]
+        flag = ["--out", str(out_file)]
+        code, out = run_cli(flag + cmd if before else cmd + flag)
+        written = out_file.read_text()
+        assert code == 0 and out == "" and written.startswith(cli.UNIQUE_HEADER)
+        out_file.unlink()
+        assert run_cli(cmd) == (0, written)
+        assert not out_file.exists()
 
 
 # sha256 of the --out bytes of fixed-seed runs; a change to any of them means

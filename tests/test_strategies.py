@@ -235,8 +235,10 @@ class TestDeckHostValidation:
 
 
 class _StepHost(DeckHost):
-    """DeckHost with the generic flip-by-flip scan: the oracle for DeckHost.scan."""
+    """DeckHost with the generic flip-by-flip loops: the oracle for
+    DeckHost.fill and DeckHost.scan."""
 
+    fill = GameHost.fill
     scan = GameHost.scan
 
 
@@ -261,8 +263,9 @@ def _assert_same_game(x, slots, lean, cap, play):
 
 
 class TestDeckHostScanOracle:
-    """DeckHost.scan, which records runs of misses in one step, against the
-    generic one-flip-at-a-time GameHost.scan."""
+    """DeckHost.fill, which decides each flip from the partner, and
+    DeckHost.scan, which records runs of misses in one step, against the
+    generic one-flip-at-a-time GameHost.fill and GameHost.scan."""
 
     @given(st.integers(1, 24), st.integers(0, 10**6), st.data())
     @settings(max_examples=300, deadline=None)
@@ -298,6 +301,45 @@ class TestDeckHostScanOracle:
             host.scan(rest)
 
         _assert_same_game(x, slots, lean, cap, play)
+
+    @given(st.integers(1, 8), st.integers(0, 10**6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_fills_agree(self, n, seed, data):
+        # fill, scan, then fill again, each list free to hold removed,
+        # stored, repeated and out-of-range positions and to overflow
+        x = generate_valid_input(GameParams(n, n, seed))
+        slots = data.draw(st.integers(1, 2 * n), label="slots")
+        lists = [data.draw(st.lists(st.integers(-1, 2 * n + 2), max_size=3 * n), label=label)
+                 for label in ("fill", "scan", "refill")]
+        cap = data.draw(st.one_of(st.none(), st.integers(0, sum(map(len, lists)))), label="cap")
+        lean = data.draw(st.booleans(), label="lean")
+
+        def play(host):
+            host.fill(lists[0])
+            host.scan(lists[1])
+            host.fill(lists[2])
+
+        _assert_same_game(x, slots, lean, cap, play)
+
+    # deck (1, 2, 3, 1, 2, 3) with 2 slots
+    @pytest.mark.parametrize("block,err,flips,removed", [
+        ([1, 4, 2, 5, 3, 6], None, 6, {1, 2, 3, 4, 5, 6}),
+        ([1, 2, 3], "overflow", 3, set()),
+        ([1, 7, 4], "out of range", 1, set()),
+        ([1, 0], "out of range", 1, set()),
+        ([1, 1], "against itself", 2, set()),
+        ([2, 1, 5, 2, 4], None, 4, {1, 2, 4, 5}),
+        ([1, 4, 1, 4, 3, 6, 2, 5, 3], None, 6, {1, 2, 3, 4, 5, 6}),
+    ])
+    def test_hand_built_fills(self, block, err, flips, removed):
+        for lean in (False, True):
+            got = _assert_same_game((1, 2, 3, 1, 2, 3), 2, lean, None,
+                                    lambda host: host.fill(block))
+            assert (got["err"] is None) == (err is None)
+            if err is not None:
+                assert err in got["err"][1]
+            assert got["flips"] == flips
+            assert got["removed"] == removed
 
     # deck (1, 2, 3, 1, 2, 3): after fill([1, 2]) cards 1 and 2 are stored,
     # and only 1, 2, 4, 5 can hit

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from memlab import (CapExceeded, GameParams, MatchTriple, SpaceBudget,
-                    count_valid_inputs, enumerate_valid_inputs, generate_valid_input,
+                    count_valid_inputs, derive_seed, enumerate_valid_inputs, generate_valid_input,
                     matches_of, multi_pass_play, y_exact_distribution)
 from memlab.strategies import MultiPass, randomized_order
 from memlab.trees import (DecisionTree, TreeNode, build_guessing_tree,
@@ -136,6 +136,39 @@ class TestTreeRun:
                 assert stats.correct_outputs <= len(truth)
 
 
+# the master seed of acceptance c05, whose trees the oracle below covers too
+_C05_SEED = 20_26_08
+
+
+def _xy_trees():
+    """Every tree the xy checks touch, named: xy-check's fixed tree and 50
+    random trees at n=3, R=4 for each CLI seed; the trees of
+    TestXYEquivalence and of acceptance c05 (random trees at n=3, R=4 and on
+    the small (n, R) grid, fixed trees, compiled prefixes at slots 1, 2, 6)."""
+    for seed in (0, 7002):
+        yield f"xy-check seed={seed} fixed", fixed_position_tree(3, 4, 2)
+        for k in range(50):
+            tree = random_tree(3, 4, 1 + k % 4, derive_seed(seed, "xy", 3, 4, k))
+            yield f"xy-check seed={seed} k={k}", tree
+    for k in range(50):
+        yield f"c05 k={k}", random_tree(3, 4, 1 + k % 4, derive_seed(_C05_SEED, "xy", k))
+        yield f"unit k={k}", random_tree(3, 4, 1 + k % 4, seed=1000 + k)
+    for k in range(12):
+        yield f"unit seed={500 + k}", random_tree(3, 4, 1 + k % 4, seed=500 + k)
+    for depth in (1, 2, 3, 4):
+        yield f"fixed depth={depth}", fixed_position_tree(3, 4, depth)
+    for n, R in [(1, 1), (1, 2), (2, 2), (2, 3)]:
+        for depth in range(1, min(4, 2 * n) + 1):
+            yield f"small n={n} R={R} depth={depth}", random_tree(n, R, depth, seed=31 * n + depth)
+            yield (f"c05 n={n} R={R} depth={depth}",
+                   random_tree(n, R, depth, derive_seed(_C05_SEED, "xy", n, R, depth)))
+        yield f"fixed n={n} R={R}", fixed_position_tree(n, R, min(2, 2 * n))
+    for slots in (1, 2, 6):
+        for depth in (1, 2, 3, 4):
+            yield (f"compiled s={slots} depth={depth}",
+                   compile_prefix_tree(MultiPass, 3, 4, depth, slots=slots))
+
+
 class TestXYEquivalence:
     def test_fixed_tree_n2(self):
         tree = fixed_position_tree(2, 2, 2)
@@ -167,10 +200,16 @@ class TestXYEquivalence:
                 assert xy_equiv_check(tree, 3, 4), (slots, depth)
 
     def test_path_counting_agrees_with_enumeration(self):
-        # dual route: closed-form path census vs deck enumeration
-        for k in range(12):
-            tree = random_tree(3, 4, 1 + k % 4, seed=500 + k)
-            assert path_distribution(tree) == x_exact_distribution(tree, 3, 4)
+        # xy_equiv_check reads the law from path counting; deck enumeration
+        # is its oracle on every tree the checks cover
+        for where, tree in _xy_trees():
+            assert path_distribution(tree) == x_exact_distribution(tree, tree.n, tree.R), where
+
+    def test_shape_mismatch_rejected(self):
+        tree = fixed_position_tree(3, 4, 2)
+        for n, R in [(2, 4), (3, 5)]:
+            with pytest.raises(ValueError, match="tree shape"):
+                xy_equiv_check(tree, n, R)
 
 
 class TestCompile:
