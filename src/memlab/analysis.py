@@ -15,11 +15,24 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .game_core import DEFAULT_ENUM_CAP, CapExceeded, Deck
 from .strategies import DeckHost, FlipBudgetExceeded, SpaceBudget, Transcript
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy loads on the first Monte Carlo draw, so the commands that never sample
+# start without it.  A sampler's largest array holds at most this many cells;
+# a larger cell is refused before numpy loads or anything is allocated.
+MC_MAX_CELLS = 10**7
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > MC_MAX_CELLS:
+        raise ValueError(f"{what} need {cells} array cells, over the Monte Carlo cap "
+                         f"of {MC_MAX_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +65,9 @@ def y_sample_many(n: int, r: int, trials: int, seed: int) -> np.ndarray:
     """
     if not 0 <= r <= 2 * n:
         raise ValueError(f"need 0 <= r <= 2n, got r={r}, n={n}")
+    _check_cells(trials, f"{trials} trials")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     ys = np.zeros(trials, dtype=np.int64)
     for k in range(r):
@@ -70,7 +86,7 @@ class TailEstimate:
 def y_tail_estimate(exp: YExperiment) -> TailEstimate:
     """Monte Carlo Pr[Y >= t] against the e^-t target with 3-sigma slack."""
     ys = y_sample_many(exp.n, exp.r, exp.trials, exp.seed)
-    est = float(np.count_nonzero(ys >= exp.t)) / exp.trials
+    est = float((ys >= exp.t).sum()) / exp.trials
     bound = math.exp(-exp.t)
     sigma = math.sqrt(bound * (1.0 - bound) / exp.trials)
     return TailEstimate(est, sigma, bound, est <= bound + 3.0 * sigma)
@@ -271,6 +287,9 @@ def unique_pairs_mc(n: int, trials: int, seed: int) -> tuple[float, float]:
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    _check_cells(trials * 2 * n, f"{trials} trials of {2 * n} draws")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     draws = rng.integers(1, n + 1, size=(trials, 2 * n))
     draws += np.arange(trials)[:, None] * (n + 1)

@@ -14,7 +14,6 @@ import functools
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .adversary import adversarial_play, involution_audit, replay_consistent
@@ -162,6 +161,8 @@ def _map_cells(fn, specs: list, jobs: int) -> list:
     jobs = min(jobs, len(specs), os.cpu_count() or 1)
     if jobs <= 1:
         return [fn(spec) for spec in specs]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only for a parallel sweep
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, specs))
 

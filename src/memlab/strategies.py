@@ -78,6 +78,8 @@ class GameHost:
 
     def __init__(self, n: int, slots: int, transcript: Transcript | None = None,
                  flip_cap: int | None = None):
+        if slots < 1:
+            raise ValueError(f"a host needs at least one slot, got {slots}")
         self.n = n
         self.slots = slots
         self.transcript = transcript if transcript is not None else Transcript()
@@ -273,8 +275,6 @@ class MultiPass:
     def play(self, host: GameHost) -> None:
         n2 = 2 * host.n
         s = min(host.slots, n2)
-        if s < 1:
-            raise ProtocolError("multipass needs at least one slot")
         order = self.order if self.order is not None else list(range(1, n2 + 1))
         blocks = -(-n2 // s)
         for b in range(blocks):

@@ -14,6 +14,7 @@ from memlab import (GameParams, SpaceBudget, YExperiment, binomial_tail_exact,
                     unique_pairs_mc, y_exact_distribution, y_expectation,
                     y_sample_many, y_sample_size, y_tail_bound,
                     y_tail_estimate, y_tail_exact)
+from memlab.analysis import MC_MAX_CELLS
 from memlab.game_core import CapExceeded
 from memlab.strategies import MultiPass, randomized_order
 
@@ -299,3 +300,36 @@ class TestUniquePairs:
         counts = np.array([len(unique_pairs(row)) for row in draws.tolist()])
         sigma = counts.std(ddof=1) / math.sqrt(trials) if trials > 1 else float("inf")
         assert unique_pairs_mc(n, trials, seed) == (float(counts.mean()), float(sigma))
+
+
+class _Drew(Exception):
+    """Raised by the stand-in RNG: the sampler passed its size check."""
+
+
+class TestMonteCarloCap:
+    """A sampler refuses an array past MC_MAX_CELLS before it draws or
+    allocates anything; the stand-in RNG stops every call that gets further."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(seed):
+            raise _Drew
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+
+    def test_urn_trials_past_the_cap_refused(self):
+        with pytest.raises(ValueError, match="array cells"):
+            y_sample_many(10, 4, MC_MAX_CELLS + 1, seed=0)
+        with pytest.raises(ValueError, match="array cells"):
+            y_tail_estimate(YExperiment(n=10, r=4, t=1, trials=10**12))
+
+    def test_unique_pairs_draws_past_the_cap_refused(self):
+        with pytest.raises(ValueError, match="array cells"):
+            unique_pairs_mc(10, MC_MAX_CELLS // 20 + 1, seed=0)
+        with pytest.raises(ValueError, match="array cells"):
+            unique_pairs_mc(100_000, 100_000, seed=0)
+
+    def test_cells_at_the_cap_reach_the_rng(self):
+        with pytest.raises(_Drew):
+            y_sample_many(10, 4, MC_MAX_CELLS, seed=0)
+        with pytest.raises(_Drew):
+            unique_pairs_mc(10, MC_MAX_CELLS // 20, seed=0)

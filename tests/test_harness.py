@@ -327,6 +327,19 @@ class TestCLI:
         assert code == 2 and out == ""
         assert err.startswith("memlab: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [
+        ["unique-pairs", "--n", "100000", "--trials", "100000"],
+        ["lemma-y", "--n", "100", "--t", "2", "--trials", "100000000"],
+    ])
+    def test_huge_monte_carlo_cells_exit_2(self, monkeypatch, capsys, args):
+        def refuse(seed):  # a cell that gets past the cap would allocate here
+            raise AssertionError("drew past the Monte Carlo cap")
+        monkeypatch.setattr("numpy.random.default_rng", refuse)
+        code, out = run_cli(args)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("memlab: ") and "array cells" in err
+
     def test_config_seeds_zero_exits_2(self, tmp_path):
         cfg_file = tmp_path / "zero.cfg"
         cfg_file.write_text("n = 4\nseeds = 0\n")
@@ -395,16 +408,22 @@ class TestCLI:
         assert all(row.endswith(",True") for row in rows[1:])
 
 
+def _child(args, **kw):
+    """Run `python ARGS` in a fresh interpreter that imports memlab from this
+    source tree, without MEMLAB_SEED."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "MEMLAB_SEED"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=False, **kw)
+
+
 class TestParserReuse:
     """`main` builds its parser once per process; no call may see another's
     flags, environment or errors."""
 
     def _fresh(self, argv):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {k: v for k, v in os.environ.items() if k != "MEMLAB_SEED"}
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run([sys.executable, "-m", "memlab.cli", *argv], env=env,
-                              capture_output=True, text=True, check=False)
+        proc = _child(["-m", "memlab.cli", *argv])
         return proc.returncode, proc.stdout
 
     def test_env_seed_read_on_every_call(self):
@@ -432,6 +451,38 @@ class TestParserReuse:
         out_file.unlink()
         assert run_cli(cmd) == (0, written)
         assert not out_file.exists()
+
+
+_COLD_START = """
+import sys
+from memlab.cli import main
+
+def run(*argv):
+    code = main(["--jobs", "1", "--seed", "3", *argv])
+    assert code == 0, (argv, code)
+
+run("--out", "t.csv", "tradeoff", "--n-list", "4", "--seeds", "2")
+run("--out", "a.csv", "adversary", "--n-list", "4", "--seeds", "2")
+run("play", "--n", "4", "--space-bits", "6")
+run("--out", "l.csv", "lemma43", "--n", "4", "--R", "4", "--r", "2", "--t", "1")
+run("--out", "x.csv", "xy-check", "--n", "2", "--R", "3", "--trees", "2")
+run("report", "t.csv", "a.csv", "l.csv", "x.csv")
+run("replay", "--file", "t.csv", "--line", "1")
+run("replay", "--file", "a.csv", "--line", "2")
+assert "numpy" not in sys.modules and "concurrent.futures.process" not in sys.modules
+run("lemma-y", "--n", "10", "--t", "1", "--trials", "20")
+assert "numpy" in sys.modules and "concurrent.futures.process" not in sys.modules
+print("cold start ok")
+"""
+
+
+def test_serial_commands_load_neither_numpy_nor_the_pool(tmp_path):
+    """Only the Monte Carlo samplers load numpy and only a parallel sweep
+    loads the process pool; one fresh interpreter runs every other command
+    with --jobs 1, then a lemma-y cell."""
+    proc = _child(["-c", _COLD_START], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("cold start ok\n")
 
 
 # sha256 of the --out bytes of fixed-seed runs; a change to any of them means
@@ -488,7 +539,7 @@ class _RecordingPool:
 class TestJobs:
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "made", [])
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
 

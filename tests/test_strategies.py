@@ -216,6 +216,11 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="removed"):
             host.examine(1)
 
+    @pytest.mark.parametrize("slots", [0, -1])
+    def test_host_without_a_slot_refused(self, slots):
+        with pytest.raises(ValueError, match="at least one slot"):
+            DeckHost((1, 1, 2, 2), slots)
+
     def test_make_strategy_names(self):
         assert make_strategy("multipass", 4).order is None
         assert make_strategy("rmultipass", 4, 1).order == randomized_order(4, 1)
