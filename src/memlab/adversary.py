@@ -3,10 +3,17 @@
 The graph starts complete between positions 1..n and n+1..2n.  Every query is
 answered "No" unless the queried edge is forced, i.e. isolated; a "No" on a
 present edge deletes it, after which every surviving edge that lies in no
-perfect matching vanishes.  The filter follows the classic matching
-characterization: fix one perfect matching, orient matched and unmatched
-edges oppositely, and keep exactly the non-matching edges whose endpoints
-share a strongly connected component.
+perfect matching vanishes.
+
+The filter follows the classic matching characterization (Regin, AAAI 1994):
+fix one perfect matching, orient unmatched edges left->right and matched edges
+right->left, and keep exactly the unmatched edges whose endpoints share a
+strongly connected component.  Every right vertex r then has one out-edge, to
+its mate, so the orientation contracts to the *left-vertex digraph* on 1..n:
+l -> mate[r] for every r in adj[l], the matched edge being a self-loop.  An
+unmatched edge (l, r) survives exactly when l and mate[r] share a component of
+this digraph.  The filter, the reachability probe and the augmenting-path
+search all walk this one digraph.
 
 The filter is decremental.  After the filter every surviving edge lies inside
 one cached component, so deleting (l, r) can only split that component.  A
@@ -14,7 +21,7 @@ deleted matched edge is first repaired by an augmenting path from l to r; that
 path plus the deleted edge is a directed cycle in the old orientation, and
 reversing a cycle keeps every component, so the deletion becomes the deletion
 of a non-matching edge under the new matching.  One early-exit reachability
-probe then settles most deletions: if l still reaches r the component is
+probe then settles most deletions: if l still reaches mate[r] the component is
 intact and nothing vanishes; otherwise Tarjan rescans that one component.
 
 The audit utilities check the counting identities this discipline guarantees:
@@ -69,11 +76,12 @@ class KnowledgeGraph:
     While driven through kg_answer, every present edge lies in some perfect
     matching, the edge set only shrinks, `mate` holds a perfect matching that
     each matched deletion repairs with one augmenting path (kg_from_edges
-    builds it the same way, one path per left vertex), and `comp` caches the
-    filter's component ids (Tarjan roots).  A deletion runs one reachability
-    probe inside its component and rescans only that component when the probe
-    fails; `comp` is None until a first full filter (graphs from
-    kg_from_edges), and such graphs get a full rescan.
+    builds it the same way, one path per left vertex), and `comp[l]` caches
+    the id of left vertex l's component in the left-vertex digraph (its Tarjan
+    root).  A deletion runs one reachability probe inside its component and
+    rescans only that component when the probe fails; `comp` is None until a
+    first full filter (graphs from kg_from_edges), and such graphs get a full
+    rescan.
     """
 
     __slots__ = ("n", "adj", "mate", "status", "comp", "closure_hook")
@@ -115,7 +123,7 @@ def kg_init(n: int) -> KnowledgeGraph:
         g.mate[n + l] = l
     for r in range(n + 1, 2 * n + 1):
         g.adj[r] = set(range(1, n + 1))
-    _run_filter(g, range(1, 2 * n + 1))
+    _run_filter(g, range(1, n + 1))
     return g
 
 
@@ -145,7 +153,7 @@ def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
     Yes exactly when {i,j} is a present isolated edge.  A present non-isolated
     edge is deleted and the vanish closure runs: a matched edge is first
     replaced by an augmenting path, then a probe asks whether l still reaches
-    r, and only a failed probe rescans the component.  Same-side or
+    mate[r], and only a failed probe rescans the component.  Same-side or
     already-removed pairs answer No without mutation.
     """
     if i == j:
@@ -164,12 +172,12 @@ def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
     _delete_edge(g, l, r)
     comp = g.comp
     if comp is None:
-        vanished = _run_filter(g, range(1, 2 * g.n + 1))
+        vanished = _run_filter(g, range(1, g.n + 1))
     elif _reaches(g, l, r):
         vanished = []
     else:
         cid = comp[l]
-        vanished = _run_filter(g, [v for v in range(1, 2 * g.n + 1) if comp[v] == cid])
+        vanished = _run_filter(g, [v for v in range(1, g.n + 1) if comp[v] == cid])
     if g.closure_hook is not None:
         g.closure_hook(g, vanished)
     return False, AnswerEvents((l, r), tuple(vanished))
@@ -183,7 +191,7 @@ def vanish_closure(g: KnowledgeGraph) -> list[tuple[int, int]]:
     exists at all.
     """
     _match_free_lefts(g)
-    vanished = _run_filter(g, range(1, 2 * g.n + 1))
+    vanished = _run_filter(g, range(1, g.n + 1))
     if g.closure_hook is not None:
         g.closure_hook(g, vanished)
     return vanished
@@ -244,8 +252,9 @@ def _delete_edge(g: KnowledgeGraph, l: int, r: int) -> None:
 def _augment(g: KnowledgeGraph, root: int) -> bool:
     """Single augmenting-path search; builds and repairs every matching here.
 
-    Iterative DFS from the free left vertex `root`, visiting each right vertex
-    at most once; on reaching a free right vertex the path is flipped.
+    Iterative DFS over the left-vertex digraph from the free left vertex
+    `root`, visiting each right vertex at most once; on reaching a free right
+    vertex the path is flipped.
     """
     adj = g.adj
     mate = g.mate
@@ -282,15 +291,12 @@ def _flip(mate: list[int], path: list[int], via: list[int]) -> None:
 
 
 def _reaches(g: KnowledgeGraph, l: int, r: int) -> bool:
-    """Does left `l` reach right `r` in the filter orientation?
+    """Does left `l` reach mate[r] in the left-vertex digraph?
 
-    Unmatched edges run left->right and matched edges right->left, so a walk
-    is a sequence of left vertices, x stepping to mate[y] for y in adj[x].
-    `l` reaches `r` iff it reaches a left neighbour of `r`: mate[r] is entered
-    only from `r`, and every other neighbour steps to `r`.  A forward search
-    from `l` and a backward search from those neighbours (the predecessors of
-    u are adj[mate[u]]) take one vertex each in turn and stop as soon as they
-    meet or either runs out, so the cheaper side bounds the work.
+    The predecessors of a left vertex u are adj[mate[u]], so those of mate[r]
+    are adj[r].  A forward search from `l` and a backward search from adj[r]
+    take one vertex each in turn and stop as soon as they meet or either runs
+    out, so the cheaper side bounds the work.
     """
     adj = g.adj
     mate = g.mate
@@ -315,94 +321,74 @@ def _reaches(g: KnowledgeGraph, l: int, r: int) -> bool:
     return False
 
 
-def _run_filter(g: KnowledgeGraph, verts) -> list[tuple[int, int]]:
-    """Useful-edge filter over `verts` (Regin's matching characterization,
-    AAAI 1994): SCC the matched/unmatched orientation, drop non-matching
-    edges whose endpoints land in different components, and store in g.comp
-    each component's Tarjan root, one of its own vertices, as its id, so
-    disjoint components never share an id.  Skipped degree-1 vertices carry
-    only their matched edge and keep a stale id; a later rescan skips them too.
+def _run_filter(g: KnowledgeGraph, lefts) -> list[tuple[int, int]]:
+    """Useful-edge filter over the left vertices `lefts`, which must hold every
+    successor of their members in the left-vertex digraph: all of 1..n, or one
+    component cached before a deletion.  Stores each vertex's component id in
+    g.comp, then removes every edge (l, r) with comp[mate[r]] != comp[l]; a
+    matched edge has mate[r] == l, so it never goes.
     """
-    comp = _scc_ids(g, [v for v in verts if len(g.adj[v]) >= 2])
-    vanished: list[tuple[int, int]] = []
-    for l in verts:
-        if l > g.n:
-            continue
-        ml = g.mate[l]
-        cl = comp.get(l)
-        for r in g.adj[l]:
-            if r != ml and comp.get(r) != cl:
-                vanished.append((l, r))
-    for l, r in vanished:
-        g.adj[l].discard(r)
-        g.adj[r].discard(l)
-        g.status[(l, r)] = "vanished"
     if g.comp is None:
-        g.comp = [0] * (2 * g.n + 1)
-    for v, c in comp.items():
-        g.comp[v] = c
+        g.comp = [0] * (g.n + 1)
+    _scc_ids(g, lefts)
+    adj = g.adj
+    mate = g.mate
+    comp = g.comp
+    vanished = [(l, r) for l in lefts for r in adj[l] if comp[mate[r]] != comp[l]]
+    for l, r in vanished:
+        adj[l].discard(r)
+        adj[r].discard(l)
+        g.status[(l, r)] = "vanished"
     vanished.sort()
     return vanished
 
 
-def _scc_ids(g: KnowledgeGraph, verts: list[int]) -> dict[int, int]:
-    """Tarjan over the induced orientation (unmatched left->right, matched
-    right->left); maps each vertex to the root of its component."""
-    n = g.n
+def _scc_ids(g: KnowledgeGraph, lefts) -> None:
+    """Tarjan over the left-vertex digraph from each of `lefts` in turn; sets
+    g.comp[v] to the root of v's component, one of its own vertices, so
+    disjoint components never share an id."""
     adj = g.adj
     mate = g.mate
-    member = set(verts)
-
-    def succs(v: int):
-        if v <= n:
-            m = mate[v]
-            return [r for r in adj[v] if r != m and r in member]
-        m = mate[v]
-        return [m] if m and m in member else []
-
+    comp = g.comp
     index: dict[int, int] = {}
     low: dict[int, int] = {}
-    comp: dict[int, int] = {}
     onstack: set[int] = set()
     stack: list[int] = []
     counter = 0
-    for root in verts:
+    for root in lefts:
         if root in index:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         onstack.add(root)
-        work: list[tuple[int, object]] = [(root, iter(succs(root)))]
+        work = [(root, iter(adj[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
-            for w in it:
+            for r in it:
+                w = mate[r]
                 if w not in index:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     onstack.add(w)
-                    work.append((w, iter(succs(w))))
-                    advanced = True
+                    work.append((w, iter(adj[w])))
                     break
                 if w in onstack and index[w] < low[v]:
                     low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp[w] = v
-                    if w == v:
-                        break
-    return comp
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        onstack.discard(w)
+                        comp[w] = v
+                        if w == v:
+                            break
 
 
 # ---------------------------------------------------------------------------

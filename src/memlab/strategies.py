@@ -117,9 +117,6 @@ class GameHost:
         self.working.add(pos)
         self.transcript.note_ws(len(self.working))
 
-    def drop(self, pos: int) -> None:
-        self.working.discard(pos)
-
     def clear_working(self) -> None:
         self.working.clear()
 
@@ -336,9 +333,9 @@ def multi_pass_time_bound(budget: SpaceBudget) -> int:
     return -(-n2 // budget.slots) * n2
 
 
-def perfect_memory_play(x: Deck, lean: bool = False) -> Transcript:
+def perfect_memory_play(x: Deck) -> Transcript:
     """Run the full-memory baseline; flips every position exactly once."""
-    host = DeckHost(x, len(x), Transcript(lean=lean))
+    host = DeckHost(x, len(x))
     FullMemory().play(host)
     return host.transcript
 

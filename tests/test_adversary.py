@@ -172,7 +172,7 @@ class TestFilterOracle:
 
 
 def _answer_full_rescan(g, i, j):
-    """Reference kg_answer: the same deletion, then the filter over all 2n vertices."""
+    """Reference kg_answer: the same deletion, then the filter over all n left vertices."""
     key = edge_key(g.n, i, j)
     if key is None or key[1] not in g.adj[key[0]]:
         return False, AnswerEvents()
@@ -185,7 +185,7 @@ def _answer_full_rescan(g, i, j):
     if g.mate[l] == r:
         g.mate[l] = g.mate[r] = 0
         assert _augment(g, l)
-    return False, AnswerEvents((l, r), tuple(_run_filter(g, range(1, 2 * g.n + 1))))
+    return False, AnswerEvents((l, r), tuple(_run_filter(g, range(1, g.n + 1))))
 
 
 class TestDecrementalFilter:
@@ -213,6 +213,64 @@ class TestDecrementalFilter:
         ans, ev = kg_answer(g, 1, 3)
         assert ev == AnswerEvents((1, 3), ((2, 4),))
         assert g.edges() == {(1, 4), (2, 3)}
+
+
+def _assert_ids_current(g):
+    """g.comp names each left vertex's strong component of the left-vertex
+    digraph (l -> mate[r] for r in adj[l]) by one of that component's members."""
+    reach = {}
+    for l in range(1, g.n + 1):
+        seen, todo = {l}, [l]
+        while todo:
+            for r in g.adj[todo.pop()]:
+                if g.mate[r] not in seen:
+                    seen.add(g.mate[r])
+                    todo.append(g.mate[r])
+        reach[l] = seen
+    assert len(g.comp) == g.n + 1
+    for a in range(1, g.n + 1):
+        assert a in reach[g.comp[a]] and g.comp[a] in reach[a], (a, g.comp)
+        for b in range(1, g.n + 1):
+            assert (g.comp[a] == g.comp[b]) == (a in reach[b] and b in reach[a]), (a, b, g.comp)
+
+
+class TestRandomGraphs:
+    """The filter on graphs no game reaches: several components, degree-1 left
+    vertices, and graphs that were never filtered."""
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_filter_keeps_exactly_the_useful_edges(self, seed):
+        rnd = random.Random(seed)
+        n = rnd.randint(1, 6)
+        density = rnd.random()
+        rights = rnd.sample(range(n + 1, 2 * n + 1), n)  # a planted perfect matching
+        edges = {(l, rights[l - 1]) for l in range(1, n + 1)}
+        edges |= {(l, r) for l in range(1, n + 1) for r in range(n + 1, 2 * n + 1)
+                  if rnd.random() < density}
+        raw = kg_from_edges(n, edges)
+        useful = useful_edges_brute(raw)
+
+        # never filtered: the first deletion of an edge some perfect matching
+        # avoids takes kg_answer's full-rescan path
+        g = raw.copy()
+        avoidable = sorted(e for e in edges if not g.isolated(*e)
+                           and any(e not in m for m in perfect_matchings(g)))
+        if avoidable:
+            assert g.comp is None
+            kg_answer(g, *rnd.choice(avoidable))
+            assert g.edges() == useful_edges_brute(g)
+            _assert_ids_current(g)
+
+        g = raw.copy()
+        vanish_closure(g)
+        assert g.edges() == useful
+        _assert_ids_current(g)
+        while not kg_is_done(g):
+            i, j = rnd.sample(range(1, 2 * n + 1), 2)
+            kg_answer(g, i, j)
+            assert g.edges() == useful_edges_brute(g), (seed, i, j)
+            _assert_ids_current(g)
 
 
 class TestRealize:
