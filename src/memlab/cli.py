@@ -170,20 +170,20 @@ def _map_cells(fn, specs: list, jobs: int) -> list:
 # ---------------------------------------------------------------------------
 # Tradeoff sweep
 
-def _tradeoff_record(n: int, s: int, dseed: int, strategy: str) -> tuple:
-    budget = SpaceBudget.for_slots(n, s)
+def _tradeoff_deck(spec: tuple) -> list[tuple]:
+    """Draw and pair one deck, then play it at each slot count: one record per s."""
+    n, slots, dseed, strategy = spec
     x = generate_valid_input(GameParams(n, n, dseed))
+    matches = matches_of(x)
     order = randomized_order(n, derive_seed(dseed, "order")) if strategy == "rmultipass" else None
-    tr = multi_pass_play(x, budget, order=order, lean=True)
-    correct = set(tr.outputs) == matches_of(x)
-    in_bound = tr.flips <= multi_pass_time_bound(budget)
-    return dseed, tr.flips, tr.passes, correct, in_bound
-
-
-def _tradeoff_cell(spec: tuple) -> list[tuple]:
-    n, s, nseeds, master, strategy = spec
-    return [_tradeoff_record(n, s, derive_seed(master, "deck", n, k), strategy)
-            for k in range(nseeds)]
+    recs = []
+    for s in slots:
+        budget = SpaceBudget.for_slots(n, s)
+        tr = multi_pass_play(x, budget, order=order, lean=True)
+        correct = set(tr.outputs) == matches
+        in_bound = tr.flips <= multi_pass_time_bound(budget)
+        recs.append((dseed, tr.flips, tr.passes, correct, in_bound))
+    return recs
 
 
 def _c_ratio(budget: SpaceBudget, T: int) -> float:
@@ -202,9 +202,16 @@ def _tradeoff_record_row(n: int, s: int, strategy: str, rec: tuple) -> str:
 def tradeoff_sweep(cfg: SweepConfig) -> tuple[list[str], bool]:
     """Grid of multi-pass runs; asserts the memory-time product stays within
     twice its calibration at the smallest n in the grid."""
-    cells = [(n, s) for n in cfg.ns for s in cfg.s_values(n)]
-    specs = [(n, s, cfg.seeds, cfg.master_seed, cfg.strategy) for n, s in cells]
-    results = _map_cells(_tradeoff_cell, specs, cfg.jobs)
+    decks = [(n, cfg.s_values(n), derive_seed(cfg.master_seed, "deck", n, k), cfg.strategy)
+             for n in cfg.ns for k in range(cfg.seeds)]
+    played = iter(_map_cells(_tradeoff_deck, decks, cfg.jobs))
+    # regroup the per-deck records into (n, s) cells, each in seed order
+    cells, results = [], []
+    for n in cfg.ns:
+        per_deck = [next(played) for _ in range(cfg.seeds)]
+        for s, recs in zip(cfg.s_values(n), zip(*per_deck)):
+            cells.append((n, s))
+            results.append(recs)
 
     # a cell's worst run: the largest T, then the most passes at that T
     worst = [max((T, passes) for _, T, passes, _, _ in recs) for recs in results]
@@ -437,7 +444,7 @@ def _replay_tradeoff(v: list[str], cap_enum: int, cap_tree: int) -> str | None:
     if v[0] != "record":
         return None
     n, s, seed, strategy = int(v[1]), int(v[3]), int(v[4]), v[5]
-    return _tradeoff_record_row(n, s, strategy, _tradeoff_record(n, s, seed, strategy))
+    return _tradeoff_record_row(n, s, strategy, _tradeoff_deck((n, [s], seed, strategy))[0])
 
 
 # header -> recompute(fields, cap_enum, cap_tree); None marks an aggregate row
@@ -497,7 +504,8 @@ def _add_globals(p: argparse.ArgumentParser, root: bool) -> None:
                    help="master seed (default: a sweep config's seed, else $MEMLAB_SEED, else 0)")
     p.add_argument("--out", default=d(None), help="output path (default: stdout)")
     p.add_argument("--jobs", type=int, default=d(None),
-                   help="parallel cells for sweeps (default: the config's jobs, else all cores)")
+                   help="parallel tasks for sweeps, capped at the task count; a tradeoff "
+                        "task is one deck (default: the config's jobs, else all cores)")
     p.add_argument("--cap-enum", type=int, default=d(DEFAULT_ENUM_CAP),
                    help="max deck-universe size for deck-enumeration checks (unique-pairs)")
     p.add_argument("--cap-tree", type=int, default=d(DEFAULT_TREE_CAP),

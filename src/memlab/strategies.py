@@ -10,14 +10,17 @@ of equality bits and its own state alone.
 Hosts own the two examine loops the shipped players are made of: `fill`
 (store each miss, declare each hit) and `scan` (declare each hit until the
 working set empties).  `GameHost` runs them one flip at a time, which the
-adversary and the tree compiler need and which serves as the oracle;
-`DeckHost.scan` examines only the cards that can hit and records each run of
-misses between them in one step.
+adversary and the tree compiler need and which serves as the oracle.
+`DeckHost.scan` over a permutation of the table jumps from hit to hit: only
+the stored cards' partners can hit, so it sorts their ranks in the order and
+records each run of misses between two hits in one step, skipping removed
+cards by an alive mask kept per rank.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from .game_core import Deck, MatchTriple, Transcript, deck_partners
 
@@ -108,6 +111,8 @@ class GameHost:
         return hits
 
     def store(self, pos: int) -> None:
+        if pos < 1 or pos > 2 * self.n:
+            raise ProtocolError(f"stored position {pos} out of range")
         if pos in self.removed:
             raise ProtocolError(f"stored removed card {pos}")
         if pos in self.working:
@@ -126,14 +131,20 @@ class GameHost:
             i, j = j, i
         if i == j:
             raise ProtocolError(f"declared a position against itself: {i}")
+        if i < 1 or j > 2 * self.n:
+            raise ProtocolError(f"declared position out of range: {i}, {j}")
         triple, matched = self._declare_value(i, j)
         self.transcript.add_output(triple)
         if matched:
-            self.removed.add(i)
-            self.removed.add(j)
-            self.working.discard(i)
-            self.working.discard(j)
+            self._remove(i, j)
         return triple
+
+    def _remove(self, i: int, j: int) -> None:
+        """Take a declared pair off the table and out of the working set."""
+        self.removed.add(i)
+        self.removed.add(j)
+        self.working.discard(i)
+        self.working.discard(j)
 
     def pass_boundary(self, index: int) -> None:
         self.transcript.add_pass(index)
@@ -153,10 +164,10 @@ class GameHost:
             else:
                 self.store(p)
 
-    def scan(self, positions) -> None:
-        """Examine each live position in turn until the working set is empty,
-        declaring a hit against its first stored match."""
-        for p in positions:
+    def scan(self, positions, start: int = 0) -> None:
+        """Examine each live position of `positions[start:]` in turn until the
+        working set is empty, declaring a hit against its first stored match."""
+        for p in positions[start:]:
             if not self.working:
                 break
             if p in self.removed:
@@ -177,9 +188,14 @@ class DeckHost(GameHost):
     """Host backed by a real deck; equality bits come from the card values.
 
     Only a stored card or its partner (the other card of its value) can hit,
-    so `fill` decides hit or miss from the partner alone, and `scan` examines
-    those one by one and records each run of misses between two of them in
-    one transcript step.
+    so `fill` decides hit or miss from the partner alone.  `scan` over a
+    permutation of 1..2n, with no stored card at or after `start`, jumps from
+    hit to hit: the hits are the stored cards' partners, taken in the order
+    of their ranks, and each run of live misses between two of them is one
+    transcript step.  The ranks and an alive mask indexed by rank are built
+    once per order (the list object, which must not be reordered in place
+    afterwards) and kept current on every removal.  Any other scan is the
+    generic one.
     """
 
     def __init__(self, x: Deck, slots: int, transcript: Transcript | None = None,
@@ -187,6 +203,9 @@ class DeckHost(GameHost):
         self.partner = deck_partners(x)
         super().__init__(len(x) // 2, slots, transcript, flip_cap)
         self.x = x
+        self._order = None  # the permutation _rank and _alive describe
+        self._rank: list[int] = []  # _rank[p]: the index of p in _order
+        self._alive = bytearray()  # _alive[r]: card _order[r] is on the table
 
     def _equal_members(self, pos: int) -> list[int]:
         w = self.working
@@ -195,6 +214,11 @@ class DeckHost(GameHost):
     def _declare_value(self, i: int, j: int) -> tuple[MatchTriple, bool]:
         v = self.x[i - 1]
         return MatchTriple(i, j, v), self.x[j - 1] == v
+
+    def _remove(self, i: int, j: int) -> None:
+        GameHost._remove(self, i, j)
+        if self._order is not None:
+            self._alive[self._rank[i]] = self._alive[self._rank[j]] = 0
 
     def fill(self, positions) -> None:
         working, removed, partner, t = self.working, self.removed, self.partner, self.transcript
@@ -221,28 +245,43 @@ class DeckHost(GameHost):
                 raise ProtocolError(f"working set overflow: {len(working) + 1} > "
                                     f"{self.slots} slots")
 
-    def scan(self, positions) -> None:
-        working, removed, partner = self.working, self.removed, self.partner
-        top = 2 * self.n
-        run: list[int] = []
-        for p in positions:
-            if not working:
-                break
-            if p in removed:
-                continue
-            if 0 < p <= top and p not in working and partner[p] not in working:
-                run.append(p)
-                continue
-            # a possible hit, a stored card or an out-of-range position: alone
-            self._flip_misses(run)
-            run = []
-            hits = self.examine(p)
-            if hits:
-                self.declare(hits[0], p)
-        self._flip_misses(run)
+    def scan(self, positions, start: int = 0) -> None:
+        working = self.working
+        rank = self._ranks(positions)
+        if rank is None or not all(rank[w] < start for w in working):
+            GameHost.scan(self, positions, start)
+            return
+        partner, alive = self.partner, self._alive
+        hits = sorted(r for r in (rank[partner[w]] for w in working) if r >= start)
+        a = start
+        for h in hits:
+            # the misses up to the hit and the hit itself, at one working-set size
+            h += 1
+            self._flip_run(list(compress(positions[a:h], alive[a:h])))
+            q = positions[h - 1]
+            self.declare(partner[q], q)
+            a = h
+        if working:  # a stored card whose partner is behind `start`
+            self._flip_run(list(compress(positions[a:], alive[a:])))
 
-    def _flip_misses(self, run: list[int]) -> None:
-        """Record a run of misses; the working set is the same at each flip."""
+    def _ranks(self, order) -> list[int] | None:
+        """The rank array of `order` if it is a permutation of 1..2n, else
+        None; a new permutation gets fresh ranks and alive mask."""
+        if order is self._order:
+            return self._rank
+        top = 2 * self.n
+        if len(order) != top or set(order) != set(range(1, top + 1)):
+            return None
+        rank = [0] * (top + 1)
+        for r, p in enumerate(order):
+            rank[p] = r
+        self._order, self._rank = order, rank
+        self._alive = bytearray(p not in self.removed for p in order)
+        return rank
+
+    def _flip_run(self, run: list[int]) -> None:
+        """Record a run of flips, misses then at most one hit; the working set
+        is the same at each flip."""
         t, cap = self.transcript, self.flip_cap
         if cap is not None and t.flips + len(run) > cap:
             t.add_flips(run[:cap - t.flips], len(self.working))
@@ -277,13 +316,13 @@ class MultiPass:
         for b in range(blocks):
             if host.done():
                 break
-            block = [p for p in order[b * s:(b + 1) * s] if host.live(p)]
-            if not block:
+            block = order[b * s:(b + 1) * s]
+            if not any(map(host.live, block)):
                 continue
             host.clear_working()
             host.pass_boundary(b + 1)
             host.fill(block)
-            host.scan(order[(b + 1) * s:])
+            host.scan(order, (b + 1) * s)
 
 
 class FullMemory:

@@ -164,6 +164,27 @@ class TestTradeoffSweep:
                 assert (T, passes) == (T_worst, max(tied)), cell
         assert split_ties  # some cell has runs at the worst T with different passes
 
+    @pytest.mark.parametrize("strategy", ["multipass", "rmultipass"])
+    def test_slot_counts_of_one_deck_share_no_state(self, tmp_path, strategy):
+        # each deck plays every slot count in one task: a subset of the slot
+        # counts must give the same record rows, and each row must replay alone
+        def records(s_list):
+            out = tmp_path / f"{s_list}.csv"
+            code, _ = run_cli(["--seed", "7", "--jobs", "1", "--out", str(out), "tradeoff",
+                               "--n-list", "8,16", "--s-list", s_list, "--seeds", "3",
+                               "--strategy", strategy])
+            assert code == 0
+            lines = out.read_text().splitlines()
+            return out, [(k, ln) for k, ln in enumerate(lines) if ln.startswith("record,")]
+
+        out, some = records("1,4")
+        _, pow2 = records("pow2")
+        assert len(some) == 2 * 2 * 3
+        assert [ln for _, ln in some] == [ln for _, ln in pow2 if ln.split(",")[3] in ("1", "4")]
+        for k, _ in some:
+            code, text = run_cli(["replay", "--file", str(out), "--line", str(k)])
+            assert code == 0 and text.splitlines()[-1] == "replay: identical"
+
     def test_worst_time_monotone_in_slots(self):
         lines, ok = tradeoff_sweep(SweepConfig(ns=[8, 16], seeds=10, master_seed=3))
         assert ok
@@ -556,20 +577,22 @@ class TestJobs:
     def test_huge_jobs_flag_same_csv(self):
         sweep = ["tradeoff", "--n-list", "2", "--seeds", "2"]
         huge = run_cli(["--jobs", str(10**6)] + sweep)
-        assert _RecordingPool.made == [3]  # pow2 slots 1, 2, 4 at n=2
+        # a tradeoff task is one deck, all slot counts: 1 n-value x 2 seeds
+        assert _RecordingPool.made == [2]
         assert huge == run_cli(["--jobs", "1"] + sweep)
 
     def test_jobs_flag_beats_config_key_beats_core_count(self, tmp_path):
         cfg_file = tmp_path / "jobs.cfg"
         cfg_file.write_text("jobs = 2\n")
-        sweep = ["tradeoff", "--n-list", "2", "--seeds", "1"]
+        sweep = ["tradeoff", "--n-list", "2", "--seeds", "3"]
         configured = sweep + ["--config", str(cfg_file)]
         assert run_cli(["--jobs", "1"] + configured)[0] == 0
         assert _RecordingPool.made == []  # --jobs 1 runs serially
         assert run_cli(configured)[0] == 0
         assert _RecordingPool.made == [2]
         assert run_cli(sweep)[0] == 0
-        assert _RecordingPool.made == [2, 3]  # all 4 cores, capped at 3 cells
+        # all 4 cores, capped at 3 decks (1 n-value x 3 seeds)
+        assert _RecordingPool.made == [2, 3]
 
 
 # one command per replayable row kind: (argv, data row to replay)

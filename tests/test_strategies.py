@@ -216,6 +216,16 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="removed"):
             host.examine(1)
 
+    @pytest.mark.parametrize("i,j", [(0, 4), (-1, 2), (1, 5)])
+    def test_declaring_or_storing_out_of_range_raises(self, i, j):
+        for host_cls in (DeckHost, _StepHost):
+            host = host_cls((1, 1, 2, 2), slots=4)
+            with pytest.raises(ProtocolError, match="out of range"):
+                host.declare(i, j)
+            with pytest.raises(ProtocolError, match="out of range"):
+                host.store(i if i < 1 else j)
+            assert not host.removed and not host.working and not host.transcript.outputs
+
     @pytest.mark.parametrize("slots", [0, -1])
     def test_host_without_a_slot_refused(self, slots):
         with pytest.raises(ValueError, match="at least one slot"):
@@ -326,6 +336,45 @@ class TestDeckHostScanOracle:
 
         _assert_same_game(x, slots, lean, cap, play)
 
+    @given(st.integers(1, 8), st.integers(0, 10**6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_permutation_scans_agree(self, n, seed, data):
+        # rounds of fill then scan(order, start) over one permutation: the
+        # rank path when every stored card lies before `start`, the generic
+        # scan otherwise; fills between scans remove cards from the order
+        x = generate_valid_input(GameParams(n, n, seed))
+        top = 2 * n
+        slots = data.draw(st.integers(1, top), label="slots")
+        order = data.draw(st.permutations(range(1, top + 1)), label="order")
+        rounds = data.draw(st.lists(st.tuples(
+            st.lists(st.sampled_from(order), max_size=slots, unique=True),
+            st.integers(0, top + 1)), min_size=1, max_size=4), label="rounds")
+        lean = data.draw(st.booleans(), label="lean")
+
+        def play(host):
+            for block, start in rounds:
+                host.clear_working()
+                host.fill(block)
+                host.scan(order, start)
+
+        T = _assert_same_game(x, slots, lean, None, play)["flips"]
+        caps = range(T + 1) if n <= 6 else [data.draw(st.integers(0, T), label="cap")]
+        for cap in caps:
+            assert _assert_same_game(x, slots, lean, cap, play)["flips"] == min(cap, T)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 16])
+    def test_multipass_scans_take_the_rank_path(self, monkeypatch, s):
+        # every stored card of a pass lies before its scan's start
+        def generic(*args):
+            raise AssertionError("fell back to the generic scan")
+
+        monkeypatch.setattr(GameHost, "scan", generic)
+        for k in range(10):
+            x = generate_valid_input(GameParams(8, 8, k))
+            for order in (None, randomized_order(8, k)):
+                t = multi_pass_play(x, SpaceBudget.for_slots(8, s), order=order)
+                assert verify_transcript(x, t).ok
+
     # deck (1, 2, 3, 1, 2, 3) with 2 slots
     @pytest.mark.parametrize("block,err,flips,removed", [
         ([1, 4, 2, 5, 3, 6], None, 6, {1, 2, 3, 4, 5, 6}),
@@ -363,6 +412,32 @@ class TestDeckHostScanOracle:
 
         for lean in (False, True):
             got = _assert_same_game((1, 2, 3, 1, 2, 3), 2, lean, None, play)
+            assert (got["err"] is None) == (err is None)
+            if err is not None:
+                assert err in got["err"][1]
+            assert got["flips"] == flips
+            assert got["removed"] == removed
+
+    # deck (1, 2, 3, 1, 2, 3) in order 4, 1, 5, 2, 6, 3 (ranks 0..5); fill
+    # ([4]) stores card 4, whose partner 1 lies at rank 1
+    @pytest.mark.parametrize("start,err,flips,removed", [
+        # card 4 at rank 0 goes to the generic scan, which flips it and
+        # declares it against itself
+        (0, "against itself", 2, set()),
+        (1, None, 2, {1, 4}),  # the rank path: the first card scanned hits
+        (2, None, 5, set()),  # the partner is behind start: every later card misses
+        (6, None, 1, set()),
+        (7, None, 1, set()),
+    ])
+    def test_hand_built_permutation_scans(self, start, err, flips, removed):
+        order = [4, 1, 5, 2, 6, 3]
+
+        def play(host):
+            host.fill([4])
+            host.scan(order, start)
+
+        for lean in (False, True):
+            got = _assert_same_game((1, 2, 3, 1, 2, 3), 1, lean, None, play)
             assert (got["err"] is None) == (err is None)
             if err is not None:
                 assert err in got["err"][1]
