@@ -25,9 +25,11 @@ probe then settles most deletions: if l still reaches mate[r] the component is
 intact and nothing vanishes; otherwise Tarjan rescans that one component.
 
 The audit utilities check the counting identities this discipline guarantees:
-deletions + vanishings == n(n-1) on a finished run, and the fixed-point-free
-pairing of non-matching edges in which at least one member of every pair was
-deleted rather than vanished, giving deletions >= n(n-1)/2.
+deletions + vanishings == n(n-1) on a finished run, and a pairing of the
+non-matching edges in which at least one member of every pair was deleted
+rather than vanished, giving deletions >= n(n-1)/2.  For any two pairs
+(li, ri) and (lj, rj) of the final matching, the pair is their two cross
+edges (li, rj) and (lj, ri).
 """
 from __future__ import annotations
 
@@ -576,45 +578,24 @@ class InvolutionReport:
 def involution_audit(log: AdversaryLog, matching) -> InvolutionReport:
     """Audit a finished run against the pairing of non-matching edges.
 
-    Renumbering right vertices so the final matching becomes {i, n+i} turns
-    the pairing into ({i,n+j} <-> {j,n+i}); in original labels that maps
-    (l, r) to (left-partner of r, right-partner of l).  The audit checks the
-    map is a fixed-point-free involution off the matching, that every pair
-    contains at least one deleted (not vanished) edge, and the removal
+    Any two matched pairs (li, ri) and (lj, rj) have two cross edges, (li, rj)
+    and (lj, ri), and these n(n-1)/2 pairs partition the non-matching edges.
+    The audit checks that both edges of every pair were removed, that at
+    least one of them was deleted rather than vanished, and the removal
     accounting identities.
     """
     n = log.n
-    pm = {l: r for l, r in matching}
-    if len(pm) != n or sorted(pm) != list(range(1, n + 1)):
-        raise ValueError("final matching must pair every left position")
-    left_of = {r: l for l, r in pm.items()}
-
-    def phi(e: tuple[int, int]) -> tuple[int, int]:
-        l, r = e
-        return (left_of[r], pm[l])
-
+    pairs = sorted(matching)
+    if ([l for l, _ in pairs] != list(range(1, n + 1))
+            or sorted(r for _, r in pairs) != list(range(n + 1, 2 * n + 1))):
+        raise ValueError("final matching must pair 1..n one-to-one with n+1..2n")
+    status = log.status
     failures: list[tuple] = []
-    seen: set[tuple[int, int]] = set()
-    pair_count = 0
-    for l in range(1, n + 1):
-        for r in range(n + 1, 2 * n + 1):
-            if pm[l] == r:
-                continue
-            e = (l, r)
-            fe = phi(e)
-            if phi(fe) != e:
-                failures.append(("not-involutive", e, fe))
-                continue
-            if fe == e:
-                failures.append(("fixed-point", e))
-                continue
-            if e in seen:
-                continue
-            seen.add(e)
-            seen.add(fe)
-            pair_count += 1
-            st_e = log.status.get(e)
-            st_f = log.status.get(fe)
+    for i, (li, ri) in enumerate(pairs):
+        for lj, rj in pairs[i + 1:]:
+            e, fe = (li, rj), (lj, ri)
+            st_e = status.get(e)
+            st_f = status.get(fe)
             if st_e is None or st_f is None:
                 failures.append(("still-present", e, fe))
             elif st_e != "deleted" and st_f != "deleted":
@@ -627,7 +608,7 @@ def involution_audit(log: AdversaryLog, matching) -> InvolutionReport:
         claim_ok=claim_ok,
         accounting_ok=accounting_ok,
         lower_bound_ok=lower_bound_ok,
-        pair_count=pair_count,
+        pair_count=n * (n - 1) // 2,
         deletions=log.deletions,
         vanishings=log.vanishings,
         failures=tuple(failures),

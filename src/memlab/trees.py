@@ -18,10 +18,11 @@ yields the equal-pairs law and the productive-input fraction without
 enumerating the deck universe.
 
 Every builder (fixed, random, guessing, compiled player) is a per-node `step`
-function unfolded by `_unfold`, which alone owns the size refusals (R >= n,
-depth <= 2n, the R-way node cap), the branching and the padding rule.  The
-fixed, guessing and compiled trees branch on equality patterns; `random_tree`
-stays R-way because its random outputs are not symmetric under relabeling.
+function unfolded by `_unfold`, which owns the size refusals (R >= n, which
+`DecisionTree` also demands, depth <= 2n, the R-way node cap), the branching
+and the padding rule.  The fixed, guessing and compiled trees branch on
+equality patterns; `random_tree` stays R-way because its random outputs are
+not symmetric under relabeling.
 """
 from __future__ import annotations
 
@@ -60,6 +61,8 @@ class DecisionTree:
                  pattern: bool = False):
         if depth < 0 or depth > 2 * n:
             raise ValueError(f"depth must lie in 0..2n, got {depth}")
+        if R < n:
+            raise ValueError(f"need R >= n, got R={R} < n={n}")
         if (root is None) != (depth == 0):
             raise ValueError("empty tree iff depth 0")
         self.root = root
@@ -350,8 +353,6 @@ def lemma43_check(tree: DecisionTree, n: int, R: int, t: int) -> ProductivityRes
     against the shallow-tree productivity bound (n-r-t)^-t + e^-t."""
     r = tree.depth
     _check_shape(tree, n, R)
-    if R < n:
-        raise ValueError(f"need R >= n, got R={R} < n={n}")
     if r > n // 2:
         raise ValueError(f"need depth <= n/2, got r={r}, n={n}")
     if t < 1 or t > r // 2:

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from memlab import (InvariantViolation, SpaceBudget, adversarial_play,
                     kg_is_done, matches_of, realize_input, replay_consistent,
                     perfect_matchings, useful_edges_brute, validate_deck,
                     vanish_closure)
-from memlab.adversary import (AnswerEvents, AdversaryLog, KnowledgeGraph,
-                              _augment, _run_filter, edge_key)
+from memlab.adversary import (AnswerEvents, AdversaryLog, InvolutionReport,
+                              KnowledgeGraph, _augment, _run_filter, edge_key)
 from memlab.strategies import FullMemory, MultiPass, make_strategy
 
 
@@ -308,6 +309,88 @@ def _phi(n, matching, e):
     return (left_of[r], pm[l])
 
 
+def involution_audit_reference(log: AdversaryLog, matching) -> InvolutionReport:
+    """Oracle for involution_audit: builds the pairing as a map phi and checks,
+    edge by edge, that it is a fixed-point-free involution off the matching."""
+    n = log.n
+    pm = {l: r for l, r in matching}
+    if len(pm) != n or sorted(pm) != list(range(1, n + 1)):
+        raise ValueError("final matching must pair every left position")
+    left_of = {r: l for l, r in pm.items()}
+
+    def phi(e: tuple[int, int]) -> tuple[int, int]:
+        l, r = e
+        return (left_of[r], pm[l])
+
+    failures: list[tuple] = []
+    seen: set[tuple[int, int]] = set()
+    pair_count = 0
+    for l in range(1, n + 1):
+        for r in range(n + 1, 2 * n + 1):
+            if pm[l] == r:
+                continue
+            e = (l, r)
+            fe = phi(e)
+            if phi(fe) != e:
+                failures.append(("not-involutive", e, fe))
+                continue
+            if fe == e:
+                failures.append(("fixed-point", e))
+                continue
+            if e in seen:
+                continue
+            seen.add(e)
+            seen.add(fe)
+            pair_count += 1
+            st_e = log.status.get(e)
+            st_f = log.status.get(fe)
+            if st_e is None or st_f is None:
+                failures.append(("still-present", e, fe))
+            elif st_e != "deleted" and st_f != "deleted":
+                failures.append(("pair-entirely-vanished", e, fe))
+    accounting_ok = log.deletions + log.vanishings == n * (n - 1)
+    lower_bound_ok = log.deletions >= n * (n - 1) // 2
+    claim_ok = not failures
+    return InvolutionReport(
+        ok=claim_ok and accounting_ok and lower_bound_ok,
+        claim_ok=claim_ok,
+        accounting_ok=accounting_ok,
+        lower_bound_ok=lower_bound_ok,
+        pair_count=pair_count,
+        deletions=log.deletions,
+        vanishings=log.vanishings,
+        failures=tuple(failures),
+    )
+
+
+class RandomBlindPlayer:
+    """Correct by construction: examines a random live card and declares only
+    on a hit.  A miss is stored, swapped for a random stored card, or
+    forgotten."""
+
+    def __init__(self, seed: int):
+        self.rnd = random.Random(seed)
+
+    def play(self, host) -> None:
+        rnd = self.rnd
+        while not host.done():
+            # the later of two stored cards was examined against the earlier
+            # and missed, so stored cards are never partners: some live card
+            # lies outside the working set
+            p = rnd.choice([q for q in range(1, 2 * host.n + 1)
+                            if host.live(q) and q not in host.working])
+            hits = host.examine(p)
+            if hits:
+                host.declare(hits[0], p)
+                continue
+            move = rnd.randrange(3)
+            if move == 0 and len(host.working) < host.slots:
+                host.store(p)
+            elif move == 1 and host.working:
+                host.working.discard(rnd.choice(sorted(host.working)))
+                host.store(p)
+
+
 class TestInvolution:
     def test_n2_single_query_run(self):
         res = adversarial_play(FullMemory(), 2, SpaceBudget.for_slots(2, 4))
@@ -345,6 +428,41 @@ class TestInvolution:
         assert (n, rep.deletions, rep.vanishings) == (8, 46, 10)
         assert rep.deletions > n * (n - 1) // 2
         assert rep.ok
+
+    @given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=200, deadline=None)
+    def test_audit_agrees_with_reference(self, rnd, n):
+        rights = list(range(n + 1, 2 * n + 1))
+        rnd.shuffle(rights)
+        matching = list(zip(range(1, n + 1), rights))
+        rnd.shuffle(matching)
+        pm = dict(matching)
+        status = {}
+        for l in range(1, n + 1):
+            for r in range(n + 1, 2 * n + 1):
+                kind = rnd.choice(("deleted", "vanished", None))
+                if pm[l] != r and kind is not None:
+                    status[(l, r)] = kind
+        log = AdversaryLog(n, status)
+        log.deletions = list(status.values()).count("deleted")
+        log.vanishings = len(status) - log.deletions
+        rep = involution_audit(log, matching)
+        ref = involution_audit_reference(log, matching)
+        assert rep.pair_count == n * (n - 1) // 2
+        assert set(rep.failures) == set(ref.failures)
+        assert len(rep.failures) == len(ref.failures)
+        assert rep == replace(ref, failures=rep.failures)
+
+    @pytest.mark.parametrize("matching", [
+        [(1, 4), (2, 4), (3, 5)],   # right vertex 4 twice
+        [(1, 4), (2, 5), (3, 7)],   # right vertex 7 outside 4..6
+        [(1, 4), (2, 5)],           # left vertex 3 unmatched
+        [(1, 4), (2, 5), (3, 6), (3, 6)],
+    ])
+    def test_non_bijective_matching_raises(self, matching):
+        log = AdversaryLog(3, {})
+        with pytest.raises(ValueError, match="one-to-one"):
+            involution_audit(log, matching)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_finished_runs_pass_audit(self, n):
@@ -398,6 +516,18 @@ class TestAdversarialPlay:
         assert all(x[o.i - 1] == x[o.j - 1] == o.v for o in res.transcript.outputs)
         # the counterexample works on a copy: the graph keeps only the answers' deletions
         assert list(res.log.status.values()).count("deleted") == res.log.deletions
+
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_blind_player_meets_every_identity(self, n, seed, data):
+        s = data.draw(st.integers(min_value=1, max_value=2 * n))
+        res = adversarial_play(RandomBlindPlayer(seed), n, SpaceBudget.for_slots(n, s))
+        assert res.complete and not res.incorrect
+        assert res.log.deletions + res.log.vanishings == n * (n - 1)
+        assert res.log.queries >= n * (n - 1) // 2
+        assert involution_audit(res.log, res.matching).ok
+        assert replay_consistent(res)
 
     def test_termination_accounting_every_strategy(self):
         for n in (2, 3, 5, 7):

@@ -108,6 +108,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="exactly 1 branch"):
             DecisionTree(root, 2, 3, 2, pattern=True)
 
+    @pytest.mark.parametrize("root, R, depth", [(TreeNode(1, 1), 1, 1), (None, 1, 0)])
+    def test_alphabet_below_n_rejected(self, root, R, depth):
+        # no valid deck exists, so path_distribution would divide by zero
+        with pytest.raises(ValueError, match="need R >= n"):
+            DecisionTree(root, 2, R, depth)
+
     def test_depth_zero(self):
         tree = DecisionTree(None, 2, 2, 0)
         stats = tree_run(tree, (1, 2, 1, 2))
