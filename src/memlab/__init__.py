@@ -1,12 +1,11 @@
 """memlab: simulation and verification lab for the space-bounded pair-matching game."""
 
-from .game_core import (CapExceeded, Deck, GameParams, MatchTriple, Transcript,
-                        VerificationReport, count_valid_inputs, derive_seed,
+from .game_core import (CapExceeded, Deck, FlipBudgetExceeded, GameParams, MatchTriple,
+                        Transcript, VerificationReport, count_valid_inputs, derive_seed,
                         enumerate_valid_inputs, generate_valid_input, matches_of,
                         validate_deck, verify_transcript)
-from .strategies import (DeckHost, FlipBudgetExceeded, FullMemory, GameHost,
-                         MultiPass, ProtocolError, SpaceBudget, make_strategy,
-                         multi_pass_play, multi_pass_time_bound,
+from .strategies import (DeckHost, FullMemory, GameHost, MultiPass, ProtocolError,
+                         SpaceBudget, make_strategy, multi_pass_play, multi_pass_time_bound,
                          perfect_memory_play, randomized_order, space_audit)
 from .adversary import (AdversaryLog, AdversaryResult, InvariantViolation,
                         KnowledgeGraph, StrategyRejected, adversarial_play,

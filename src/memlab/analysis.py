@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .game_core import DEFAULT_ENUM_CAP, CapExceeded, Deck
-from .strategies import DeckHost, FlipBudgetExceeded, SpaceBudget, Transcript
+from .game_core import DEFAULT_ENUM_CAP, CapExceeded, Deck, FlipBudgetExceeded, Transcript
+from .strategies import DeckHost, SpaceBudget
 
 if TYPE_CHECKING:
     import numpy as np
@@ -192,7 +192,8 @@ class CappedRun:
 class MonteCarloWrapped:
     """A player truncated at 10x its expected flip count, reporting an error
     when the game is unfinished at the cutoff.  When expected_T upper-bounds
-    the true mean, the error probability is at most 1/10."""
+    the true mean, the error probability is at most 1/10.  The cutoff is the
+    cap of the game's transcript, which refuses the flip past it."""
 
     def __init__(self, strategy, expected_T: float):
         if expected_T <= 0:
@@ -202,7 +203,7 @@ class MonteCarloWrapped:
 
     def play(self, x: Deck, budget: SpaceBudget) -> CappedRun:
         """Run the player but halt it after `cap` flips; errored when incomplete."""
-        host = DeckHost(x, budget.slots, Transcript(lean=True), flip_cap=self.cap)
+        host = DeckHost(x, budget.slots, Transcript(lean=True, cap=self.cap))
         try:
             self.strategy.play(host)
         except FlipBudgetExceeded:

@@ -24,6 +24,10 @@ class CapExceeded(ValueError):
     """An exhaustive computation would exceed its configured cap."""
 
 
+class FlipBudgetExceeded(RuntimeError):
+    """The flip cap of a truncated run was reached before the game finished."""
+
+
 @dataclass(frozen=True)
 class GameParams:
     """Deck shape: n pairs with values from 1..R, plus the RNG seed."""
@@ -165,12 +169,16 @@ class Transcript:
     the adversary's answers live only in its AdversaryLog.
 
     In lean mode only counters, outputs and the running working-set maximum
-    are kept; the event list stays empty.  Output triples never repeat.
+    are kept; the event list stays empty.  Output triples never repeat.  The
+    transcript enforces a truncated run's flip cap: a flip past `cap` is not
+    recorded but raises FlipBudgetExceeded, so no host checks it.
     """
 
-    __slots__ = ("events", "flips", "passes", "outputs", "_seen", "max_ws", "lean")
+    __slots__ = ("events", "flips", "passes", "outputs", "_seen", "max_ws", "lean", "cap")
 
-    def __init__(self, lean: bool = False):
+    def __init__(self, lean: bool = False, cap: int | None = None):
+        if cap is not None and cap < 0:
+            raise ValueError(f"need a flip cap >= 0, got {cap}")
         self.events: list[Event] = []
         self.flips = 0
         self.passes = 0
@@ -178,8 +186,11 @@ class Transcript:
         self._seen: set[MatchTriple] = set()
         self.max_ws = 0
         self.lean = lean
+        self.cap = cap
 
     def add_flip(self, pos: int, ws_size: int = -1) -> None:
+        if self.cap is not None and self.flips >= self.cap:
+            raise FlipBudgetExceeded(f"flip cap {self.cap} reached")
         self.flips += 1
         if ws_size > self.max_ws:
             self.max_ws = ws_size
@@ -187,7 +198,11 @@ class Transcript:
             self.events.append(Event("flip", pos, ws_size))
 
     def add_flips(self, positions: list[int], ws_size: int) -> None:
-        """add_flip for each position in turn, all at one working-set size."""
+        """add_flip for each position in turn, all at one working-set size;
+        past the cap, the prefix that fits is recorded and then it raises."""
+        if self.cap is not None and self.flips + len(positions) > self.cap:
+            self.add_flips(positions[:self.cap - self.flips], ws_size)
+            raise FlipBudgetExceeded(f"flip cap {self.cap} reached")
         if not positions:
             return
         self.flips += len(positions)

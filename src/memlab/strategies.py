@@ -23,14 +23,11 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .game_core import Deck, MatchTriple, Transcript, deck_partners
+from .game_core import FlipBudgetExceeded  # noqa: F401  (re-exported for callers of the hosts)
 
 
 class ProtocolError(RuntimeError):
     """A player broke the host rules (overflowed memory, examined a removed card)."""
-
-
-class FlipBudgetExceeded(RuntimeError):
-    """The flip cap of a truncated run was reached before the game finished."""
 
 
 @dataclass(frozen=True)
@@ -76,17 +73,16 @@ class GameHost:
     Subclasses answer the equality bits (`_equal_members`) and assign values
     to declared matches (`_declare_value`).  The two examine loops every
     shipped player is built from, `fill` and `scan`, live here; a subclass
-    may replace them with a faster loop that plays the same game.
+    may replace them with a faster loop that plays the same game.  A
+    truncated run's flip cap is the transcript's: a host checks none.
     """
 
-    def __init__(self, n: int, slots: int, transcript: Transcript | None = None,
-                 flip_cap: int | None = None):
+    def __init__(self, n: int, slots: int, transcript: Transcript | None = None):
         if slots < 1:
             raise ValueError(f"a host needs at least one slot, got {slots}")
         self.n = n
         self.slots = slots
         self.transcript = transcript if transcript is not None else Transcript()
-        self.flip_cap = flip_cap
         self.working: set[int] = set()
         self.removed: set[int] = set()
 
@@ -104,11 +100,9 @@ class GameHost:
             raise ProtocolError(f"position {pos} out of range")
         if pos in self.removed:
             raise ProtocolError(f"examined removed card {pos}")
-        if self.flip_cap is not None and self.transcript.flips + 1 > self.flip_cap:
-            raise FlipBudgetExceeded(f"flip cap {self.flip_cap} reached")
-        hits = self._equal_members(pos)
+        # recorded first, so a flip past the transcript's cap asks nothing
         self.transcript.add_flip(pos, len(self.working))
-        return hits
+        return self._equal_members(pos)
 
     def store(self, pos: int) -> None:
         if pos < 1 or pos > 2 * self.n:
@@ -133,6 +127,8 @@ class GameHost:
             raise ProtocolError(f"declared a position against itself: {i}")
         if i < 1 or j > 2 * self.n:
             raise ProtocolError(f"declared position out of range: {i}, {j}")
+        if i in self.removed or j in self.removed:
+            raise ProtocolError(f"declared removed card {i if i in self.removed else j}")
         triple, matched = self._declare_value(i, j)
         self.transcript.add_output(triple)
         if matched:
@@ -145,9 +141,6 @@ class GameHost:
         self.removed.add(j)
         self.working.discard(i)
         self.working.discard(j)
-
-    def pass_boundary(self, index: int) -> None:
-        self.transcript.add_pass(index)
 
     # -- examine loops ---------------------------------------------------
     def fill(self, positions) -> None:
@@ -192,16 +185,15 @@ class DeckHost(GameHost):
     permutation of 1..2n, with no stored card at or after `start`, jumps from
     hit to hit: the hits are the stored cards' partners, taken in the order
     of their ranks, and each run of live misses between two of them is one
-    transcript step.  The ranks and an alive mask indexed by rank are built
-    once per order (the list object, which must not be reordered in place
-    afterwards) and kept current on every removal.  Any other scan is the
-    generic one.
+    `Transcript.add_flips`, which cuts the run at the transcript's flip cap.
+    The ranks and an alive mask indexed by rank are built once per order (the
+    list object, which must not be reordered in place afterwards) and kept
+    current on every removal.  Any other scan is the generic one.
     """
 
-    def __init__(self, x: Deck, slots: int, transcript: Transcript | None = None,
-                 flip_cap: int | None = None):
+    def __init__(self, x: Deck, slots: int, transcript: Transcript | None = None):
         self.partner = deck_partners(x)
-        super().__init__(len(x) // 2, slots, transcript, flip_cap)
+        super().__init__(len(x) // 2, slots, transcript)
         self.x = x
         self._order = None  # the permutation _rank and _alive describe
         self._rank: list[int] = []  # _rank[p]: the index of p in _order
@@ -222,7 +214,7 @@ class DeckHost(GameHost):
 
     def fill(self, positions) -> None:
         working, removed, partner, t = self.working, self.removed, self.partner, self.transcript
-        top, cap = 2 * self.n, self.flip_cap
+        top = 2 * self.n
         for p in positions:
             if len(removed) == top:
                 break
@@ -232,8 +224,6 @@ class DeckHost(GameHost):
                 # an out-of-range position or a stored card: the generic step
                 GameHost.fill(self, (p,))
                 continue
-            if cap is not None and t.flips >= cap:
-                raise FlipBudgetExceeded(f"flip cap {cap} reached")
             t.add_flip(p, len(working))
             q = partner[p]
             if q in working:
@@ -246,7 +236,7 @@ class DeckHost(GameHost):
                                     f"{self.slots} slots")
 
     def scan(self, positions, start: int = 0) -> None:
-        working = self.working
+        working, t = self.working, self.transcript
         rank = self._ranks(positions)
         if rank is None or not all(rank[w] < start for w in working):
             GameHost.scan(self, positions, start)
@@ -257,12 +247,12 @@ class DeckHost(GameHost):
         for h in hits:
             # the misses up to the hit and the hit itself, at one working-set size
             h += 1
-            self._flip_run(list(compress(positions[a:h], alive[a:h])))
+            t.add_flips(list(compress(positions[a:h], alive[a:h])), len(working))
             q = positions[h - 1]
             self.declare(partner[q], q)
             a = h
         if working:  # a stored card whose partner is behind `start`
-            self._flip_run(list(compress(positions[a:], alive[a:])))
+            t.add_flips(list(compress(positions[a:], alive[a:])), len(working))
 
     def _ranks(self, order) -> list[int] | None:
         """The rank array of `order` if it is a permutation of 1..2n, else
@@ -278,15 +268,6 @@ class DeckHost(GameHost):
         self._order, self._rank = order, rank
         self._alive = bytearray(p not in self.removed for p in order)
         return rank
-
-    def _flip_run(self, run: list[int]) -> None:
-        """Record a run of flips, misses then at most one hit; the working set
-        is the same at each flip."""
-        t, cap = self.transcript, self.flip_cap
-        if cap is not None and t.flips + len(run) > cap:
-            t.add_flips(run[:cap - t.flips], len(self.working))
-            raise FlipBudgetExceeded(f"flip cap {cap} reached")
-        t.add_flips(run, len(self.working))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +301,7 @@ class MultiPass:
             if not any(map(host.live, block)):
                 continue
             host.clear_working()
-            host.pass_boundary(b + 1)
+            host.transcript.add_pass(b + 1)
             host.fill(block)
             host.scan(order, (b + 1) * s)
 
@@ -380,9 +361,7 @@ def perfect_memory_play(x: Deck) -> Transcript:
 
 
 def space_audit(t: Transcript, budget: SpaceBudget) -> bool:
-    """True iff the recorded working-set sizes fit the budget at every step."""
-    sizes = [e.b for e in t.events if e.kind == "flip"]
-    if any(b < 0 for b in sizes):
+    """True iff the transcript's working-set peak fits the budget."""
+    if any(e.b < 0 for e in t.events if e.kind == "flip"):
         raise ValueError("transcript lacks working-set size records")
-    peak = max(t.max_ws, max(sizes, default=0))
-    return peak * budget.bits_per_index <= budget.S
+    return t.max_ws * budget.bits_per_index <= budget.S

@@ -510,21 +510,22 @@ class _NeedsRead(Exception):
 class _ReplayHost(GameHost):
     """Feeds a player scripted values: the k-th distinct position read gets
     the k-th feed value; re-reads answer from the script without consuming.
-    Keeps the outputs declared after the last feed value was read."""
+    `mark` is the transcript's output count when the last feed value was
+    read (0 for an empty feed, None until then): the edge's outputs follow it."""
 
     def __init__(self, n: int, slots: int, feed: tuple[int, ...]):
         super().__init__(n, slots, Transcript(lean=True))
         self.feed = feed
-        self.values: dict[int, int] = {}
-        self.fresh: list[int] = []
-        self.outs: list[MatchTriple] = []
+        self.values: dict[int, int] = {}  # by position, in read order
+        self.mark = None if feed else 0
 
     def _equal_members(self, pos: int) -> list[int]:
         if pos not in self.values:
-            if len(self.fresh) == len(self.feed):
+            if len(self.values) == len(self.feed):
                 raise _NeedsRead(pos)
-            self.values[pos] = self.feed[len(self.fresh)]
-            self.fresh.append(pos)
+            self.values[pos] = self.feed[len(self.values)]
+            if len(self.values) == len(self.feed):
+                self.mark = len(self.transcript.outputs)
         v = self.values[pos]
         return sorted(j for j in self.working if self.values[j] == v)
 
@@ -534,12 +535,6 @@ class _ReplayHost(GameHost):
         if vi is None or vj is None:
             raise ProtocolError("declared an unexamined position; not representable on a tree edge")
         return MatchTriple(i, j, vi), vi == vj
-
-    def declare(self, i: int, j: int) -> MatchTriple:
-        triple = super().declare(i, j)
-        if len(self.fresh) == len(self.feed):
-            self.outs.append(triple)
-        return triple
 
 
 def compile_prefix_tree(make_player: Callable, n: int, R: int, depth: int,
@@ -562,8 +557,8 @@ def compile_prefix_tree(make_player: Callable, n: int, R: int, depth: int,
             nxt = None
         except _NeedsRead as e:
             nxt = e.pos
-        if tuple(host.fresh) != positions[:len(host.fresh)]:
+        if tuple(host.values) != positions[:len(host.values)]:
             raise ValueError("player is not deterministic: read order changed")
-        return tuple(host.outs), nxt
+        return (() if host.mark is None else tuple(host.transcript.outputs[host.mark:])), nxt
 
     return _unfold(n, R, depth, cap, step, pattern=True)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlab import (InvariantViolation, SpaceBudget, adversarial_play,
-                    involution_audit, kg_answer, kg_from_edges, kg_init,
-                    kg_is_done, matches_of, realize_input, replay_consistent,
+from memlab import (FlipBudgetExceeded, InvariantViolation, SpaceBudget, Transcript,
+                    adversarial_play, involution_audit, kg_answer, kg_from_edges,
+                    kg_init, kg_is_done, matches_of, realize_input, replay_consistent,
                     perfect_matchings, useful_edges_brute, validate_deck,
                     vanish_closure)
-from memlab.adversary import (AnswerEvents, AdversaryLog, InvolutionReport,
+from memlab.adversary import (AdversaryHost, AnswerEvents, AdversaryLog, InvolutionReport,
                               KnowledgeGraph, _augment, _run_filter, edge_key)
 from memlab.strategies import FullMemory, MultiPass, make_strategy
 
@@ -157,11 +157,9 @@ class TestFilterOracle:
                 assert g.isolated(l, r), (l, r)
             checked.append(len(vanished))
 
-        from memlab.adversary import AdversaryHost, kg_init as _init
-        g = _init(n)
+        g = kg_init(n)
         g.closure_hook = hook
         log = AdversaryLog(n, g.status)
-        from memlab.game_core import Transcript
         host = AdversaryHost(g, log, slots, Transcript())
         strategy.play(host)
         return checked
@@ -316,12 +314,6 @@ def involution_audit_reference(log: AdversaryLog, matching) -> InvolutionReport:
     pm = {l: r for l, r in matching}
     if len(pm) != n or sorted(pm) != list(range(1, n + 1)):
         raise ValueError("final matching must pair every left position")
-    left_of = {r: l for l, r in pm.items()}
-
-    def phi(e: tuple[int, int]) -> tuple[int, int]:
-        l, r = e
-        return (left_of[r], pm[l])
-
     failures: list[tuple] = []
     seen: set[tuple[int, int]] = set()
     pair_count = 0
@@ -330,8 +322,8 @@ def involution_audit_reference(log: AdversaryLog, matching) -> InvolutionReport:
             if pm[l] == r:
                 continue
             e = (l, r)
-            fe = phi(e)
-            if phi(fe) != e:
+            fe = _phi(n, matching, e)
+            if _phi(n, matching, fe) != e:
                 failures.append(("not-involutive", e, fe))
                 continue
             if fe == e:
@@ -528,6 +520,32 @@ class TestAdversarialPlay:
         assert res.log.queries >= n * (n - 1) // 2
         assert involution_audit(res.log, res.matching).ok
         assert replay_consistent(res)
+
+    def test_capped_game_stops_at_the_cap_and_asks_nothing_past_it(self):
+        # the cap lives in the transcript, so the adversary host truncates
+        # with no code of its own; the capped flip is refused before it queries
+        def game(cap):
+            g = kg_init(6)
+            log = AdversaryLog(6, g.status)
+            host = AdversaryHost(g, log, 2, Transcript(cap=cap))
+            try:
+                MultiPass().play(host)
+            except FlipBudgetExceeded as e:
+                return host.transcript, log, str(e)
+            return host.transcript, log, None
+
+        full, full_log, err = game(None)
+        assert err is None
+        sizes = [e.b for e in full.events if e.kind == "flip"]
+        assert (full.flips, full_log.queries) == (24, 36)
+        for k in range(full.flips):
+            t, log, err = game(k)
+            assert err == f"flip cap {k} reached"
+            assert t.flips == k
+            assert log.queries == sum(sizes[:k])
+            assert log.records == full_log.records[:log.queries]
+        t, log, err = game(full.flips)
+        assert err is None and log.records == full_log.records
 
     def test_termination_accounting_every_strategy(self):
         for n in (2, 3, 5, 7):

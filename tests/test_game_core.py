@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlab import (CapExceeded, GameParams, MatchTriple, Transcript,
+import memlab
+from memlab import (CapExceeded, FlipBudgetExceeded, GameParams, MatchTriple, Transcript,
                     count_valid_inputs, derive_seed, enumerate_valid_inputs,
                     generate_valid_input, matches_of, validate_deck,
                     verify_transcript)
+from memlab import game_core, strategies
 from memlab.game_core import (read_deck_file, read_transcript_csv,
                               write_deck_file, write_transcript_csv)
 from memlab.strategies import DeckHost
@@ -178,6 +180,56 @@ class TestTranscript:
         back = read_transcript_csv(buf)
         assert back.events == t.events
         assert (back.flips, back.passes) == (t.flips, t.passes) == (2, 2)
+
+    @pytest.mark.parametrize("lean", [False, True])
+    def test_flip_at_the_cap_raises_and_records_nothing(self, lean):
+        t = Transcript(lean=lean, cap=2)
+        t.add_flip(3, 0)
+        t.add_flip(1, 1)
+        with pytest.raises(FlipBudgetExceeded, match="flip cap 2 reached"):
+            t.add_flip(4, 5)
+        assert (t.flips, t.max_ws) == (2, 1)
+        assert [e.a for e in t.events] == ([] if lean else [3, 1])
+
+    @pytest.mark.parametrize("lean", [False, True])
+    def test_zero_cap_refuses_the_first_flip(self, lean):
+        t = Transcript(lean=lean, cap=0)
+        with pytest.raises(FlipBudgetExceeded, match="flip cap 0 reached"):
+            t.add_flip(1, 0)
+        with pytest.raises(FlipBudgetExceeded):
+            t.add_flips([1, 2], 1)
+        assert (t.flips, t.max_ws, t.events) == (0, 0, [])
+
+    @pytest.mark.parametrize("lean", [False, True])
+    def test_flip_run_past_the_cap_records_the_prefix_that_fits(self, lean):
+        t = Transcript(lean=lean, cap=4)
+        t.add_flip(7, 1)
+        t.add_flips([2, 5], 2)
+        with pytest.raises(FlipBudgetExceeded, match="flip cap 4 reached"):
+            t.add_flips([6, 8, 9], 3)
+        assert (t.flips, t.max_ws) == (4, 3)
+        assert [(e.a, e.b) for e in t.events] == ([] if lean else
+                                                  [(7, 1), (2, 2), (5, 2), (6, 3)])
+        # at the cap: an empty run is no flip, any other run records nothing
+        t.add_flips([], 9)
+        with pytest.raises(FlipBudgetExceeded):
+            t.add_flips([1], 9)
+        assert (t.flips, t.max_ws, len(t.events)) == (4, 3, 0 if lean else 4)
+
+    def test_uncapped_and_exact_cap_runs_finish(self):
+        for cap in (None, 3):
+            t = Transcript(cap=cap)
+            t.add_flips([1, 2], 1)
+            t.add_flip(3, 2)
+            assert (t.flips, t.max_ws) == (3, 2)
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="flip cap >= 0"):
+            Transcript(cap=-1)
+
+    def test_flip_budget_error_has_one_home(self):
+        assert (memlab.FlipBudgetExceeded is strategies.FlipBudgetExceeded
+                is game_core.FlipBudgetExceeded)
 
     def test_query_event_is_not_a_transcript_kind(self):
         # adversary answers live in its AdversaryLog, not in the player's transcript

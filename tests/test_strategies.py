@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlab import (GameParams, SpaceBudget, Transcript, enumerate_valid_inputs,
+from memlab import (GameParams, MatchTriple, SpaceBudget, Transcript, enumerate_valid_inputs,
                     generate_valid_input, matches_of, multi_pass_play,
                     multi_pass_time_bound, perfect_memory_play, space_audit,
                     verify_transcript)
@@ -259,7 +259,7 @@ class _StepHost(DeckHost):
 
 def _outcome(host_cls, x, slots, lean, cap, play):
     """Everything a game leaves behind, and the error it ended on, if any."""
-    host = host_cls(x, slots, Transcript(lean=lean), flip_cap=cap)
+    host = host_cls(x, slots, Transcript(lean=lean, cap=cap))
     err = None
     try:
         play(host)
@@ -275,6 +275,32 @@ def _assert_same_game(x, slots, lean, cap, play):
     got = _outcome(DeckHost, x, slots, lean, cap, play)
     assert got == want
     return got
+
+
+class TestDeclareRemoved:
+    """Every host refuses to declare a card that has left the table."""
+
+    @pytest.mark.parametrize("host_cls", [DeckHost, _StepHost])
+    def test_declare_refuses_a_removed_card(self, host_cls):
+        h = host_cls((1, 1, 2, 2), 4)
+        h.examine(1)
+        h.store(1)
+        h.examine(2)
+        h.declare(1, 2)
+        with pytest.raises(ProtocolError, match="declared removed card 1"):
+            h.declare(1, 3)
+        with pytest.raises(ProtocolError, match="declared removed card 2"):
+            h.declare(4, 2)
+        assert h.transcript.outputs == [MatchTriple(1, 2, 1)]
+
+    @pytest.mark.parametrize("host_cls", [DeckHost, _StepHost])
+    def test_redeclared_pair_refused_after_a_fill(self, host_cls):
+        h = host_cls((1, 2, 1, 2), 2)
+        h.fill([1, 2, 3, 4])
+        assert h.done()
+        with pytest.raises(ProtocolError, match="declared removed card 1"):
+            h.declare(1, 3)
+        assert len(h.transcript.outputs) == 2
 
 
 class TestDeckHostScanOracle:
