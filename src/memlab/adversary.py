@@ -117,7 +117,8 @@ class KnowledgeGraph:
 
 
 def kg_init(n: int) -> KnowledgeGraph:
-    """Complete bipartite consistency graph with its diagonal matching."""
+    """Complete bipartite consistency graph with its diagonal matching, as the
+    filter leaves it: one component (Tarjan root 1) and no vanished edge."""
     g = KnowledgeGraph(n)
     for l in range(1, n + 1):
         g.adj[l] = set(range(n + 1, 2 * n + 1))
@@ -125,7 +126,7 @@ def kg_init(n: int) -> KnowledgeGraph:
         g.mate[n + l] = l
     for r in range(n + 1, 2 * n + 1):
         g.adj[r] = set(range(1, n + 1))
-    _run_filter(g, range(1, n + 1))
+    g.comp = [0] + [1] * n
     return g
 
 
@@ -479,6 +480,9 @@ class AdversaryHost(GameHost):
     def _equal_members(self, pos: int) -> list[int]:
         hits = []
         for j in sorted(self.working):
+            if j == pos:  # a stored card re-examined equals itself; no query
+                hits.append(j)
+                continue
             a, b = (pos, j) if pos < j else (j, pos)
             ans, events = kg_answer(self.kg, a, b)
             self.log.note(a, b, ans, events)
@@ -516,7 +520,6 @@ class AdversaryHost(GameHost):
 class AdversaryResult:
     transcript: Transcript
     log: AdversaryLog
-    graph: KnowledgeGraph
     matching: tuple[tuple[int, int], ...] | None = None
     realized: Deck | None = None
     complete: bool = False
@@ -541,14 +544,14 @@ def adversarial_play(strategy, n: int, budget: SpaceBudget | None = None,
     try:
         strategy.play(host)
     except StrategyRejected as rej:
-        return AdversaryResult(host.transcript, log, g, incorrect=True,
+        return AdversaryResult(host.transcript, log, incorrect=True,
                                rejected_pair=rej.pair, counterexample=rej.counterexample)
     complete = host.done() and len(host.transcript.outputs) == n
     matching = realized = None
     if complete and kg_is_done(g):
         matching = tuple((l, g.mate[l]) for l in range(1, n + 1))
-        realized = realize_input(g, n, host.assigned)
-    return AdversaryResult(host.transcript, log, g, matching=matching,
+        realized = deck_from_matching(n, n, matching, host.assigned)
+    return AdversaryResult(host.transcript, log, matching=matching,
                            realized=realized, complete=complete)
 
 

@@ -271,7 +271,12 @@ def unique_pairs_expected_enumerated(n: int, cap: int = DEFAULT_ENUM_CAP) -> Fra
     """Exact E[#outputs] over all n^(2n) inputs by full enumeration."""
     import itertools
 
-    total_inputs = n ** (2 * n)
+    # n^(2n) is built one factor at a time and refused once past the cap
+    total_inputs = 1
+    for _ in range(2 * n):
+        if total_inputs > cap:
+            break
+        total_inputs *= n
     if total_inputs > cap:
         raise CapExceeded(f"{n}^{2 * n} inputs for n={n} exceeds cap {cap}")
     total = 0

@@ -151,8 +151,9 @@ def sweep_config_from(args) -> SweepConfig:
         raise ValueError(f"{args.config}: strategy {cfg.strategy!r} is not one of "
                          f"{', '.join(choices)}")
     slots = cfg.s_values(1)
-    if not cfg.ns or not slots or min(cfg.seeds, *cfg.ns, *slots) < 1:
-        raise ValueError("sweeps need seeds >= 1 and nonempty pair and slot lists of values >= 1")
+    if not cfg.ns or not slots or min(cfg.seeds, cfg.jobs, *cfg.ns, *slots) < 1:
+        raise ValueError("sweeps need seeds and jobs >= 1 and nonempty pair and slot lists "
+                         "of values >= 1")
     return cfg
 
 

@@ -239,22 +239,17 @@ class VerificationReport:
     ok: bool
     missing: tuple[MatchTriple, ...]
     unexpected: tuple[MatchTriple, ...]
-    flips: int
-
-    def __str__(self) -> str:
-        if self.ok:
-            return f"ok ({self.flips} flips)"
-        return f"FAIL missing={list(self.missing)} unexpected={list(self.unexpected)}"
 
 
 def verify_transcript(x: Deck, t: Transcript) -> VerificationReport:
-    """Report whether t's outputs are exactly matches_of(x); never raises."""
+    """Report whether t's outputs are exactly matches_of(x); raises
+    ValueError, as matches_of does, only when x is not a valid deck."""
     want = matches_of(x)
     got = set(t.outputs)
     missing = tuple(sorted(want - got))
     unexpected = tuple(sorted(got - want))
     ok = not missing and not unexpected and len(t.outputs) == len(want)
-    return VerificationReport(ok, missing, unexpected, t.flips)
+    return VerificationReport(ok, missing, unexpected)
 
 
 # ---------------------------------------------------------------------------

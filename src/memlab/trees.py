@@ -12,10 +12,12 @@ and may annotate edges with declared matches.  A tree branches one of two ways:
   values.  An output on an inner edge names only values read on its path; a
   leaf edge may name unread labels, which stand for the lowest unread values.
 
-Trees are checked two ways: running a deck down its path (tree_run), and
-exact path-by-path counting of the decks consistent with each leaf, which
-yields the equal-pairs law and the productive-input fraction without
-enumerating the deck universe.
+Trees are checked two ways.  One runs decks down their paths: `_run` is the
+one deck walk, behind `tree_run` and the deck-enumeration oracles
+`x_exact_distribution` and `productive_fraction_brute`, which all refuse a
+deck or a shape that does not fit the tree.  The other counts, path by path,
+the decks consistent with each leaf, which yields the equal-pairs law and the
+productive-input fraction without enumerating the deck universe.
 
 Every builder (fixed, random, guessing, compiled player) is a per-node `step`
 function unfolded by `_unfold`, which owns the size refusals (R >= n, which
@@ -126,19 +128,6 @@ class PathStats:
     correct_outputs: int
 
 
-def _walk(tree: DecisionTree, x: Deck) -> Iterator[tuple[TreeNode, int, int]]:
-    """Follow the deck down the tree: per node, (node, branch taken, deck
-    value read).  A pattern node branches on the value's rank among the
-    distinct values read so far, in first-read order."""
-    rank: dict[int, int] = {}
-    node = tree.root
-    while node is not None:
-        v = x[node.pos - 1]
-        b = rank.setdefault(v, len(rank)) if tree.pattern else v - 1
-        yield node, b, v
-        node = node.kids[b]
-
-
 def _deck_values(values: list[int], R: int) -> list[int]:
     """Deck value of each pattern label 1..R on a path that read `values`:
     the read values in first-read order, then the unread ones ascending."""
@@ -148,19 +137,27 @@ def _deck_values(values: list[int], R: int) -> list[int]:
 
 def tree_run(tree: DecisionTree, x: Deck) -> PathStats:
     """Follow the deck's path; count equal value-pairs and correct outputs."""
-    validate_deck(x)
+    if validate_deck(x, tree.R) != tree.n:
+        raise ValueError(f"deck of {len(x)} cards for a tree over {2 * tree.n} positions")
     return _run(tree, x)
 
 
 def _run(tree: DecisionTree, x: Deck) -> PathStats:
-    """tree_run on a deck already known to be valid."""
+    """tree_run on a deck already known to fit the tree: the one deck walk.
+    A pattern node branches on the value's rank among the distinct values
+    read so far, in first-read order."""
+    rank: dict[int, int] = {}
     queried: list[int] = []
     values: list[int] = []
     outputs: list[MatchTriple] = []
-    for node, b, v in _walk(tree, x):
+    node = tree.root
+    while node is not None:
+        v = x[node.pos - 1]
+        b = rank.setdefault(v, len(rank)) if tree.pattern else v - 1
         queried.append(node.pos)
         values.append(v)
         outputs.extend(node.outs[b])
+        node = node.kids[b]
     if tree.pattern and outputs:
         label = _deck_values(values, tree.R)
         outputs = [MatchTriple(o.i, o.j, label[o.v - 1]) for o in outputs]
@@ -177,13 +174,9 @@ def x_exact_distribution(tree: DecisionTree, n: int, R: int,
                          cap: int = DEFAULT_ENUM_CAP) -> list[Fraction]:
     """Law of the equal-pairs count over a uniform valid deck, by enumeration:
     the slow oracle for `path_distribution`."""
-    tally = Counter()
-    total = 0
-    for x in enumerate_valid_inputs(n, R, cap):
-        values = [v for _, _, v in _walk(tree, x)]
-        # a valid deck holds each value at most twice
-        tally[len(values) - len(set(values))] += 1
-        total += 1
+    _check_shape(tree, n, R)
+    tally = Counter(_run(tree, x).equal_pairs for x in enumerate_valid_inputs(n, R, cap))
+    total = tally.total()
     return [Fraction(tally.get(u, 0), total) for u in range(tree.depth // 2 + 1)]
 
 
@@ -337,12 +330,6 @@ def xy_equiv_check(tree: DecisionTree, n: int, R: int) -> bool:
 
 @dataclass(frozen=True)
 class ProductivityResult:
-    n: int
-    R: int
-    r: int
-    t: int
-    productive: int
-    total: int
     fraction: Fraction
     bound: float
     ok: bool
@@ -363,20 +350,16 @@ def lemma43_check(tree: DecisionTree, n: int, R: int, t: int) -> ProductivityRes
         raise ValueError(f"tree is not total: paths cover {total} of {expect} decks")
     fraction = Fraction(productive, total)
     bound = (n - r - t) ** (-t) + math.exp(-t)
-    return ProductivityResult(n, R, r, t, productive, total, fraction, bound,
-                              fraction <= Fraction(bound))
+    return ProductivityResult(fraction, bound, fraction <= Fraction(bound))
 
 
 def productive_fraction_brute(tree: DecisionTree, n: int, R: int, t: int,
                               cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Deck-enumeration oracle for the productive fraction (small n only)."""
-    productive = 0
-    total = 0
-    for x in enumerate_valid_inputs(n, R, cap):
-        total += 1
-        if _run(tree, x).correct_outputs >= 2 * t:
-            productive += 1
-    return Fraction(productive, total)
+    _check_shape(tree, n, R)
+    tally = Counter(_run(tree, x).correct_outputs >= 2 * t
+                    for x in enumerate_valid_inputs(n, R, cap))
+    return Fraction(tally[True], tally.total())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from memlab import (FlipBudgetExceeded, InvariantViolation, SpaceBudget, Transcr
                     vanish_closure)
 from memlab.adversary import (AdversaryHost, AnswerEvents, AdversaryLog, InvolutionReport,
                               KnowledgeGraph, _augment, _run_filter, edge_key)
-from memlab.strategies import FullMemory, MultiPass, make_strategy
+from memlab.strategies import FullMemory, MultiPass, ProtocolError, make_strategy
 
 
 class GuessNow:
@@ -66,6 +66,14 @@ class TestInit:
         g = kg_init(5)
         assert g.edge_count() == 25
         assert useful_edges_brute(g) == g.edges()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_init_holds_what_a_full_filter_finds(self, n):
+        g = kg_init(n)
+        h = g.copy()
+        h.comp = None
+        assert _run_filter(h, range(1, n + 1)) == []
+        assert (h.comp, h.edges(), h.status) == (g.comp, g.edges(), g.status)
 
 
 class TestAnswer:
@@ -546,6 +554,15 @@ class TestAdversarialPlay:
             assert log.records == full_log.records[:log.queries]
         t, log, err = game(full.flips)
         assert err is None and log.records == full_log.records
+
+    def test_stored_card_examined_again_hits_itself_without_a_query(self):
+        # as on a deck host: the player then declares the card against itself
+        g = kg_init(3)
+        log = AdversaryLog(3, g.status)
+        host = AdversaryHost(g, log, 2)
+        with pytest.raises(ProtocolError, match="declared a position against itself: 1"):
+            host.fill([1, 1])
+        assert (host.transcript.flips, log.queries) == (2, 0)
 
     def test_termination_accounting_every_strategy(self):
         for n in (2, 3, 5, 7):

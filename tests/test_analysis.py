@@ -247,6 +247,14 @@ class TestMonteCarloWrap:
             monte_carlo_wrap(MultiPass(), 0)
 
 
+class _WaryCap(int):
+    """A cap that refuses a comparison with a number over 10^6 times itself."""
+
+    def __lt__(self, other):
+        assert other <= 10**6 * int(self), "the cap was compared with a huge number"
+        return int(self) < other
+
+
 class TestUniquePairs:
     def test_singleton(self):
         assert unique_pairs((1, 1)) == [(1, 2)]
@@ -286,6 +294,22 @@ class TestUniquePairs:
         # 1000^2000 has 6,001 digits, past Python's int-to-str limit
         with pytest.raises(CapExceeded, match=r"1000\^2000 inputs"):
             unique_pairs_expected_enumerated(1000)
+
+    @pytest.mark.parametrize("cap", [729, 728])
+    def test_cap_boundary_is_exact(self, cap):
+        # 3^6 = 729 inputs: enumerated at cap 729, refused at 728
+        if cap >= 3 ** 6:
+            assert unique_pairs_expected_enumerated(3, cap) == unique_pairs_expected_enumerated(3)
+        else:
+            with pytest.raises(CapExceeded, match=r"3\^6 inputs for n=3 exceeds cap 728"):
+                unique_pairs_expected_enumerated(3, cap)
+
+    def test_cap_refusal_never_builds_the_power(self):
+        # 100000^200000 has a million digits; the refusal compares the cap
+        # only with numbers near it
+        with pytest.raises(CapExceeded, match=r"100000\^200000 inputs for n=100000 exceeds "
+                                              r"cap 10000000$"):
+            unique_pairs_expected_enumerated(10**5, _WaryCap(10**7))
 
     def test_mc_close_to_exact_at_n3(self):
         truth = float(unique_pairs_expected_enumerated(3))

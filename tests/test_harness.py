@@ -88,6 +88,15 @@ class TestConfig:
         assert code == 2 and out == ""
         assert err.startswith("memlab: ") and repr(strategy) in err
 
+    @pytest.mark.parametrize("command", ["tradeoff", "adversary"])
+    def test_config_jobs_below_one_exits_2(self, tmp_path, capsys, command):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text("n = 4\nseeds = 2\njobs = 0\n")
+        code, out = run_cli([command, "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("memlab: ") and "jobs >= 1" in err
+
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys):
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text("n = 4\nseeds = 1\nsead = 5\n")
@@ -319,6 +328,9 @@ class TestCLI:
         ["tradeoff", "--n-list", "0,4"],
         ["adversary", "--n-list", "3", "--seeds", "0"],
         ["adversary", "--n-list", "3", "--s-list", "1,-2"],
+        # the later --jobs wins over the one run_cli puts first
+        ["tradeoff", "--n-list", "4", "--seeds", "2", "--jobs", "0"],
+        ["adversary", "--n-list", "4", "--seeds", "2", "--jobs", "-3"],
     ])
     def test_sweep_sizes_below_one_exit_2(self, args):
         code, out = run_cli(["--jobs", "1"] + args)

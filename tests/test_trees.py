@@ -142,6 +142,31 @@ class TestTreeRun:
                 assert stats.correct_outputs <= len(truth)
 
 
+class TestShapeRefusal:
+    """A deck, or an (n, R), that does not fit the tree is refused with
+    ValueError before the walk can index past the deck or the branches."""
+
+    @pytest.mark.parametrize("x,msg", [
+        ((1, 1, 2, 2), "deck of 4 cards for a tree over 8 positions"),
+        ((1, 2, 3, 4, 5, 1, 2, 3, 4, 5), r"outside 1\.\.4"),
+        ((1, 1, 2, 2, 3, 3, 9, 9), r"outside 1\.\.4"),
+    ])
+    def test_tree_run_refuses_a_deck_that_does_not_fit(self, x, msg):
+        for tree in (random_tree(4, 4, 3, 1), fixed_position_tree(4, 4, 3)):
+            with pytest.raises(ValueError, match=msg):
+                tree_run(tree, x)
+
+    # in the last case every deck of the smaller alphabet walks the tree
+    # without an error, so only the shape check can refuse it
+    @pytest.mark.parametrize("tree_R,n,R", [(4, 2, 4), (4, 3, 4), (4, 4, 5), (5, 4, 4)])
+    def test_oracles_refuse_another_shape(self, tree_R, n, R):
+        tree = random_tree(4, tree_R, 3, 1)
+        with pytest.raises(ValueError, match="tree shape disagrees"):
+            x_exact_distribution(tree, n, R)
+        with pytest.raises(ValueError, match="tree shape disagrees"):
+            productive_fraction_brute(tree, n, R, 1)
+
+
 # the master seed of acceptance c05, whose trees the oracle below covers too
 _C05_SEED = 20_26_08
 
