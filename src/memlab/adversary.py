@@ -22,7 +22,8 @@ path plus the deleted edge is a directed cycle in the old orientation, and
 reversing a cycle keeps every component, so the deletion becomes the deletion
 of a non-matching edge under the new matching.  One early-exit reachability
 probe then settles most deletions: if l still reaches mate[r] the component is
-intact and nothing vanishes; otherwise Tarjan rescans that one component.
+intact and nothing vanishes; otherwise Kosaraju's two searches rescan that
+one component, naming its parts and finding the edges between them.
 
 The audit utilities check the counting identities this discipline guarantees:
 deletions + vanishings == n(n-1) on a finished run, and a pairing of the
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game_core import Deck, MatchTriple, Transcript
+from .game_core import Deck, MatchTriple, Transcript, check_cells
 from .strategies import GameHost, SpaceBudget
 
 
@@ -79,11 +80,11 @@ class KnowledgeGraph:
     matching, the edge set only shrinks, `mate` holds a perfect matching that
     each matched deletion repairs with one augmenting path (kg_from_edges
     builds it the same way, one path per left vertex), and `comp[l]` caches
-    the id of left vertex l's component in the left-vertex digraph (its Tarjan
-    root).  A deletion runs one reachability probe inside its component and
-    rescans only that component when the probe fails; `comp` is None until a
-    first full filter (graphs from kg_from_edges), and such graphs get a full
-    rescan.
+    the id of left vertex l's component in the left-vertex digraph (the
+    vertex its backward search started from).  A deletion runs one
+    reachability probe inside its component and rescans only that component
+    when the probe fails; `comp` is None until a first full filter (graphs
+    from kg_from_edges), and such graphs get a full rescan.
     """
 
     __slots__ = ("n", "adj", "mate", "status", "comp", "closure_hook")
@@ -118,7 +119,9 @@ class KnowledgeGraph:
 
 def kg_init(n: int) -> KnowledgeGraph:
     """Complete bipartite consistency graph with its diagonal matching, as the
-    filter leaves it: one component (Tarjan root 1) and no vanished edge."""
+    filter leaves it: one component, named 1 because the search from 1
+    finishes last, and no vanished edge.  Refuses n^2 past MAX_CELLS."""
+    check_cells(n * n, f"a complete graph on {n} pairs")
     g = KnowledgeGraph(n)
     for l in range(1, n + 1):
         g.adj[l] = set(range(n + 1, 2 * n + 1))
@@ -273,7 +276,8 @@ def _augment(g: KnowledgeGraph, root: int) -> bool:
             m = mate[r]
             via.append(r)
             if m == 0:
-                _flip(mate, path, via)
+                for u, y in zip(path, via):
+                    mate[u], mate[y] = y, u
                 return True
             path.append(m)
             its.append(iter(adj[m]))
@@ -284,13 +288,6 @@ def _augment(g: KnowledgeGraph, root: int) -> bool:
             if via:
                 via.pop()
     return False
-
-
-def _flip(mate: list[int], path: list[int], via: list[int]) -> None:
-    """Match every left vertex of an augmenting path to the right vertex after it."""
-    for l, r in zip(path, via):
-        mate[l] = r
-        mate[r] = l
 
 
 def _reaches(g: KnowledgeGraph, l: int, r: int) -> bool:
@@ -326,72 +323,59 @@ def _reaches(g: KnowledgeGraph, l: int, r: int) -> bool:
 
 def _run_filter(g: KnowledgeGraph, lefts) -> list[tuple[int, int]]:
     """Useful-edge filter over the left vertices `lefts`, which must hold every
-    successor of their members in the left-vertex digraph: all of 1..n, or one
-    component cached before a deletion.  Stores each vertex's component id in
-    g.comp, then removes every edge (l, r) with comp[mate[r]] != comp[l]; a
-    matched edge has mate[r] == l, so it never goes.
+    successor and every predecessor of their members in the left-vertex
+    digraph: all of 1..n, or one component cached before a deletion (no
+    surviving edge leaves it).  Kosaraju: a forward search records a finish
+    order, then backward searches from the latest-finished unnamed vertex each
+    name one component in g.comp by its first vertex.  They name components in
+    topological order, so an edge x -> u between two components is found from
+    u, with x already named elsewhere: that is the edge (x, mate[u]), and it
+    vanishes.  A matched edge is a self-loop, so it never goes.  While the
+    search runs, comp[v] == -1 marks v reached but not yet named.
     """
     if g.comp is None:
         g.comp = [0] * (g.n + 1)
-    _scc_ids(g, lefts)
     adj = g.adj
     mate = g.mate
     comp = g.comp
-    vanished = [(l, r) for l in lefts for r in adj[l] if comp[mate[r]] != comp[l]]
+    order: list[int] = []
+    for root in lefts:
+        if comp[root] < 0:
+            continue
+        comp[root] = -1
+        path = [root]
+        its = [iter(adj[root])]
+        while its:
+            for r in its[-1]:
+                w = mate[r]
+                if comp[w] >= 0:
+                    comp[w] = -1
+                    path.append(w)
+                    its.append(iter(adj[w]))
+                    break
+            else:
+                order.append(path.pop())
+                its.pop()
+    vanished = []
+    for root in reversed(order):
+        if comp[root] >= 0:
+            continue
+        comp[root] = root
+        stack = [root]
+        while stack:
+            r = mate[stack.pop()]
+            for x in adj[r]:
+                if comp[x] < 0:
+                    comp[x] = root
+                    stack.append(x)
+                elif comp[x] != root:
+                    vanished.append((x, r))
     for l, r in vanished:
         adj[l].discard(r)
         adj[r].discard(l)
         g.status[(l, r)] = "vanished"
     vanished.sort()
     return vanished
-
-
-def _scc_ids(g: KnowledgeGraph, lefts) -> None:
-    """Tarjan over the left-vertex digraph from each of `lefts` in turn; sets
-    g.comp[v] to the root of v's component, one of its own vertices, so
-    disjoint components never share an id."""
-    adj = g.adj
-    mate = g.mate
-    comp = g.comp
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    onstack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    for root in lefts:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(adj[root]))]
-        while work:
-            v, it = work[-1]
-            for r in it:
-                w = mate[r]
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(adj[w])))
-                    break
-                if w in onstack and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        onstack.discard(w)
-                        comp[w] = v
-                        if w == v:
-                            break
 
 
 # ---------------------------------------------------------------------------

@@ -17,22 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .game_core import DEFAULT_ENUM_CAP, CapExceeded, Deck, FlipBudgetExceeded, Transcript
+from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, Deck, FlipBudgetExceeded, Transcript,
+                        check_cells)
+from .game_core import MAX_CELLS as MC_MAX_CELLS  # noqa: F401  (the sampler cap, re-exported)
 from .strategies import DeckHost, SpaceBudget
 
 if TYPE_CHECKING:
     import numpy as np
 
 # numpy loads on the first Monte Carlo draw, so the commands that never sample
-# start without it.  A sampler's largest array holds at most this many cells;
-# a larger cell is refused before numpy loads or anything is allocated.
-MC_MAX_CELLS = 10**7
-
-
-def _check_cells(cells: int, what: str) -> None:
-    if cells > MC_MAX_CELLS:
-        raise ValueError(f"{what} need {cells} array cells, over the Monte Carlo cap "
-                         f"of {MC_MAX_CELLS}")
+# start without it.  A sampler's largest array is refused past
+# game_core.MAX_CELLS before numpy loads or anything is allocated.
 
 
 @dataclass(frozen=True)
@@ -65,7 +60,7 @@ def y_sample_many(n: int, r: int, trials: int, seed: int) -> np.ndarray:
     """
     if not 0 <= r <= 2 * n:
         raise ValueError(f"need 0 <= r <= 2n, got r={r}, n={n}")
-    _check_cells(trials, f"{trials} trials")
+    check_cells(trials, f"{trials} trials")
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -293,7 +288,7 @@ def unique_pairs_mc(n: int, trials: int, seed: int) -> tuple[float, float]:
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    _check_cells(trials * 2 * n, f"{trials} trials of {2 * n} draws")
+    check_cells(trials * 2 * n, f"{trials} trials of {2 * n} draws")
     import numpy as np
 
     rng = np.random.default_rng(seed)

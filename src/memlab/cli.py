@@ -463,7 +463,8 @@ def cmd_replay(args) -> int:
     with open(args.file) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if args.line < 1 or args.line >= len(lines):
-        raise ValueError(f"line {args.line} out of range (file has {len(lines) - 1} data rows)")
+        held = f"has {len(lines) - 1} data rows" if lines else "is empty"
+        raise ValueError(f"line {args.line} out of range (file {held})")
     header, original = lines[0], lines[args.line]
     if header in _RETIRED_HEADERS:
         raise ValueError(f"{_RETIRED_HEADERS[header]}; the code changed, "

@@ -19,6 +19,15 @@ Deck = tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 10_000_000
 
+# The most cells one array may hold: a deck's 2n cards, the adversary's n^2
+# edges, a Monte Carlo draw.  A larger one is refused before it is allocated.
+MAX_CELLS = 10**7
+
+
+def check_cells(cells: int, what: str) -> None:
+    if cells > MAX_CELLS:
+        raise ValueError(f"{what} would take {cells} array cells, over the cap of {MAX_CELLS}")
+
 
 class CapExceeded(ValueError):
     """An exhaustive computation would exceed its configured cap."""
@@ -39,6 +48,7 @@ class GameParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need n >= 1, got n={self.n}")
+        check_cells(2 * self.n, f"{self.n} pairs")
         if self.R < self.n:
             raise ValueError(f"need R >= n, got R={self.R} < n={self.n}: no valid deck exists")
 

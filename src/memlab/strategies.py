@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from itertools import compress
 
-from .game_core import Deck, MatchTriple, Transcript, deck_partners
+from .game_core import Deck, MatchTriple, Transcript, check_cells, deck_partners
 from .game_core import FlipBudgetExceeded  # noqa: F401  (re-exported for callers of the hosts)
 
 
@@ -315,6 +315,7 @@ class FullMemory:
 
 def randomized_order(n: int, seed: int) -> list[int]:
     """Seeded permutation of 1..2n for the randomized-order multipass variant."""
+    check_cells(2 * n, f"{n} pairs")
     order = list(range(1, 2 * n + 1))
     random.Random(seed).shuffle(order)
     return order

@@ -56,6 +56,13 @@ class TestInit:
         assert g.edges() == {(1, 2)}
         assert kg_is_done(g)
 
+    def test_past_the_cell_cap_refused_before_building(self, monkeypatch):
+        def refuse(self, n):  # a graph that gets past the cap would be built here
+            raise AssertionError("built past the cell cap")
+        monkeypatch.setattr(KnowledgeGraph, "__init__", refuse)
+        with pytest.raises(ValueError, match="3163 pairs would take 10004569 array cells"):
+            kg_init(3163)
+
     def test_n2_square(self):
         g = kg_init(2)
         assert g.edge_count() == 4

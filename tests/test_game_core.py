@@ -25,6 +25,10 @@ class TestGameParams:
         with pytest.raises(ValueError):
             GameParams(0, 5)
 
+    def test_rejects_decks_past_the_cell_cap(self):
+        with pytest.raises(ValueError, match="5000001 pairs would take 10000002 array cells"):
+            GameParams(5_000_001, 5_000_001)
+
 
 class TestGenerate:
     def test_forced_singleton(self):

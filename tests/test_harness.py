@@ -267,6 +267,30 @@ class TestCLI:
             assert code == 2 and out == ""
             assert err.startswith("memlab: ") and "deck file" in err and "Traceback" not in err
 
+    def test_play_header_only_deck_file_exits_2(self, tmp_path, capsys):
+        deck_file = tmp_path / "decks.txt"
+        deck_file.write_text("2 2\n")
+        code, out = run_cli(["play", "--strategy", "perfect", "--deck", str(deck_file)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("memlab: deck file holds no decks")
+
+    # one past each bound, refused before the deck, order or graph is built;
+    # no test runs a game at a bound (a complete graph at n = 3162 is ~1.3 GB)
+    @pytest.mark.parametrize("args,what", [
+        (["adversary", "--n", "3163"], "a complete graph on 3163 pairs"),
+        (["adversary", "--n-list", "8,3163", "--seeds", "1"], "a complete graph on 3163 pairs"),
+        (["adversary", "--n", "5000001", "--strategy", "rmultipass"], "5000001 pairs"),
+        (["tradeoff", "--n-list", "5000001"], "5000001 pairs"),
+        (["play", "--n", "5000001", "--space-bits", "64"], "5000001 pairs"),
+    ])
+    def test_game_past_the_cell_cap_exits_2(self, capsys, args, what):
+        code, out = run_cli(["--jobs", "1"] + args)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith(f"memlab: {what} would take ")
+        assert "array cells" in err and "Traceback" not in err
+
     def test_env_seed_override(self):
         _, a = run_cli(["play", "--n", "4", "--space-bits", "6"], env_seed=4)
         _, b = run_cli(["play", "--n", "4", "--space-bits", "6", "--seed", "4"])
@@ -661,6 +685,34 @@ class TestReportAndReplay:
     def test_report_empty_input_set_succeeds(self):
         code, out = run_cli(["report"])
         assert code == 0
+
+    def test_report_unreadable_path_exits_2(self, tmp_path, capsys):
+        code, out = run_cli(["report", str(tmp_path / "missing.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith(f"memlab: {tmp_path / 'missing.csv'}: ")
+
+    def test_report_empty_file_has_no_rows(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code, out = run_cli(["report", str(empty)])
+        assert code == 0
+        assert out == f"{empty}: 0 rows, 0 failing\n"
+
+    def test_replay_empty_file_says_so(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code, out = run_cli(["replay", "--file", str(empty), "--line", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == "memlab: line 1 out of range (file is empty)\n"
+
+    def test_replay_header_only_file_has_0_data_rows(self, tmp_path, capsys):
+        header_only = tmp_path / "h.csv"
+        header_only.write_text(cli.ADVERSARY_HEADER + "\n")
+        code, _ = run_cli(["replay", "--file", str(header_only), "--line", "1"])
+        assert code == 2
+        assert "(file has 0 data rows)" in capsys.readouterr().err
 
     def test_report_malformed_row_names_line(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -377,6 +377,36 @@ class TestProductivityBound:
         assert res.fraction == tail
 
 
+class TestConflictingPins:
+    """Events whose pins contradict each other: one position pinned to two
+    values, or one value pinned onto more than two cards.  Such a set of
+    events holds on no deck, so it must count zero."""
+
+    def test_hand_built_conflicts_count_zero(self):
+        # leaf v reads x1 = v; outputs (1,4,v), (1,5,v) pin x4 = x5 = v, which
+        # with x1 puts v on three cards, and (2,4,b), (3,4,c) pin x4 to b and c
+        root = TreeNode(1, 3)
+        for v in (1, 2, 3):
+            b, c = (w for w in (1, 2, 3) if w != v)
+            root.outs[v - 1] = (MatchTriple(1, 4, v), MatchTriple(1, 5, v),
+                                MatchTriple(2, 4, b), MatchTriple(3, 4, c))
+        tree = DecisionTree(root, 3, 3, 1)
+        got, total = productive_deck_count(tree, 1)
+        assert Fraction(got, total) == Fraction(1, 15)
+        assert Fraction(got, total) == productive_fraction_brute(tree, 3, 3, 1)
+
+    def test_dense_random_outputs_match_enumeration(self, monkeypatch):
+        # an output on every edge makes overlapping, contradicting pins common
+        monkeypatch.setattr("memlab.trees._OUT_PROB", 1.0)
+        for n, R, depth in [(2, 3, 2), (3, 3, 2), (3, 4, 2), (3, 3, 3), (4, 4, 2)]:
+            for seed in range(20):
+                tree = random_tree(n, R, depth, seed)
+                for t in (1, 2):
+                    got, total = productive_deck_count(tree, t)
+                    assert Fraction(got, total) == productive_fraction_brute(tree, n, R, t), \
+                        (n, R, depth, seed, t)
+
+
 def _pattern_trees(n, R, depth):
     """Every pattern-tree builder at one size: fixed, guessing for each t the
     depth admits, and compiled multipass with slots 1, 2, 2n in scan order
