@@ -15,15 +15,15 @@ unmatched edge (l, r) survives exactly when l and mate[r] share a component of
 this digraph.  The filter, the reachability probe and the augmenting-path
 search all walk this one digraph.
 
-The filter is decremental.  After the filter every surviving edge lies inside
-one cached component, so deleting (l, r) can only split that component.  A
-deleted matched edge is first repaired by an augmenting path from l to r; that
-path plus the deleted edge is a directed cycle in the old orientation, and
-reversing a cycle keeps every component, so the deletion becomes the deletion
-of a non-matching edge under the new matching.  One early-exit reachability
-probe then settles most deletions: if l still reaches mate[r] the component is
-intact and nothing vanishes; otherwise Kosaraju's two searches rescan that
-one component, naming its parts and finding the edges between them.
+The filter is decremental and keeps no state but the graph and its matching.
+After a filter every surviving edge lies inside one component C, which no edge
+leaves.  A deleted matched edge is first repaired by an augmenting path from l
+to r; with the deleted edge it forms a directed cycle in the old orientation,
+and reversing a cycle keeps every component, so the deletion becomes that of
+the non-matching edge l -> mate[r].  An early-exit probe settles most
+deletions: if l still reaches mate[r], nothing vanishes.  Otherwise Kosaraju's
+two searches rescan the forward reach of mate[r], which is still C: a shortest
+path from mate[r] never re-enters mate[r], so it never used the deleted edge.
 
 The audit utilities check the counting identities this discipline guarantees:
 deletions + vanishings == n(n-1) on a finished run, and a pairing of the
@@ -77,17 +77,13 @@ class KnowledgeGraph:
     """Bipartite consistency graph between positions 1..n and n+1..2n.
 
     While driven through kg_answer, every present edge lies in some perfect
-    matching, the edge set only shrinks, `mate` holds a perfect matching that
-    each matched deletion repairs with one augmenting path (kg_from_edges
-    builds it the same way, one path per left vertex), and `comp[l]` caches
-    the id of left vertex l's component in the left-vertex digraph (the
-    vertex its backward search started from).  A deletion runs one
-    reachability probe inside its component and rescans only that component
-    when the probe fails; `comp` is None until a first full filter (graphs
-    from kg_from_edges), and such graphs get a full rescan.
+    matching, the edge set only shrinks, and `mate` holds a perfect matching
+    that each matched deletion repairs with one augmenting path (kg_from_edges
+    builds it the same way, one path per left vertex).  Nothing else is kept
+    between queries.
     """
 
-    __slots__ = ("n", "adj", "mate", "status", "comp", "closure_hook")
+    __slots__ = ("n", "adj", "mate", "status", "closure_hook")
 
     def __init__(self, n: int):
         if n < 1:
@@ -96,7 +92,6 @@ class KnowledgeGraph:
         self.adj: list[set[int]] = [set() for _ in range(2 * n + 1)]
         self.mate: list[int] = [0] * (2 * n + 1)
         self.status: dict[tuple[int, int], str] = {}
-        self.comp: list[int] | None = None
         self.closure_hook = None
 
     def isolated(self, l: int, r: int) -> bool:
@@ -113,14 +108,13 @@ class KnowledgeGraph:
         g.adj = [set(s) for s in self.adj]
         g.mate = list(self.mate)
         g.status = dict(self.status)
-        g.comp = None if self.comp is None else list(self.comp)
         return g
 
 
 def kg_init(n: int) -> KnowledgeGraph:
     """Complete bipartite consistency graph with its diagonal matching, as the
-    filter leaves it: one component, named 1 because the search from 1
-    finishes last, and no vanished edge.  Refuses n^2 past MAX_CELLS."""
+    filter leaves it: one component and no vanished edge.  Refuses n^2 past
+    MAX_CELLS."""
     check_cells(n * n, f"a complete graph on {n} pairs")
     g = KnowledgeGraph(n)
     for l in range(1, n + 1):
@@ -129,13 +123,13 @@ def kg_init(n: int) -> KnowledgeGraph:
         g.mate[n + l] = l
     for r in range(n + 1, 2 * n + 1):
         g.adj[r] = set(range(1, n + 1))
-    g.comp = [0] + [1] * n
     return g
 
 
 def kg_from_edges(n: int, edges) -> KnowledgeGraph:
-    """Graph over a given cross edge set, matched by augmenting from every left
-    vertex; raises InvariantViolation when the edges admit no perfect matching."""
+    """Unfiltered graph over a cross edge set (vanish_closure filters it),
+    matched by augmenting from every left vertex; raises InvariantViolation
+    when the edges admit no perfect matching."""
     g = KnowledgeGraph(n)
     for i, j in edges:
         key = edge_key(n, i, j)
@@ -154,12 +148,13 @@ def kg_is_done(g: KnowledgeGraph) -> bool:
 
 
 def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
-    """Answer "is x_i = x_j?", mutating the graph on a deletion.
+    """Answer "is x_i = x_j?" on a filtered graph (from kg_init or
+    vanish_closure, changed since only here), mutating it on a deletion.
 
     Yes exactly when {i,j} is a present isolated edge.  A present non-isolated
     edge is deleted and the vanish closure runs: a matched edge is first
     replaced by an augmenting path, then a probe asks whether l still reaches
-    mate[r], and only a failed probe rescans the component.  Same-side or
+    mate[r], and only a failed probe rescans, from mate[r].  Same-side or
     already-removed pairs answer No without mutation.
     """
     if i == j:
@@ -176,14 +171,7 @@ def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
         return True, _NO_EVENTS
 
     _delete_edge(g, l, r)
-    comp = g.comp
-    if comp is None:
-        vanished = _run_filter(g, range(1, g.n + 1))
-    elif _reaches(g, l, r):
-        vanished = []
-    else:
-        cid = comp[l]
-        vanished = _run_filter(g, [v for v in range(1, g.n + 1) if comp[v] == cid])
+    vanished = [] if _reaches(g, l, r) else _run_filter(g, [g.mate[r]])
     if g.closure_hook is not None:
         g.closure_hook(g, vanished)
     return False, AnswerEvents((l, r), tuple(vanished))
@@ -321,26 +309,27 @@ def _reaches(g: KnowledgeGraph, l: int, r: int) -> bool:
     return False
 
 
-def _run_filter(g: KnowledgeGraph, lefts) -> list[tuple[int, int]]:
-    """Useful-edge filter over the left vertices `lefts`, which must hold every
-    successor and every predecessor of their members in the left-vertex
-    digraph: all of 1..n, or one component cached before a deletion (no
-    surviving edge leaves it).  Kosaraju: a forward search records a finish
-    order, then backward searches from the latest-finished unnamed vertex each
-    name one component in g.comp by its first vertex.  They name components in
-    topological order, so an edge x -> u between two components is found from
-    u, with x already named elsewhere: that is the edge (x, mate[u]), and it
-    vanishes.  A matched edge is a self-loop, so it never goes.  While the
-    search runs, comp[v] == -1 marks v reached but not yet named.
+def _run_filter(g: KnowledgeGraph, roots) -> list[tuple[int, int]]:
+    """Useful-edge filter over the forward reach of the left vertices `roots`
+    in the left-vertex digraph; that reach must be closed under predecessors.
+    vanish_closure passes all of 1..n.  kg_answer passes mate[r] after
+    deleting l -> mate[r] from a filtered graph: a shortest path from mate[r]
+    never re-enters mate[r], so it never used that edge, and the reach is
+    still the old component, which no edge enters.  Kosaraju: a forward
+    search records a finish order, then backward searches from the
+    latest-finished unnamed vertex each name one component in `comp` by its
+    first vertex.  They name components in topological order, so an edge
+    x -> u between two components is found from u, with x already named
+    elsewhere: that is the edge (x, mate[u]), and it vanishes.  A matched
+    edge is a self-loop, so it never goes.  comp[v] is 0 while v is
+    unreached and -1 while it is reached but not yet named.
     """
-    if g.comp is None:
-        g.comp = [0] * (g.n + 1)
     adj = g.adj
     mate = g.mate
-    comp = g.comp
+    comp = [0] * (g.n + 1)
     order: list[int] = []
-    for root in lefts:
-        if comp[root] < 0:
+    for root in roots:
+        if comp[root]:
             continue
         comp[root] = -1
         path = [root]
@@ -348,7 +337,7 @@ def _run_filter(g: KnowledgeGraph, lefts) -> list[tuple[int, int]]:
         while its:
             for r in its[-1]:
                 w = mate[r]
-                if comp[w] >= 0:
+                if not comp[w]:
                     comp[w] = -1
                     path.append(w)
                     its.append(iter(adj[w]))

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 
 from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, Deck, FlipBudgetExceeded, Transcript,
                         check_cells)
-from .game_core import MAX_CELLS as MC_MAX_CELLS  # noqa: F401  (the sampler cap, re-exported)
 from .strategies import DeckHost, SpaceBudget
 
 if TYPE_CHECKING:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .adversary import adversarial_play, involution_audit, replay_consistent
 from .analysis import (unique_pairs_expected, unique_pairs_expected_enumerated,
                        unique_pairs_mc, y_sample_size, y_tail_estimate, YExperiment)
-from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, GameParams, derive_seed,
+from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, GameParams, check_cells, derive_seed,
                         generate_valid_input, matches_of, read_deck_file, validate_deck,
                         verify_transcript, write_transcript_csv, Transcript)
 from .strategies import (PLAYERS, DeckHost, MultiPass, SpaceBudget, make_strategy,
@@ -203,6 +203,8 @@ def _tradeoff_record_row(n: int, s: int, strategy: str, rec: tuple) -> str:
 def tradeoff_sweep(cfg: SweepConfig) -> tuple[list[str], bool]:
     """Grid of multi-pass runs; asserts the memory-time product stays within
     twice its calibration at the smallest n in the grid."""
+    check_cells(cfg.seeds * sum(len(cfg.s_values(n)) for n in cfg.ns),
+                f"a tradeoff sweep of {cfg.seeds} seeds")
     decks = [(n, cfg.s_values(n), derive_seed(cfg.master_seed, "deck", n, k), cfg.strategy)
              for n in cfg.ns for k in range(cfg.seeds)]
     played = iter(_map_cells(_tradeoff_deck, decks, cfg.jobs))
@@ -259,6 +261,7 @@ def _adversary_cell(spec: tuple) -> str:
 
 def adversary_sweep(cfg: SweepConfig) -> tuple[list[str], bool]:
     """Each run draws its slot count from `cfg.s_values(n)`; perfect play gets 2n."""
+    check_cells(cfg.seeds * len(cfg.ns), f"an adversary sweep of {cfg.seeds} seeds")
     specs = [(n, k, cfg.master_seed, cfg.strategy, cfg.s_values(n))
              for n in cfg.ns for k in range(cfg.seeds)]
     lines = [ADVERSARY_HEADER] + _map_cells(_adversary_cell, specs, cfg.jobs)
@@ -344,8 +347,12 @@ def cmd_lemma_y(args) -> int:
 
 
 def _xy_row(n: int, R: int, depth: int, seed: int, kind: str, cap: int) -> str:
-    tree = (fixed_position_tree(n, R, depth, cap=cap) if kind == "fixed"
-            else random_tree(n, R, depth, seed, cap=cap))
+    if kind == "fixed":
+        tree = fixed_position_tree(n, R, depth, cap=cap)
+    elif kind == "random":
+        tree = random_tree(n, R, depth, seed, cap=cap)
+    else:
+        raise ValueError(f"unknown tree kind {kind!r}")
     ok = xy_equiv_check(tree, n, R)
     return f"{n},{R},{depth},{seed},{kind},{ok}"
 
@@ -509,7 +516,7 @@ def _add_globals(p: argparse.ArgumentParser, root: bool) -> None:
                    help="parallel tasks for sweeps, capped at the task count; a tradeoff "
                         "task is one deck (default: the config's jobs, else all cores)")
     p.add_argument("--cap-enum", type=int, default=d(DEFAULT_ENUM_CAP),
-                   help="max deck-universe size for deck-enumeration checks (unique-pairs)")
+                   help="max n^(2n) inputs that unique-pairs enumerates for its exact expectation")
     p.add_argument("--cap-tree", type=int, default=d(DEFAULT_TREE_CAP),
                    help="max R-way node count 1 + R + ... + R^depth for the trees of "
                         "xy-check and lemma43, also those built on equality patterns")

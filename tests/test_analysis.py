@@ -14,8 +14,7 @@ from memlab import (GameParams, SpaceBudget, YExperiment, binomial_tail_exact,
                     unique_pairs_mc, y_exact_distribution, y_expectation,
                     y_sample_many, y_sample_size, y_tail_bound,
                     y_tail_estimate, y_tail_exact)
-from memlab.analysis import MC_MAX_CELLS
-from memlab.game_core import CapExceeded
+from memlab.game_core import MAX_CELLS, CapExceeded
 from memlab.strategies import MultiPass, randomized_order
 
 
@@ -194,6 +193,12 @@ class TestChernoff:
         assert relent(0.5, 0.25) == pytest.approx(want)
         assert relent(0.5, 0.25) == pytest.approx(0.14384103622589042)
 
+    @pytest.mark.parametrize("n,p,threshold,want", [
+        (5, 0, 0, 1), (5, 0, 1, 0), (5, 1, 3, 1), (5, 1, 6, 0), (5, Fraction(1, 2), 6, 0),
+    ])
+    def test_binomial_tail_edges(self, n, p, threshold, want):
+        assert binomial_tail_exact(n, p, threshold) == want
+
     def test_tail_domination_spot(self):
         exact = binomial_tail_exact(20, Fraction(1, 4), 10)
         assert exact == Fraction(7622043821, 549755813888)
@@ -331,7 +336,7 @@ class _Drew(Exception):
 
 
 class TestMonteCarloCap:
-    """A sampler refuses an array past MC_MAX_CELLS before it draws or
+    """A sampler refuses an array past MAX_CELLS before it draws or
     allocates anything; the stand-in RNG stops every call that gets further."""
 
     @pytest.fixture(autouse=True)
@@ -342,18 +347,18 @@ class TestMonteCarloCap:
 
     def test_urn_trials_past_the_cap_refused(self):
         with pytest.raises(ValueError, match="array cells"):
-            y_sample_many(10, 4, MC_MAX_CELLS + 1, seed=0)
+            y_sample_many(10, 4, MAX_CELLS + 1, seed=0)
         with pytest.raises(ValueError, match="array cells"):
             y_tail_estimate(YExperiment(n=10, r=4, t=1, trials=10**12))
 
     def test_unique_pairs_draws_past_the_cap_refused(self):
         with pytest.raises(ValueError, match="array cells"):
-            unique_pairs_mc(10, MC_MAX_CELLS // 20 + 1, seed=0)
+            unique_pairs_mc(10, MAX_CELLS // 20 + 1, seed=0)
         with pytest.raises(ValueError, match="array cells"):
             unique_pairs_mc(100_000, 100_000, seed=0)
 
     def test_cells_at_the_cap_reach_the_rng(self):
         with pytest.raises(_Drew):
-            y_sample_many(10, 4, MC_MAX_CELLS, seed=0)
+            y_sample_many(10, 4, MAX_CELLS, seed=0)
         with pytest.raises(_Drew):
-            unique_pairs_mc(10, MC_MAX_CELLS // 20, seed=0)
+            unique_pairs_mc(10, MAX_CELLS // 20, seed=0)

@@ -241,6 +241,10 @@ class TestTranscript:
         with pytest.raises(ValueError, match="unknown event kind"):
             read_transcript_csv(buf)
 
+    def test_bad_transcript_header_refused(self):
+        with pytest.raises(ValueError, match="bad transcript header: 'step,event'"):
+            read_transcript_csv(io.StringIO("step,event\n1,flip,1,0,0\n"))
+
 
 class TestVerify:
     def _transcript_with(self, triples):

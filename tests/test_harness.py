@@ -291,6 +291,44 @@ class TestCLI:
         assert err.startswith(f"memlab: {what} would take ")
         assert "array cells" in err and "Traceback" not in err
 
+    # rows: 2000001 seeds x 5 slot counts, and 10000001 seeds x 1 pair count
+    @pytest.mark.parametrize("args,what", [
+        (["tradeoff", "--n-list", "8", "--seeds", "2000001"],
+         "a tradeoff sweep of 2000001 seeds would take 10000005"),
+        (["adversary", "--n-list", "8", "--seeds", "10000001"],
+         "an adversary sweep of 10000001 seeds would take 10000001"),
+    ])
+    def test_sweep_past_the_cell_cap_exits_2(self, monkeypatch, capsys, args, what):
+        # listing the sweep's cells asks for each one's slot counts; a sweep
+        # that got past the cap would fail here instead of filling memory
+        s_values = cli.SweepConfig.s_values
+        calls = []
+
+        def counted(cfg, n):
+            calls.append(n)
+            assert len(calls) <= 10, "listed the cells of a sweep past the cap"
+            return s_values(cfg, n)
+        monkeypatch.setattr(cli.SweepConfig, "s_values", counted)
+        code, out = run_cli(["--jobs", "1"] + args)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == f"memlab: {what} array cells, over the cap of 10000000\n"
+
+    @pytest.mark.parametrize("args,rows", [
+        (["tradeoff", "--n-list", "4,8", "--seeds", "3"], 3 * (4 + 5)),  # pow2: 1..8, 1..16
+        (["adversary", "--n-list", "4,8,16", "--seeds", "5"], 5 * 3),
+    ])
+    def test_sweep_checks_its_row_count_against_the_cap(self, monkeypatch, args, rows):
+        seen = []
+        check = cli.check_cells
+
+        def recorded(cells, what):
+            seen.append(cells)
+            check(cells, what)
+        monkeypatch.setattr(cli, "check_cells", recorded)
+        code, _ = run_cli(["--jobs", "1"] + args)
+        assert code == 0 and seen == [rows]
+
     def test_env_seed_override(self):
         _, a = run_cli(["play", "--n", "4", "--space-bits", "6"], env_seed=4)
         _, b = run_cli(["play", "--n", "4", "--space-bits", "6", "--seed", "4"])
@@ -767,6 +805,18 @@ class TestReportAndReplay:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.startswith("memlab: S=0 bits stores no card index: need at least 4 bits")
+
+    @pytest.mark.parametrize("header,row", [
+        (cli.XY_HEADER, "3,4,2,0,bogus,True"),
+        (cli.LEMMA43_HEADER, "8,8,2,1,bogus,1,1,1.0,1.0,True"),
+    ])
+    def test_replay_refuses_an_unknown_tree_kind(self, tmp_path, capsys, header, row):
+        f = tmp_path / "rows.csv"
+        f.write_text(f"{header}\n{row}\n")
+        code, out = run_cli(["replay", "--file", str(f), "--line", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == "memlab: unknown tree kind 'bogus'\n"
 
     def test_replay_rejects_aggregate_rows(self, tmp_path):
         tr, _ = self._write_sweeps(tmp_path)

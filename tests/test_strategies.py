@@ -294,6 +294,14 @@ class TestDeclareRemoved:
         assert h.transcript.outputs == [MatchTriple(1, 2, 1)]
 
     @pytest.mark.parametrize("host_cls", [DeckHost, _StepHost])
+    def test_store_refuses_a_removed_card(self, host_cls):
+        h = host_cls((1, 1, 2, 2), 4)
+        h.fill([1, 2])
+        with pytest.raises(ProtocolError, match="stored removed card 2"):
+            h.store(2)
+        assert h.working == set()
+
+    @pytest.mark.parametrize("host_cls", [DeckHost, _StepHost])
     def test_redeclared_pair_refused_after_a_fill(self, host_cls):
         h = host_cls((1, 2, 1, 2), 2)
         h.fill([1, 2, 3, 4])

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from memlab import (CapExceeded, GameParams, MatchTriple, SpaceBudget,
                     count_valid_inputs, derive_seed, enumerate_valid_inputs, generate_valid_input,
                     matches_of, multi_pass_play, y_exact_distribution)
-from memlab.strategies import MultiPass, randomized_order
-from memlab.trees import (DecisionTree, TreeNode, build_guessing_tree,
+from memlab.strategies import MultiPass, ProtocolError, randomized_order
+from memlab.trees import (DEFAULT_TREE_CAP, DecisionTree, TreeNode, _unfold, build_guessing_tree,
                           compile_prefix_tree, fixed_position_tree,
                           lemma43_check, path_distribution, productive_deck_count,
                           productive_fraction_brute, random_tree, tree_run,
@@ -288,6 +289,31 @@ class TestCompile:
     def test_tree_cap_refusal(self):
         with pytest.raises(CapExceeded, match="nodes"):
             compile_prefix_tree(MultiPass, 8, 8, 4, slots=2, cap=100)
+
+    def test_player_whose_read_order_changes_refused(self):
+        replays = itertools.count()
+
+        class Flaky:  # reads position 1 on the first replay, position 2 after
+            def play(self, host):
+                host.examine(1 if next(replays) == 0 else 2)
+
+        with pytest.raises(ValueError, match="player is not deterministic"):
+            compile_prefix_tree(Flaky, 2, 2, 1)
+
+    def test_declaring_an_unexamined_position_refused(self):
+        class Blind:
+            def play(self, host):
+                host.declare(1, 2)
+
+        with pytest.raises(ProtocolError, match="declared an unexamined position"):
+            compile_prefix_tree(Blind, 2, 2, 1)
+
+    def test_output_at_the_root_refused(self):
+        def step(vals, positions):
+            return (MatchTriple(1, 2, 1),), None
+
+        with pytest.raises(ValueError, match="output before its first read"):
+            _unfold(2, 2, 1, DEFAULT_TREE_CAP, step, pattern=False)
 
 
 class TestGuessingTree:
