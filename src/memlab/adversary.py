@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .game_core import Deck, MatchTriple, Transcript, check_cells
-from .strategies import GameHost, SpaceBudget
+from .strategies import GameHost
 
 
 class InvariantViolation(RuntimeError):
@@ -442,11 +442,11 @@ class AdversaryHost(GameHost):
     pair is not a match.
     """
 
-    def __init__(self, kg: KnowledgeGraph, log: AdversaryLog, slots: int,
-                 transcript: Transcript | None = None):
+    def __init__(self, kg: KnowledgeGraph, slots: int, transcript: Transcript | None = None,
+                 keep_records: bool = True):
         super().__init__(kg.n, slots, transcript)
         self.kg = kg
-        self.log = log
+        self.log = AdversaryLog(kg.n, kg.status, keep_records=keep_records)
         self.assigned: dict[tuple[int, int], int] = {}
         self._next_value = 1
 
@@ -501,30 +501,27 @@ class AdversaryResult:
     counterexample: Deck | None = None
 
 
-def adversarial_play(strategy, n: int, budget: SpaceBudget | None = None,
-                     lean: bool = False, keep_records: bool = True) -> AdversaryResult:
-    """Drive a strategy with adversary answers until it outputs n matches.
+def adversarial_play(strategy, n: int, slots: int, keep_records: bool = True) -> AdversaryResult:
+    """Drive a strategy with `slots` stored cards on adversary answers until
+    it outputs n matches; the transcript is lean.
 
     An unforced declaration ends the run immediately with incorrect=True and a
     counterexample deck.  On completion the final matching is realized as a
     deck that reproduces every recorded answer.
     """
-    if budget is None:
-        budget = SpaceBudget.for_slots(n, 2 * n)
     g = kg_init(n)
-    log = AdversaryLog(n, g.status, keep_records=keep_records)
-    host = AdversaryHost(g, log, budget.slots, Transcript(lean=lean))
+    host = AdversaryHost(g, slots, Transcript(lean=True), keep_records=keep_records)
     try:
         strategy.play(host)
     except StrategyRejected as rej:
-        return AdversaryResult(host.transcript, log, incorrect=True,
+        return AdversaryResult(host.transcript, host.log, incorrect=True,
                                rejected_pair=rej.pair, counterexample=rej.counterexample)
     complete = host.done() and len(host.transcript.outputs) == n
     matching = realized = None
     if complete and kg_is_done(g):
         matching = tuple((l, g.mate[l]) for l in range(1, n + 1))
         realized = deck_from_matching(n, n, matching, host.assigned)
-    return AdversaryResult(host.transcript, log, matching=matching,
+    return AdversaryResult(host.transcript, host.log, matching=matching,
                            realized=realized, complete=complete)
 
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, Deck, FlipBudgetExceeded, Transcript,
                         check_cells)
-from .strategies import DeckHost, SpaceBudget
+from .strategies import DeckHost
 
 if TYPE_CHECKING:
     import numpy as np
@@ -195,9 +195,10 @@ class MonteCarloWrapped:
         self.strategy = strategy
         self.cap = int(10 * expected_T)
 
-    def play(self, x: Deck, budget: SpaceBudget) -> CappedRun:
-        """Run the player but halt it after `cap` flips; errored when incomplete."""
-        host = DeckHost(x, budget.slots, Transcript(lean=True, cap=self.cap))
+    def play(self, x: Deck, slots: int) -> CappedRun:
+        """Run the player with `slots` stored cards but halt it after `cap`
+        flips; errored when incomplete."""
+        host = DeckHost(x, slots, Transcript(lean=True, cap=self.cap))
         try:
             self.strategy.play(host)
         except FlipBudgetExceeded:

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 from .adversary import adversarial_play, involution_audit, replay_consistent
 from .analysis import (unique_pairs_expected, unique_pairs_expected_enumerated,
                        unique_pairs_mc, y_sample_size, y_tail_estimate, YExperiment)
-from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, GameParams, check_cells, derive_seed,
-                        generate_valid_input, matches_of, read_deck_file, validate_deck,
-                        verify_transcript, write_transcript_csv, Transcript)
+from .game_core import (CapExceeded, GameParams, check_cells, derive_seed, generate_valid_input,
+                        matches_of, read_deck_file, validate_deck, verify_transcript,
+                        write_transcript_csv, Transcript)
 from .strategies import (PLAYERS, DeckHost, MultiPass, SpaceBudget, make_strategy,
                          multi_pass_play, multi_pass_time_bound, randomized_order)
-from .trees import (DEFAULT_TREE_CAP, build_guessing_tree, compile_prefix_tree,
-                    fixed_position_tree, lemma43_check, random_tree, xy_equiv_check)
+from .trees import (build_guessing_tree, compile_prefix_tree, fixed_position_tree,
+                    lemma43_check, random_tree, xy_equiv_check)
 
 PLAY_HEADER = "n,S,s,T,passes,correct"
 TRADEOFF_HEADER = "kind,n,S,s,seed,strategy,T,passes,correct,st_product,c_ratio,ok"
@@ -179,10 +179,9 @@ def _tradeoff_deck(spec: tuple) -> list[tuple]:
     order = randomized_order(n, derive_seed(dseed, "order")) if strategy == "rmultipass" else None
     recs = []
     for s in slots:
-        budget = SpaceBudget.for_slots(n, s)
-        tr = multi_pass_play(x, budget, order=order, lean=True)
+        tr = multi_pass_play(x, s, order=order, lean=True)
         correct = set(tr.outputs) == matches
-        in_bound = tr.flips <= multi_pass_time_bound(budget)
+        in_bound = tr.flips <= multi_pass_time_bound(SpaceBudget.for_slots(n, s))
         recs.append((dseed, tr.flips, tr.passes, correct, in_bound))
     return recs
 
@@ -203,16 +202,17 @@ def _tradeoff_record_row(n: int, s: int, strategy: str, rec: tuple) -> str:
 def tradeoff_sweep(cfg: SweepConfig) -> tuple[list[str], bool]:
     """Grid of multi-pass runs; asserts the memory-time product stays within
     twice its calibration at the smallest n in the grid."""
-    check_cells(cfg.seeds * sum(len(cfg.s_values(n)) for n in cfg.ns),
+    slots = {n: cfg.s_values(n) for n in cfg.ns}
+    check_cells(cfg.seeds * sum(len(slots[n]) for n in cfg.ns),
                 f"a tradeoff sweep of {cfg.seeds} seeds")
-    decks = [(n, cfg.s_values(n), derive_seed(cfg.master_seed, "deck", n, k), cfg.strategy)
+    decks = [(n, slots[n], derive_seed(cfg.master_seed, "deck", n, k), cfg.strategy)
              for n in cfg.ns for k in range(cfg.seeds)]
     played = iter(_map_cells(_tradeoff_deck, decks, cfg.jobs))
     # regroup the per-deck records into (n, s) cells, each in seed order
     cells, results = [], []
     for n in cfg.ns:
         per_deck = [next(played) for _ in range(cfg.seeds)]
-        for s, recs in zip(cfg.s_values(n), zip(*per_deck)):
+        for s, recs in zip(slots[n], zip(*per_deck)):
             cells.append((n, s))
             results.append(recs)
 
@@ -242,7 +242,7 @@ def _adversary_game(n: int, s: int, seed: int, name: str, keep_records: bool = F
     """One seeded adversary game: (CSV row, result, involution report or None)."""
     budget = SpaceBudget.for_slots(n, s)
     strat = make_strategy(name, n, seed)
-    res = adversarial_play(strat, n, budget, lean=True, keep_records=keep_records)
+    res = adversarial_play(strat, n, s, keep_records=keep_records)
     lower_ok = res.log.queries >= n * (n - 1) // 2
     rep = None if res.matching is None else involution_audit(res.log, res.matching)
     row = (f"{n},{budget.S},{s},{seed},{name},{res.log.queries},"
@@ -262,7 +262,8 @@ def _adversary_cell(spec: tuple) -> str:
 def adversary_sweep(cfg: SweepConfig) -> tuple[list[str], bool]:
     """Each run draws its slot count from `cfg.s_values(n)`; perfect play gets 2n."""
     check_cells(cfg.seeds * len(cfg.ns), f"an adversary sweep of {cfg.seeds} seeds")
-    specs = [(n, k, cfg.master_seed, cfg.strategy, cfg.s_values(n))
+    slots = {n: cfg.s_values(n) for n in cfg.ns}
+    specs = [(n, k, cfg.master_seed, cfg.strategy, slots[n])
              for n in cfg.ns for k in range(cfg.seeds)]
     lines = [ADVERSARY_HEADER] + _map_cells(_adversary_cell, specs, cfg.jobs)
     return lines, _all_ok(lines)
@@ -346,14 +347,14 @@ def cmd_lemma_y(args) -> int:
     return _finish(args.out, [LEMMA_Y_HEADER, row])
 
 
-def _xy_row(n: int, R: int, depth: int, seed: int, kind: str, cap: int) -> str:
+def _xy_row(n: int, R: int, depth: int, seed: int, kind: str) -> str:
     if kind == "fixed":
-        tree = fixed_position_tree(n, R, depth, cap=cap)
+        tree = fixed_position_tree(n, R, depth)
     elif kind == "random":
-        tree = random_tree(n, R, depth, seed, cap=cap)
+        tree = random_tree(n, R, depth, seed)
     else:
         raise ValueError(f"unknown tree kind {kind!r}")
-    ok = xy_equiv_check(tree, n, R)
+    ok = xy_equiv_check(tree)
     return f"{n},{R},{depth},{seed},{kind},{ok}"
 
 
@@ -361,37 +362,37 @@ def cmd_xy_check(args) -> int:
     n, R = args.n, args.R
     if args.trees < 0:
         raise ValueError(f"need --trees >= 0, got {args.trees}")
-    rows = [_xy_row(n, R, min(2, 2 * n), 0, "fixed", args.cap_tree)]
+    rows = [_xy_row(n, R, min(2, 2 * n), 0, "fixed")]
     for k in range(args.trees):
         depth = 1 + k % min(4, 2 * n)
         seed = derive_seed(args.seed, "xy", n, R, k)
-        rows.append(_xy_row(n, R, depth, seed, "random", args.cap_tree))
+        rows.append(_xy_row(n, R, depth, seed, "random"))
     return _finish(args.out, [XY_HEADER] + rows)
 
 
-def _lemma43_row(n: int, R: int, r: int, t: int, tree_kind: str, cap: int) -> str:
+def _lemma43_row(n: int, R: int, r: int, t: int, tree_kind: str) -> str:
     if tree_kind.startswith("compiled_s"):
         slots = int(tree_kind.removeprefix("compiled_s"))
-        tree = compile_prefix_tree(MultiPass, n, R, r, slots=slots, cap=cap)
+        tree = compile_prefix_tree(MultiPass, n, R, r, slots=slots)
     elif tree_kind == "guessing":
-        tree = build_guessing_tree(n, R, r, t, cap=cap)
+        tree = build_guessing_tree(n, R, r, t)
     else:
         raise ValueError(f"unknown tree kind {tree_kind!r}")
-    res = lemma43_check(tree, n, R, t)
+    res = lemma43_check(tree, t)
     return (f"{n},{R},{r},{t},{tree_kind},{res.fraction.numerator},"
             f"{res.fraction.denominator},{float(res.fraction)!r},{res.bound!r},{res.ok}")
 
 
 def cmd_lemma43(args) -> int:
     kind = f"compiled_s{args.s}" if args.tree == "compiled" else "guessing"
-    row = _lemma43_row(args.n, args.R, args.r, args.t, kind, args.cap_tree)
+    row = _lemma43_row(args.n, args.R, args.r, args.t, kind)
     return _finish(args.out, [LEMMA43_HEADER, row])
 
 
-def _unique_row(n: int, trials: int, seed: int, cap: int) -> str:
+def _unique_row(n: int, trials: int, seed: int) -> str:
     exp = unique_pairs_expected(n)
     try:
-        en = unique_pairs_expected_enumerated(n, cap)
+        en = unique_pairs_expected_enumerated(n)
         enumerated = f"{en.numerator}/{en.denominator}"
     except CapExceeded:
         enumerated = "na"
@@ -402,7 +403,7 @@ def _unique_row(n: int, trials: int, seed: int, cap: int) -> str:
 
 
 def cmd_unique_pairs(args) -> int:
-    row = _unique_row(args.n, args.trials, args.seed, args.cap_enum)
+    row = _unique_row(args.n, args.trials, args.seed)
     return _finish(args.out, [UNIQUE_HEADER, row])
 
 
@@ -448,21 +449,21 @@ def cmd_report(args) -> int:
     return 1 if any_fail else 0
 
 
-def _replay_tradeoff(v: list[str], cap_enum: int, cap_tree: int) -> str | None:
+def _replay_tradeoff(v: list[str]) -> str | None:
     if v[0] != "record":
         return None
     n, s, seed, strategy = int(v[1]), int(v[3]), int(v[4]), v[5]
     return _tradeoff_record_row(n, s, strategy, _tradeoff_deck((n, [s], seed, strategy))[0])
 
 
-# header -> recompute(fields, cap_enum, cap_tree); None marks an aggregate row
+# header -> recompute(fields); None marks an aggregate row
 _REPLAY = {
     TRADEOFF_HEADER: _replay_tradeoff,
-    ADVERSARY_HEADER: lambda v, ce, ct: _adversary_game(int(v[0]), int(v[2]), int(v[3]), v[4])[0],
-    LEMMA_Y_HEADER: lambda v, ce, ct: _lemma_y_row(*map(int, v[:5])),
-    XY_HEADER: lambda v, ce, ct: _xy_row(*map(int, v[:4]), v[4], ct),
-    LEMMA43_HEADER: lambda v, ce, ct: _lemma43_row(*map(int, v[:4]), v[4], ct),
-    UNIQUE_HEADER: lambda v, ce, ct: _unique_row(*map(int, v[:3]), ce),
+    ADVERSARY_HEADER: lambda v: _adversary_game(int(v[0]), int(v[2]), int(v[3]), v[4])[0],
+    LEMMA_Y_HEADER: lambda v: _lemma_y_row(*map(int, v[:5])),
+    XY_HEADER: lambda v: _xy_row(*map(int, v[:4]), v[4]),
+    LEMMA43_HEADER: lambda v: _lemma43_row(*map(int, v[:4]), v[4]),
+    UNIQUE_HEADER: lambda v: _unique_row(*map(int, v[:3])),
 }
 
 
@@ -478,7 +479,7 @@ def cmd_replay(args) -> int:
                          "so the row cannot be re-run")
     fields = original.split(",")
     recompute = _REPLAY.get(header) if len(fields) == header.count(",") + 1 else None
-    recomputed = recompute and recompute(fields, args.cap_enum, args.cap_tree)
+    recomputed = recompute and recompute(fields)
     if recomputed is None:
         raise ValueError(f"rows under header {header!r} (or aggregate rows) "
                          "cannot be replayed in isolation")
@@ -515,11 +516,6 @@ def _add_globals(p: argparse.ArgumentParser, root: bool) -> None:
     p.add_argument("--jobs", type=int, default=d(None),
                    help="parallel tasks for sweeps, capped at the task count; a tradeoff "
                         "task is one deck (default: the config's jobs, else all cores)")
-    p.add_argument("--cap-enum", type=int, default=d(DEFAULT_ENUM_CAP),
-                   help="max n^(2n) inputs that unique-pairs enumerates for its exact expectation")
-    p.add_argument("--cap-tree", type=int, default=d(DEFAULT_TREE_CAP),
-                   help="max R-way node count 1 + R + ... + R^depth for the trees of "
-                        "xy-check and lemma43, also those built on equality patterns")
 
 
 @functools.cache

@@ -340,10 +340,11 @@ def make_strategy(name: str, n: int, seed: int = 0):
 # ---------------------------------------------------------------------------
 # Entry points
 
-def multi_pass_play(x: Deck, budget: SpaceBudget, order: list[int] | None = None,
+def multi_pass_play(x: Deck, slots: int, order: list[int] | None = None,
                     lean: bool = False) -> Transcript:
-    """Run the blocked scanner on a deck and return its transcript."""
-    host = DeckHost(x, budget.slots, Transcript(lean=lean))
+    """Run the blocked scanner with `slots` stored cards on a deck and return
+    its transcript."""
+    host = DeckHost(x, slots, Transcript(lean=lean))
     MultiPass(order=order).play(host)
     return host.transcript
 

@@ -12,19 +12,20 @@ and may annotate edges with declared matches.  A tree branches one of two ways:
   values.  An output on an inner edge names only values read on its path; a
   leaf edge may name unread labels, which stand for the lowest unread values.
 
-Trees are checked two ways.  One runs decks down their paths: `_run` is the
-one deck walk, behind `tree_run` and the deck-enumeration oracles
-`x_exact_distribution` and `productive_fraction_brute`, which all refuse a
-deck or a shape that does not fit the tree.  The other counts, path by path,
-the decks consistent with each leaf, which yields the equal-pairs law and the
-productive-input fraction without enumerating the deck universe.
+Trees are checked two ways, each reading n and R from the tree.  One runs
+decks down their paths: `_run` is the one deck walk, behind `tree_run`, which
+refuses a deck that does not fit the tree, and the deck-enumeration oracles
+`x_exact_distribution` and `productive_fraction_brute`.  The other counts,
+path by path, the decks consistent with each leaf, which yields the
+equal-pairs law and the productive-input fraction without enumerating the
+deck universe.
 
 Every builder (fixed, random, guessing, compiled player) is a per-node `step`
 function unfolded by `_unfold`, which owns the size refusals (R >= n, which
-`DecisionTree` also demands, depth <= 2n, the R-way node cap), the branching
-and the padding rule.  The fixed, guessing and compiled trees branch on
-equality patterns; `random_tree` stays R-way because its random outputs are
-not symmetric under relabeling.
+`DecisionTree` also demands, depth <= 2n, a cap on the nodes of the tree it
+would build), the branching and the padding rule.  The fixed, guessing and
+compiled trees branch on equality patterns; `random_tree` stays R-way because
+its random outputs are not symmetric under relabeling.
 """
 from __future__ import annotations
 
@@ -170,12 +171,11 @@ def _run(tree: DecisionTree, x: Deck) -> PathStats:
 # ---------------------------------------------------------------------------
 # Exact distribution checks
 
-def x_exact_distribution(tree: DecisionTree, n: int, R: int,
-                         cap: int = DEFAULT_ENUM_CAP) -> list[Fraction]:
+def x_exact_distribution(tree: DecisionTree, cap: int = DEFAULT_ENUM_CAP) -> list[Fraction]:
     """Law of the equal-pairs count over a uniform valid deck, by enumeration:
     the slow oracle for `path_distribution`."""
-    _check_shape(tree, n, R)
-    tally = Counter(_run(tree, x).equal_pairs for x in enumerate_valid_inputs(n, R, cap))
+    decks = enumerate_valid_inputs(tree.n, tree.R, cap)
+    tally = Counter(_run(tree, x).equal_pairs for x in decks)
     total = tally.total()
     return [Fraction(tally.get(u, 0), total) for u in range(tree.depth // 2 + 1)]
 
@@ -315,17 +315,11 @@ def path_distribution(tree: DecisionTree) -> list[Fraction]:
     return [Fraction(tally.get(u, 0), total) for u in range(tree.depth // 2 + 1)]
 
 
-def _check_shape(tree: DecisionTree, n: int, R: int) -> None:
-    if tree.n != n or tree.R != R:
-        raise ValueError("tree shape disagrees with n, R")
-
-
-def xy_equiv_check(tree: DecisionTree, n: int, R: int) -> bool:
+def xy_equiv_check(tree: DecisionTree) -> bool:
     """Exact rational equality of the tree's equal-pairs law, counted path by
     path, with the completed-pairs law of drawing depth cards without
     replacement."""
-    _check_shape(tree, n, R)
-    return path_distribution(tree) == y_exact_distribution(n, tree.depth)
+    return path_distribution(tree) == y_exact_distribution(tree.n, tree.depth)
 
 
 @dataclass(frozen=True)
@@ -335,17 +329,35 @@ class ProductivityResult:
     ok: bool
 
 
-def lemma43_check(tree: DecisionTree, n: int, R: int, t: int) -> ProductivityResult:
+def _check_partial_matchings(tree: DecisionTree) -> None:
+    """Refuse a tree whose outputs along some path name one position twice,
+    so that every path emits a partial matching."""
+
+    def walk(node: TreeNode, named: frozenset[int]) -> None:
+        for outs, child in zip(node.outs, node.kids):
+            ends = [p for o in outs for p in (o.i, o.j)]
+            if len(set(ends)) != len(ends) or not named.isdisjoint(ends):
+                raise ValueError(f"outputs {outs} name a position twice along a path: "
+                                 "not a partial matching")
+            if child is not None:
+                walk(child, named.union(ends))
+
+    if tree.root is not None:
+        walk(tree.root, frozenset())
+
+
+def lemma43_check(tree: DecisionTree, t: int) -> ProductivityResult:
     """Exact fraction of decks on which the tree emits >= 2t correct outputs,
-    against the shallow-tree productivity bound (n-r-t)^-t + e^-t."""
-    r = tree.depth
-    _check_shape(tree, n, R)
+    against the shallow-tree productivity bound (n-r-t)^-t + e^-t.  The
+    outputs along each path must form a partial matching."""
+    n, r = tree.n, tree.depth
     if r > n // 2:
         raise ValueError(f"need depth <= n/2, got r={r}, n={n}")
     if t < 1 or t > r // 2:
         raise ValueError(f"need 1 <= t <= r/2, got t={t}, r={r}")
+    _check_partial_matchings(tree)
     productive, total = productive_deck_count(tree, t)
-    expect = count_valid_inputs(n, R)
+    expect = count_valid_inputs(n, tree.R)
     if total != expect:
         raise ValueError(f"tree is not total: paths cover {total} of {expect} decks")
     fraction = Fraction(productive, total)
@@ -353,12 +365,11 @@ def lemma43_check(tree: DecisionTree, n: int, R: int, t: int) -> ProductivityRes
     return ProductivityResult(fraction, bound, fraction <= Fraction(bound))
 
 
-def productive_fraction_brute(tree: DecisionTree, n: int, R: int, t: int,
+def productive_fraction_brute(tree: DecisionTree, t: int,
                               cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Deck-enumeration oracle for the productive fraction (small n only)."""
-    _check_shape(tree, n, R)
-    tally = Counter(_run(tree, x).correct_outputs >= 2 * t
-                    for x in enumerate_valid_inputs(n, R, cap))
+    decks = enumerate_valid_inputs(tree.n, tree.R, cap)
+    tally = Counter(_run(tree, x).correct_outputs >= 2 * t for x in decks)
     return Fraction(tally[True], tally.total())
 
 
@@ -367,6 +378,26 @@ def productive_fraction_brute(tree: DecisionTree, n: int, R: int, t: int,
 
 # chance that random_tree annotates an edge with an output
 _OUT_PROB = 0.4
+
+
+def _node_count(R: int, depth: int, pattern: bool, cap: int) -> int:
+    """Nodes, leaves included, of the depth-`depth` tree `_unfold` builds,
+    summed level by level; once the sum passes `cap` it is returned as is.
+
+    An R-way level has R times the nodes of the one above.  A pattern level
+    is kept by distinct values read: a node whose path read K values has K
+    repeat branches and, while K < R, one fresh branch."""
+    total = 0
+    level = [1]  # level[K]: nodes whose path read K distinct values (R-way: all)
+    for _ in range(depth + 1):
+        total += sum(level)
+        if total > cap:
+            break
+        if pattern:
+            level = [K * a + b for K, (a, b) in enumerate(zip(level + [0], [0] + level))][:R + 1]
+        else:
+            level = [level[0] * R]
+    return total
 
 
 def _unfold(n: int, R: int, depth: int, cap: int, step: Callable,
@@ -379,8 +410,9 @@ def _unfold(n: int, R: int, depth: int, cap: int, step: Callable,
     labels when `pattern`) and the positions they were read at, and returns
     (outputs on the edge into this node, next position to read or None).
     None pads the path with the lowest unread position.  The root has no
-    incoming edge, so it may not output.  The node cap bounds the R-way tree
-    whichever the branching, so both kinds refuse the same sizes.
+    incoming edge, so it may not output.  `cap` bounds the nodes of the tree
+    this builds, leaves included, and a tree past it is refused before any
+    node is built.
     """
     if n < 1 or depth < 0:
         raise ValueError(f"need n >= 1 and depth >= 0, got n={n}, depth={depth}")
@@ -388,9 +420,9 @@ def _unfold(n: int, R: int, depth: int, cap: int, step: Callable,
         raise ValueError(f"depth {depth} exceeds the {2 * n} distinct positions")
     if R < n:
         raise ValueError(f"need R >= n, got R={R} < n={n}")
-    nodes = (R ** (depth + 1) - 1) // (R - 1) if R > 1 else depth + 1
+    nodes = _node_count(R, depth, pattern, cap)
     if nodes > cap:
-        raise CapExceeded(f"tree would hold ~{nodes} nodes, cap {cap}")
+        raise CapExceeded(f"tree would hold at least {nodes} nodes, cap {cap}")
 
     def rec(vals: tuple[int, ...], positions: tuple[int, ...]):
         outs, pos = step(vals, positions)

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 from memlab import cli
-from memlab.adversary import (AdversaryHost, AdversaryLog, adversarial_play,
+from memlab.adversary import (AdversaryHost, adversarial_play,
                               involution_audit, kg_init, useful_edges_brute,
                               vanish_closure)
 from memlab.analysis import (YExperiment, binomial_tail_exact, chernoff_tail,
@@ -19,7 +19,7 @@ from memlab.analysis import (YExperiment, binomial_tail_exact, chernoff_tail,
 from memlab.cli import SweepConfig, tradeoff_sweep
 from memlab.game_core import (GameParams, Transcript, derive_seed,
                               generate_valid_input)
-from memlab.strategies import (MultiPass, SpaceBudget, make_strategy,
+from memlab.strategies import (MultiPass, make_strategy,
                                multi_pass_play, randomized_order)
 from memlab.trees import (build_guessing_tree, compile_prefix_tree,
                           fixed_position_tree, lemma43_check, random_tree,
@@ -66,8 +66,7 @@ def test_c02_exact_query_lower_bound():
             name = names[k % 3]
             slots = 2 * n if name == "perfect" else pow2[k % len(pow2)]
             strat = make_strategy(name, n, seed)
-            res = adversarial_play(strat, n, SpaceBudget.for_slots(n, slots),
-                                   lean=True, keep_records=False)
+            res = adversarial_play(strat, n, slots, keep_records=False)
             assert res.complete and not res.incorrect, (n, k, name)
             assert res.log.queries >= n * (n - 1) // 2, (n, k, name)
             assert res.log.deletions + res.log.vanishings == n * (n - 1), (n, k, name)
@@ -97,8 +96,7 @@ def test_c03_filter_oracle_equivalence():
             slots = 2 * n if name == "perfect" else 1 + k % n
             g = kg_init(n)
             g.closure_hook = hook
-            log = AdversaryLog(n, g.status, keep_records=False)
-            host = AdversaryHost(g, log, slots, Transcript(lean=True))
+            host = AdversaryHost(g, slots, Transcript(lean=True), keep_records=False)
             make_strategy(name, n, seed).play(host)
             assert host.done()
     _report(3, "useful-edge filter oracle equivalence", True,
@@ -139,19 +137,19 @@ def test_c05_tree_law_equals_sampling_law():
     checked = 0
     for k in range(50):
         tree = random_tree(3, 4, 1 + k % 4, seed=derive_seed(SEED, "xy", k))
-        assert xy_equiv_check(tree, 3, 4), k
+        assert xy_equiv_check(tree), k
         checked += 1
     for slots in (1, 2, 6):
         for depth in (1, 2, 3, 4):
             tree = compile_prefix_tree(MultiPass, 3, 4, depth, slots=slots)
-            assert xy_equiv_check(tree, 3, 4), (slots, depth)
+            assert xy_equiv_check(tree), (slots, depth)
             checked += 1
     for n, R in [(1, 1), (1, 2), (2, 2), (2, 3)]:
         for depth in range(1, min(4, 2 * n) + 1):
             tree = random_tree(n, R, depth, seed=derive_seed(SEED, "xy", n, R, depth))
-            assert xy_equiv_check(tree, n, R), (n, R, depth)
+            assert xy_equiv_check(tree), (n, R, depth)
             checked += 1
-        assert xy_equiv_check(fixed_position_tree(n, R, min(2, 2 * n)), n, R)
+        assert xy_equiv_check(fixed_position_tree(n, R, min(2, 2 * n)))
         checked += 1
     _report(5, "tree law == sampling law (exact)", True, f"{checked} trees")
 
@@ -169,7 +167,7 @@ def test_c06_productivity_bound():
                 "guessing": build_guessing_tree(8, R, r, t),
             }
             for kind, tree in trees.items():
-                res = lemma43_check(tree, 8, R, t)
+                res = lemma43_check(tree, t)
                 assert res.ok, (R, r, t, kind, res.fraction, res.bound)
                 worst = max(worst, float(res.fraction) / res.bound)
                 checked += 1
@@ -205,16 +203,15 @@ def test_c07_chernoff_machinery():
 def test_c08_truncated_randomized_player():
     # budget = 10x measured mean flips of the randomized-order player at n=16:
     # empirical error rate <= 1/10 + 3 sigma over 1e4 seeded trials.
-    n = 16
-    budget = SpaceBudget.for_slots(n, 4)
+    n, slots = 16, 4
 
     def one_run(k, cap=None):
         x = generate_valid_input(GameParams(n, n, derive_seed(SEED, "mc-deck", k)))
         order = randomized_order(n, derive_seed(SEED, "mc-order", k))
         if cap is None:
-            return multi_pass_play(x, budget, order=order, lean=True).flips
+            return multi_pass_play(x, slots, order=order, lean=True).flips
         wrapped = monte_carlo_wrap(MultiPass(order=order), cap / 10.0)
-        return wrapped.play(x, budget).errored
+        return wrapped.play(x, slots).errored
 
     mean = sum(one_run(k) for k in range(500)) / 500.0
     trials = 10_000

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlab import (FlipBudgetExceeded, InvariantViolation, SpaceBudget, Transcript,
+from memlab import (FlipBudgetExceeded, InvariantViolation, Transcript,
                     adversarial_play, involution_audit, kg_answer, kg_from_edges,
                     kg_init, kg_is_done, matches_of, realize_input, replay_consistent,
                     perfect_matchings, useful_edges_brute, validate_deck,
@@ -173,8 +173,7 @@ class TestFilterOracle:
 
         g = kg_init(n)
         g.closure_hook = hook
-        log = AdversaryLog(n, g.status)
-        host = AdversaryHost(g, log, slots, Transcript())
+        host = AdversaryHost(g, slots, Transcript())
         strategy.play(host)
         return checked
 
@@ -268,12 +267,12 @@ class TestRealize:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_replay_reproduces_every_answer(self, n):
-        res = adversarial_play(MultiPass(), n, SpaceBudget.for_slots(n, 2))
+        res = adversarial_play(MultiPass(), n, 2)
         assert res.complete
         assert replay_consistent(res)
 
     def test_no_realized_deck_is_not_consistent(self):
-        res = adversarial_play(GuessNow(), 3)
+        res = adversarial_play(GuessNow(), 3, 6)
         assert res.incorrect and res.realized is None
         assert replay_consistent(res) is False
 
@@ -363,7 +362,7 @@ class RandomBlindPlayer:
 
 class TestInvolution:
     def test_n2_single_query_run(self):
-        res = adversarial_play(FullMemory(), 2, SpaceBudget.for_slots(2, 4))
+        res = adversarial_play(FullMemory(), 2, 4)
         rep = involution_audit(res.log, res.matching)
         assert rep.ok and rep.pair_count == 1
         assert rep.deletions >= 1
@@ -437,7 +436,7 @@ class TestInvolution:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_finished_runs_pass_audit(self, n):
         for slots in (1, 2, n):
-            res = adversarial_play(MultiPass(), n, SpaceBudget.for_slots(n, slots))
+            res = adversarial_play(MultiPass(), n, slots)
             rep = involution_audit(res.log, res.matching)
             assert rep.ok, (n, slots, rep.failures)
             assert rep.deletions + rep.vanishings == n * (n - 1)
@@ -445,19 +444,26 @@ class TestInvolution:
 
 
 class TestAdversarialPlay:
+    def test_host_logs_against_its_own_graph(self):
+        g = kg_init(3)
+        host = AdversaryHost(g, 2, keep_records=False)
+        assert host.log.n == 3 and host.log.status is g.status
+        with pytest.raises(ValueError, match="at least one slot"):
+            adversarial_play(MultiPass(), 3, 0)
+
     def test_n2_query_floor(self):
-        res = adversarial_play(MultiPass(), 2, SpaceBudget.for_slots(2, 1))
+        res = adversarial_play(MultiPass(), 2, 1)
         assert res.complete
         assert res.log.queries >= 1
 
     def test_n8_any_slots_at_least_28_queries(self):
         for slots in (1, 2, 4, 8, 16):
-            res = adversarial_play(MultiPass(), 8, SpaceBudget.for_slots(8, slots))
+            res = adversarial_play(MultiPass(), 8, slots)
             assert res.complete
             assert res.log.queries >= 28
 
     def test_outputs_equal_realized_matching(self):
-        res = adversarial_play(MultiPass(), 5, SpaceBudget.for_slots(5, 2))
+        res = adversarial_play(MultiPass(), 5, 2)
         assert res.complete
         pairs = {(o.i, o.j) for o in res.transcript.outputs}
         assert pairs == set(res.matching)
@@ -465,7 +471,7 @@ class TestAdversarialPlay:
             set(map(tuple, matches_of(res.realized)))
 
     def test_immediate_guess_rejected_with_counterexample(self):
-        res = adversarial_play(GuessNow(), 4)
+        res = adversarial_play(GuessNow(), 4, 8)
         assert res.incorrect
         assert res.rejected_pair == (1, 5)
         x = res.counterexample
@@ -476,7 +482,7 @@ class TestAdversarialPlay:
     @settings(max_examples=80, deadline=None)
     def test_mid_game_guess_rejected_with_counterexample(self, n, seed):
         player = FlipThenGuess(seed)
-        res = adversarial_play(player, n)
+        res = adversarial_play(player, n, 2 * n)
         assert res.incorrect and res.rejected_pair == player.guess
         x = res.counterexample
         assert validate_deck(x, R=n) == n
@@ -492,7 +498,7 @@ class TestAdversarialPlay:
     @settings(max_examples=100, deadline=None)
     def test_random_blind_player_meets_every_identity(self, n, seed, data):
         s = data.draw(st.integers(min_value=1, max_value=2 * n))
-        res = adversarial_play(RandomBlindPlayer(seed), n, SpaceBudget.for_slots(n, s))
+        res = adversarial_play(RandomBlindPlayer(seed), n, s)
         assert res.complete and not res.incorrect
         assert res.log.deletions + res.log.vanishings == n * (n - 1)
         assert res.log.queries >= n * (n - 1) // 2
@@ -504,13 +510,12 @@ class TestAdversarialPlay:
         # with no code of its own; the capped flip is refused before it queries
         def game(cap):
             g = kg_init(6)
-            log = AdversaryLog(6, g.status)
-            host = AdversaryHost(g, log, 2, Transcript(cap=cap))
+            host = AdversaryHost(g, 2, Transcript(cap=cap))
             try:
                 MultiPass().play(host)
             except FlipBudgetExceeded as e:
-                return host.transcript, log, str(e)
-            return host.transcript, log, None
+                return host.transcript, host.log, str(e)
+            return host.transcript, host.log, None
 
         full, full_log, err = game(None)
         assert err is None
@@ -528,18 +533,16 @@ class TestAdversarialPlay:
     def test_stored_card_examined_again_hits_itself_without_a_query(self):
         # as on a deck host: the player then declares the card against itself
         g = kg_init(3)
-        log = AdversaryLog(3, g.status)
-        host = AdversaryHost(g, log, 2)
+        host = AdversaryHost(g, 2)
         with pytest.raises(ProtocolError, match="declared a position against itself: 1"):
             host.fill([1, 1])
-        assert (host.transcript.flips, log.queries) == (2, 0)
+        assert (host.transcript.flips, host.log.queries) == (2, 0)
 
     def test_termination_accounting_every_strategy(self):
         for n in (2, 3, 5, 7):
             for name in ("multipass", "rmultipass", "perfect"):
                 strat = make_strategy(name, n, seed=11)
-                res = adversarial_play(strat, n, SpaceBudget.for_slots(n, max(1, n // 2))
-                                       if name != "perfect" else None)
+                res = adversarial_play(strat, n, max(1, n // 2) if name != "perfect" else 2 * n)
                 assert res.complete, (n, name)
                 assert res.log.deletions + res.log.vanishings == n * (n - 1)
 

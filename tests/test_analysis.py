@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlab import (GameParams, SpaceBudget, YExperiment, binomial_tail_exact,
+from memlab import (GameParams, YExperiment, binomial_tail_exact,
                     chernoff_tail, generate_valid_input, monte_carlo_wrap,
                     multi_pass_play, relent, unique_pairs,
                     unique_pairs_expected, unique_pairs_expected_enumerated,
@@ -233,17 +233,16 @@ class TestChernoff:
 
 class TestMonteCarloWrap:
     def test_randomized_player_with_tenfold_mean_budget(self):
-        n = 16
-        budget = SpaceBudget.for_slots(n, 4)
+        n, slots = 16, 4
         runs = [multi_pass_play(generate_valid_input(GameParams(n, n, k)),
-                                budget, order=randomized_order(n, 7 * k), lean=True).flips
+                                slots, order=randomized_order(n, 7 * k), lean=True).flips
                 for k in range(200)]
         mean = sum(runs) / len(runs)
         wrapped = monte_carlo_wrap(MultiPass(order=randomized_order(n, 999)), mean)
         errs = 0
         for k in range(500):
             x = generate_valid_input(GameParams(n, n, 10_000 + k))
-            run = wrapped.play(x, budget)
+            run = wrapped.play(x, slots)
             errs += run.errored
         assert errs / 500 <= 0.1 + 3 * math.sqrt(0.1 * 0.9 / 500)
 

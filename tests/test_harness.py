@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -481,26 +482,68 @@ class TestCLI:
         assert code == 2 and out == ""
         assert err.startswith("memlab: S=0 bits stores no card index: need at least 4 bits")
 
-    # the fixed tree has depth 2, the random trees depths 1, 2, 3, 4 in turn:
-    # at n=3, R=4 they hold 21 and 5, 21, 85, 341 R-way nodes
-    @pytest.mark.parametrize("argv,cap", [
-        (["--cap-tree", "1", "xy-check", "--n", "3", "--R", "4", "--trees", "2"], 1),
-        (["xy-check", "--n", "3", "--R", "4", "--trees", "4", "--cap-tree", "21"], 21),
-    ])
-    def test_xy_check_honours_cap_tree(self, capsys, argv, cap):
-        code, out = run_cli(argv)
+    def test_xy_check_refuses_a_tree_past_the_cap(self, capsys):
+        # the random trees have depths 1, 2, 3, 4 in turn; at R=38 the last
+        # holds 1 + 38 + ... + 38^4 = 2,141,491 R-way nodes, past the 2e6 cap
+        code, out = run_cli(["xy-check", "--n", "3", "--R", "38", "--trees", "4"])
         err = capsys.readouterr().err
         assert code == 2 and out == ""
-        assert err.startswith("memlab: tree would hold") and f"cap {cap}" in err
+        assert err == "memlab: tree would hold at least 2141491 nodes, cap 2000000\n"
 
     def test_xy_check_runs_past_the_deck_cap(self):
-        # n=8, R=8 has 8.2e10 decks; path counting never enumerates them,
-        # so the deck cap does not apply
-        code, out = run_cli(["--cap-enum", "1", "xy-check", "--n", "8", "--R", "8",
-                             "--trees", "4"])
+        # n=8, R=8 has 8.2e10 decks, past the 1e7 deck cap; path counting
+        # never enumerates them, so the deck cap does not apply
+        code, out = run_cli(["xy-check", "--n", "8", "--R", "8", "--trees", "4"])
         rows = out.splitlines()
         assert code == 0 and len(rows) == 6
         assert all(row.endswith(",True") for row in rows[1:])
+
+    # the caps are constants, so a row's bytes follow from its columns alone
+    @pytest.mark.parametrize("argv", [
+        ["--cap-enum=1", "unique-pairs", "--n", "3"],
+        ["unique-pairs", "--n", "3", "--cap-enum=1"],
+        ["--cap-tree=1", "xy-check", "--n", "3", "--R", "4"],
+        ["lemma43", "--n", "8", "--R", "8", "--r", "2", "--t", "1", "--cap-tree=1"],
+    ])
+    def test_cap_flags_are_unknown(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        flag = next(a for a in argv if a.startswith("--cap"))
+        assert exc.value.code == 2
+        assert err.startswith("usage:") and f"unrecognized arguments: {flag}" in err
+
+    def test_unique_pairs_enumerates_below_the_deck_cap(self):
+        code, out = run_cli(["unique-pairs", "--n", "3", "--trials", "50"])
+        assert code in (0, 1) and out.splitlines()[1].split(",")[3] == "80/81"
+
+    # r = 8 = y_sample_size(64, 2): a cell inside the regime, on pattern
+    # trees of 5,296 nodes
+    @pytest.mark.parametrize("tree,fraction", [
+        ("compiled", Fraction(7, 15751175)),
+        ("guessing", Fraction(62465189, 9242080687125)),
+    ])
+    def test_lemma43_runs_at_n64_and_replays(self, tmp_path, tree, fraction):
+        out_file = tmp_path / "l43.csv"
+        code, _ = run_cli(["--out", str(out_file), "lemma43", "--n", "64", "--R", "64",
+                           "--r", "8", "--t", "2", "--tree", tree])
+        assert code == 0
+        vals = dict(zip(*(line.split(",") for line in out_file.read_text().splitlines())))
+        assert Fraction(int(vals["frac_num"]), int(vals["frac_den"])) == fraction
+        code, out = run_cli(["replay", "--file", str(out_file), "--line", "1"])
+        assert code == 0 and out.splitlines()[-1] == "replay: identical"
+
+    def test_lemma43_past_the_cap_is_refused_before_building(self, capsys, monkeypatch):
+        # the pattern tree at r=15 holds over 5e6 nodes; the count stops at
+        # the cap and no node is made
+        def no_node(*args):
+            raise AssertionError("built a node past the cap")
+
+        monkeypatch.setattr("memlab.trees.TreeNode", no_node)
+        code, out = run_cli(["lemma43", "--n", "30", "--R", "30", "--r", "15", "--t", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("memlab: tree would hold at least ") and "cap 2000000" in err
 
 
 def _child(args, **kw):
@@ -911,7 +954,7 @@ def _cmd(name, *parts):
 
 def _grammar():
     """Bounded argv over the whole grammar: n <= 4, sweeps always get --n-list
-    and --seeds <= 2, and every run is serial with small caps.  Required flags
+    and --seeds <= 2, and every run is serial.  Required flags
     are always given, and a bad value is one choice among good ones."""
     sizes = ["1", "2", "3", "4", "0", "-1", "x"]
     bits = ["1", "2", "3", "4", "6", "20", "0", "-1"]  # 3 bits is one index at n = 4
@@ -939,8 +982,7 @@ def _grammar():
         _cmd("report", st.lists(st.sampled_from(files), max_size=2)),
         _cmd("replay", _dashed(_given, file=files, line=["1", "2", "0", "-1", "x"])),
     )
-    globals_ = _dashed(_flags, seed=["0", "3", "12", "7", "x"], cap_enum=["1", "500", "20000"],
-                       cap_tree=["1", "1000", "20000"])
+    globals_ = _dashed(_flags, seed=["0", "3", "12", "7", "x"])
     return st.tuples(globals_, commands).map(lambda gc: ["--jobs", "1"] + gc[0] + gc[1])
 
 

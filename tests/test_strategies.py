@@ -24,16 +24,22 @@ class TestSpaceBudget:
         assert SpaceBudget.for_slots(8, 2).S == 8
 
     def test_too_small_budget_names_minimum(self):
-        x = (1, 2, 1, 2)
         with pytest.raises(ValueError, match="at least 2 bits"):
-            multi_pass_play(x, SpaceBudget(1, 2))
+            SpaceBudget(1, 2)
+
+    def test_deck_players_refuse_zero_slots(self):
+        x = (1, 2, 1, 2)
+        with pytest.raises(ValueError, match="at least one slot"):
+            multi_pass_play(x, 0)
+        with pytest.raises(ValueError, match="at least one slot"):
+            monte_carlo_wrap(MultiPass(), 10).play(x, 0)
 
 
 class TestMultiPass:
     def test_everything_fits_one_pass(self):
         # n=2, s=4: one pass, 4 flips, both matches
         for x in enumerate_valid_inputs(2, 2):
-            t = multi_pass_play(x, SpaceBudget.for_slots(2, 4))
+            t = multi_pass_play(x, 4)
             assert t.flips == 4
             assert t.passes == 1
             assert verify_transcript(x, t).ok
@@ -44,19 +50,18 @@ class TestMultiPass:
         assert bound == 16
         worst = 0
         for x in enumerate_valid_inputs(2, 2):
-            t = multi_pass_play(x, SpaceBudget.for_slots(2, 1))
+            t = multi_pass_play(x, 1)
             assert verify_transcript(x, t).ok
             assert t.flips <= bound
             worst = max(worst, t.flips)
         assert worst == 6
 
     def test_n4_s2_hundred_decks(self):
-        budget = SpaceBudget.for_slots(4, 2)
-        bound = multi_pass_time_bound(budget)
+        bound = multi_pass_time_bound(SpaceBudget.for_slots(4, 2))
         assert bound == 32
         for k in range(100):
             x = generate_valid_input(GameParams(4, 4, k))
-            t = multi_pass_play(x, budget)
+            t = multi_pass_play(x, 2)
             assert verify_transcript(x, t).ok
             assert t.flips <= bound
 
@@ -64,7 +69,7 @@ class TestMultiPass:
         budget = SpaceBudget.for_slots(6, 3)
         for k in range(20):
             x = generate_valid_input(GameParams(6, 6, k))
-            t = multi_pass_play(x, budget)
+            t = multi_pass_play(x, 3)
             assert space_audit(t, budget)
 
     @given(st.integers(min_value=0, max_value=10**9),
@@ -72,10 +77,9 @@ class TestMultiPass:
     @settings(max_examples=60, deadline=None)
     def test_correct_on_random_decks(self, seed, s):
         x = generate_valid_input(GameParams(8, 8, seed))
-        budget = SpaceBudget.for_slots(8, s)
-        t = multi_pass_play(x, budget, lean=True)
+        t = multi_pass_play(x, s, lean=True)
         assert set(t.outputs) == matches_of(x)
-        assert t.flips <= multi_pass_time_bound(budget)
+        assert t.flips <= multi_pass_time_bound(SpaceBudget.for_slots(8, s))
 
 
 class TestTimeBound:
@@ -109,7 +113,7 @@ class TestSpaceAudit:
     def test_multipass_by_construction(self):
         x = generate_valid_input(GameParams(5, 5, 3))
         budget = SpaceBudget.for_slots(5, 2)
-        assert space_audit(multi_pass_play(x, budget), budget) is True
+        assert space_audit(multi_pass_play(x, 2), budget) is True
 
     def test_hand_built_overflow_detected(self):
         t = Transcript()
@@ -139,9 +143,8 @@ class TestBlindPurity:
         for k in range(15):
             x = generate_valid_input(GameParams(8, 10, k))
             y = self._relabel(x, 10, k + 1)
-            budget = SpaceBudget.for_slots(8, s)
-            tx = multi_pass_play(x, budget)
-            ty = multi_pass_play(y, budget)
+            tx = multi_pass_play(x, s)
+            ty = multi_pass_play(y, s)
             assert tx.flip_positions() == ty.flip_positions()
             assert [(o.i, o.j) for o in tx.outputs] == [(o.i, o.j) for o in ty.outputs]
 
@@ -150,9 +153,8 @@ class TestBlindPurity:
         for k in range(10):
             x = generate_valid_input(GameParams(8, 8, k))
             y = self._relabel(x, 8, 5 * k + 2)
-            budget = SpaceBudget.for_slots(8, 2)
-            tx = multi_pass_play(x, budget, order=order)
-            ty = multi_pass_play(y, budget, order=order)
+            tx = multi_pass_play(x, 2, order=order)
+            ty = multi_pass_play(y, 2, order=order)
             assert tx.flip_positions() == ty.flip_positions()
             assert verify_transcript(x, tx).ok
 
@@ -163,32 +165,29 @@ class TestRandomizedOrder:
         assert randomized_order(16, 9) != randomized_order(16, 10)
 
     def test_correct_and_bounded(self):
-        budget = SpaceBudget.for_slots(16, 4)
-        bound = multi_pass_time_bound(budget)
+        bound = multi_pass_time_bound(SpaceBudget.for_slots(16, 4))
         for k in range(30):
             x = generate_valid_input(GameParams(16, 16, k))
-            t = multi_pass_play(x, budget, order=randomized_order(16, k), lean=True)
+            t = multi_pass_play(x, 4, order=randomized_order(16, k), lean=True)
             assert set(t.outputs) == matches_of(x)
             assert t.flips <= bound
 
 
 class TestFlipCap:
     def test_deterministic_within_budget_never_errors(self):
-        budget = SpaceBudget.for_slots(8, 2)
         for k in range(20):
             x = generate_valid_input(GameParams(8, 8, k))
-            T = multi_pass_play(x, budget, lean=True).flips
+            T = multi_pass_play(x, 2, lean=True).flips
             wrapped = monte_carlo_wrap(MultiPass(), T)
-            run = wrapped.play(x, budget)
+            run = wrapped.play(x, 2)
             assert not run.errored
 
     def test_half_budget_always_errors(self):
-        budget = SpaceBudget.for_slots(8, 2)
         for k in range(20):
             x = generate_valid_input(GameParams(8, 8, k))
-            T = multi_pass_play(x, budget, lean=True).flips
+            T = multi_pass_play(x, 2, lean=True).flips
             wrapped = monte_carlo_wrap(MultiPass(), T / 20)
-            run = wrapped.play(x, budget)
+            run = wrapped.play(x, 2)
             assert run.errored
             assert run.transcript.flips <= wrapped.cap <= T // 2
 
@@ -246,7 +245,7 @@ class TestDeckHostValidation:
 
     def test_truncated_player_rejects_invalid_deck(self):
         with pytest.raises(ValueError, match="multiplicities"):
-            monte_carlo_wrap(MultiPass(), 10).play((3, 3, 3, 1, 2, 2), SpaceBudget.for_slots(3, 1))
+            monte_carlo_wrap(MultiPass(), 10).play((3, 3, 3, 1, 2, 2), 1)
 
 
 class _StepHost(DeckHost):
@@ -406,7 +405,7 @@ class TestDeckHostScanOracle:
         for k in range(10):
             x = generate_valid_input(GameParams(8, 8, k))
             for order in (None, randomized_order(8, k)):
-                t = multi_pass_play(x, SpaceBudget.for_slots(8, s), order=order)
+                t = multi_pass_play(x, s, order=order)
                 assert verify_transcript(x, t).ok
 
     # deck (1, 2, 3, 1, 2, 3) with 2 slots

@@ -1,14 +1,16 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from memlab import (CapExceeded, GameParams, MatchTriple, SpaceBudget,
+from memlab import (CapExceeded, GameParams, MatchTriple,
                     count_valid_inputs, derive_seed, enumerate_valid_inputs, generate_valid_input,
-                    matches_of, multi_pass_play, y_exact_distribution)
+                    matches_of, multi_pass_play, y_exact_distribution, y_sample_size,
+                    y_tail_exact)
 from memlab.strategies import MultiPass, ProtocolError, randomized_order
-from memlab.trees import (DEFAULT_TREE_CAP, DecisionTree, TreeNode, _unfold, build_guessing_tree,
-                          compile_prefix_tree, fixed_position_tree,
+from memlab.trees import (DEFAULT_TREE_CAP, DecisionTree, TreeNode, _node_count, _unfold,
+                          build_guessing_tree, compile_prefix_tree, fixed_position_tree,
                           lemma43_check, path_distribution, productive_deck_count,
                           productive_fraction_brute, random_tree, tree_run,
                           x_exact_distribution, xy_equiv_check)
@@ -144,8 +146,8 @@ class TestTreeRun:
 
 
 class TestShapeRefusal:
-    """A deck, or an (n, R), that does not fit the tree is refused with
-    ValueError before the walk can index past the deck or the branches."""
+    """A deck that does not fit the tree is refused with ValueError before
+    the walk can index past the deck or the branches."""
 
     @pytest.mark.parametrize("x,msg", [
         ((1, 1, 2, 2), "deck of 4 cards for a tree over 8 positions"),
@@ -156,16 +158,6 @@ class TestShapeRefusal:
         for tree in (random_tree(4, 4, 3, 1), fixed_position_tree(4, 4, 3)):
             with pytest.raises(ValueError, match=msg):
                 tree_run(tree, x)
-
-    # in the last case every deck of the smaller alphabet walks the tree
-    # without an error, so only the shape check can refuse it
-    @pytest.mark.parametrize("tree_R,n,R", [(4, 2, 4), (4, 3, 4), (4, 4, 5), (5, 4, 4)])
-    def test_oracles_refuse_another_shape(self, tree_R, n, R):
-        tree = random_tree(4, tree_R, 3, 1)
-        with pytest.raises(ValueError, match="tree shape disagrees"):
-            x_exact_distribution(tree, n, R)
-        with pytest.raises(ValueError, match="tree shape disagrees"):
-            productive_fraction_brute(tree, n, R, 1)
 
 
 # the master seed of acceptance c05, whose trees the oracle below covers too
@@ -204,44 +196,38 @@ def _xy_trees():
 class TestXYEquivalence:
     def test_fixed_tree_n2(self):
         tree = fixed_position_tree(2, 2, 2)
-        dist = x_exact_distribution(tree, 2, 2)
+        dist = x_exact_distribution(tree)
         assert dist == [Fraction(2, 3), Fraction(1, 3)]
-        assert xy_equiv_check(tree, 2, 2)
+        assert xy_equiv_check(tree)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_fixed_positions_all_depths(self, depth):
         tree = fixed_position_tree(3, 4, depth)
-        assert xy_equiv_check(tree, 3, 4)
+        assert xy_equiv_check(tree)
 
     def test_fifty_random_trees(self):
         for k in range(50):
             depth = 1 + k % 4
             tree = random_tree(3, 4, depth, seed=1000 + k)
-            assert xy_equiv_check(tree, 3, 4), (k, depth)
+            assert xy_equiv_check(tree), (k, depth)
 
     def test_small_n(self):
         for n, R in [(1, 1), (1, 2), (2, 2), (2, 3)]:
             for depth in range(1, min(4, 2 * n) + 1):
                 tree = random_tree(n, R, depth, seed=31 * n + depth)
-                assert xy_equiv_check(tree, n, R), (n, R, depth)
+                assert xy_equiv_check(tree), (n, R, depth)
 
     def test_compiled_prefixes(self):
         for slots in (1, 2, 6):
             for depth in (1, 2, 3, 4):
                 tree = compile_prefix_tree(MultiPass, 3, 4, depth, slots=slots)
-                assert xy_equiv_check(tree, 3, 4), (slots, depth)
+                assert xy_equiv_check(tree), (slots, depth)
 
     def test_path_counting_agrees_with_enumeration(self):
         # xy_equiv_check reads the law from path counting; deck enumeration
         # is its oracle on every tree the checks cover
         for where, tree in _xy_trees():
-            assert path_distribution(tree) == x_exact_distribution(tree, tree.n, tree.R), where
-
-    def test_shape_mismatch_rejected(self):
-        tree = fixed_position_tree(3, 4, 2)
-        for n, R in [(2, 4), (3, 5)]:
-            with pytest.raises(ValueError, match="tree shape"):
-                xy_equiv_check(tree, n, R)
+            assert path_distribution(tree) == x_exact_distribution(tree), where
 
 
 class TestCompile:
@@ -256,7 +242,7 @@ class TestCompile:
             for k in range(100):
                 x = generate_valid_input(GameParams(8, 8, k))
                 stats = tree_run(tree, x)
-                live = multi_pass_play(x, SpaceBudget.for_slots(8, slots))
+                live = multi_pass_play(x, slots)
                 live_flips = live.flip_positions()[:4]
                 assert list(stats.queried) == live_flips, (slots, k)
                 live_outs = [o for o in live.outputs
@@ -287,8 +273,10 @@ class TestCompile:
         assert tree.root is None and tree.depth == 0
 
     def test_tree_cap_refusal(self):
-        with pytest.raises(CapExceeded, match="nodes"):
-            compile_prefix_tree(MultiPass, 8, 8, 4, slots=2, cap=100)
+        # 1, 1, 2, 5 and 15 equality patterns of 0..4 reads: 24 nodes
+        assert compile_prefix_tree(MultiPass, 8, 8, 4, slots=2, cap=24).depth == 4
+        with pytest.raises(CapExceeded, match="tree would hold at least 24 nodes, cap 23"):
+            compile_prefix_tree(MultiPass, 8, 8, 4, slots=2, cap=23)
 
     def test_player_whose_read_order_changes_refused(self):
         replays = itertools.count()
@@ -316,6 +304,52 @@ class TestCompile:
             _unfold(2, 2, 1, DEFAULT_TREE_CAP, step, pattern=False)
 
 
+def _size(tree):
+    """Nodes of a built tree, leaves included."""
+    def rec(node):
+        return 1 + sum(1 if kid is None else rec(kid) for kid in node.kids)
+
+    return 1 if tree.root is None else rec(tree.root)
+
+
+class TestNodeCap:
+    """The cap counts the tree `_unfold` builds: R-way levels, or per level
+    the equality patterns with labels <= R."""
+
+    @pytest.mark.parametrize("n,R,depth,nodes", [
+        (3, 4, 2, 4), (4, 4, 3, 9), (8, 8, 4, 24), (8, 16, 5, 76), (64, 64, 8, 5296),
+        (2, 2, 4, 16), (1, 1, 2, 3),
+    ])
+    def test_pattern_count_is_the_built_tree(self, n, R, depth, nodes):
+        tree = fixed_position_tree(n, R, depth)
+        assert _node_count(R, depth, True, DEFAULT_TREE_CAP) == _size(tree) == nodes
+
+    @pytest.mark.parametrize("n,R,depth,nodes", [(3, 4, 2, 21), (2, 2, 3, 15), (1, 1, 2, 3),
+                                                 (3, 3, 0, 1)])
+    def test_r_way_count_is_the_built_tree(self, n, R, depth, nodes):
+        tree = random_tree(n, R, depth, seed=depth)
+        assert _node_count(R, depth, False, DEFAULT_TREE_CAP) == _size(tree) == nodes
+
+    @pytest.mark.parametrize("build,nodes", [
+        (lambda cap: fixed_position_tree(8, 8, 4, cap=cap), 24),
+        (lambda cap: build_guessing_tree(8, 16, 5, 2, cap=cap), 76),
+        (lambda cap: compile_prefix_tree(MultiPass, 4, 4, 3, slots=2, cap=cap), 9),
+        (lambda cap: random_tree(3, 4, 2, seed=1, cap=cap), 21),
+    ])
+    def test_cap_boundary_is_exact(self, build, nodes):
+        assert _size(build(nodes)) == nodes
+        with pytest.raises(CapExceeded, match=f"at least {nodes} nodes, cap {nodes - 1}$"):
+            build(nodes - 1)
+
+    def test_count_stops_at_the_cap(self):
+        # Bell(0) + ... + Bell(12) passes 2e6 at level 12 of a depth-15 tree
+        assert _node_count(30, 15, True, DEFAULT_TREE_CAP) == 5034585
+        assert _node_count(10**6, 15, False, 10) == 1 + 10**6
+        # a cap the running sum meets at an inner level still refuses
+        with pytest.raises(CapExceeded, match="at least 4 nodes, cap 2$"):
+            fixed_position_tree(8, 8, 4, cap=2)
+
+
 class TestGuessingTree:
     def test_structure_and_wellformedness(self):
         tree = build_guessing_tree(8, 8, 4, 2)
@@ -337,45 +371,45 @@ class TestProductivityBound:
         for R in (4, 5):
             for t in (1,):
                 gt = build_guessing_tree(4, R, 2, t)
-                res = lemma43_check(gt, 4, R, t)
-                assert res.fraction == productive_fraction_brute(gt, 4, R, t)
+                res = lemma43_check(gt, t)
+                assert res.fraction == productive_fraction_brute(gt, t)
         gt = build_guessing_tree(5, 5, 2, 1)
-        res = lemma43_check(gt, 5, 5, 1)
-        assert res.fraction == productive_fraction_brute(gt, 5, 5, 1)
+        res = lemma43_check(gt, 1)
+        assert res.fraction == productive_fraction_brute(gt, 1)
 
     def test_counting_with_stacked_events_oracle(self):
         # hand-built tree whose leaf edges pin several unread positions at
         # once: exercises the inclusion-exclusion over overlapping events
         outs = [MatchTriple(1, 3, 1), MatchTriple(5, 6, 2), MatchTriple(7, 8, 3)]
         tree = _chain(4, 4, [1, 2], leaf_outputs=outs)
-        res = lemma43_check(tree, 4, 4, 1)
-        assert res.fraction == productive_fraction_brute(tree, 4, 4, 1)
+        res = lemma43_check(tree, 1)
+        assert res.fraction == productive_fraction_brute(tree, 1)
         assert res.fraction > 0
 
     def test_compiled_counting_equals_enumeration_oracle(self):
         tree = compile_prefix_tree(MultiPass, 4, 4, 2, slots=2)
-        res = lemma43_check(tree, 4, 4, 1)
-        assert res.fraction == productive_fraction_brute(tree, 4, 4, 1)
+        res = lemma43_check(tree, 1)
+        assert res.fraction == productive_fraction_brute(tree, 1)
 
     def test_outputless_tree_fraction_zero(self):
         tree = fixed_position_tree(8, 8, 4)
-        res = lemma43_check(tree, 8, 8, 2)
+        res = lemma43_check(tree, 2)
         assert res.fraction == 0 and res.ok
 
     def test_bound_holds_at_n8(self):
         for R in (8, 16):
             for (r, t) in [(2, 1), (4, 1), (4, 2)]:
                 gt = build_guessing_tree(8, R, r, t)
-                res = lemma43_check(gt, 8, R, t)
+                res = lemma43_check(gt, t)
                 assert res.ok, (R, r, t, res.fraction, res.bound)
 
     def test_preconditions(self):
         tree = fixed_position_tree(8, 8, 4)
         with pytest.raises(ValueError, match="t <= r/2"):
-            lemma43_check(tree, 8, 8, 3)
+            lemma43_check(tree, 3)
         deep = fixed_position_tree(8, 8, 5)
         with pytest.raises(ValueError, match="depth <= n/2"):
-            lemma43_check(deep, 8, 8, 2)
+            lemma43_check(deep, 2)
 
     @pytest.mark.parametrize("kind,R,r,t,fraction", [
         ("guessing", 8, 2, 1, Fraction(593, 90090)),
@@ -392,13 +426,33 @@ class TestProductivityBound:
         else:
             slots = int(kind.removeprefix("compiled_s"))
             tree = compile_prefix_tree(MultiPass, 8, R, r, slots=slots)
-        assert lemma43_check(tree, 8, R, t).fraction == fraction
+        assert lemma43_check(tree, t).fraction == fraction
+
+    @pytest.mark.parametrize("leaf,inner", [
+        ((MatchTriple(1, 3, 1), MatchTriple(3, 4, 2)), ()),  # one edge names 3 twice
+        ((MatchTriple(3, 4, 1),), (MatchTriple(1, 3, 1),)),  # two edges of a path name 3
+    ])
+    def test_outputs_that_are_not_a_partial_matching_refused(self, leaf, inner):
+        def step(vals, positions):
+            return (inner if len(vals) == 1 else leaf if len(vals) == 2 else ()), None
+
+        tree = _unfold(4, 4, 2, DEFAULT_TREE_CAP, step, pattern=False)
+        with pytest.raises(ValueError, match="not a partial matching"):
+            lemma43_check(tree, 1)
+
+    def test_bound_fails_outside_the_regime(self):
+        # a declare-on-sight tree at n=26, r=13 is productive with Pr[Y >= 2]
+        # (c05), which beats the t=1 bound; r is past y_sample_size(26, 1)
+        fraction = y_tail_exact(26, 13, 2)
+        assert fraction == Fraction(1997853, 4060189)
+        assert fraction > (26 - 13 - 1) ** -1 + math.exp(-1)
+        assert y_sample_size(26, 1) == 3
 
     def test_y_distribution_controls_compiled_outputs(self):
         # a compiled player only declares both-read pairs, so its >=2t-output
         # fraction equals the exact tail of the sampling law
         tree = compile_prefix_tree(MultiPass, 8, 8, 4, slots=16)
-        res = lemma43_check(tree, 8, 8, 1)
+        res = lemma43_check(tree, 1)
         tail = sum(y_exact_distribution(8, 4)[2:], Fraction(0))
         assert res.fraction == tail
 
@@ -419,7 +473,7 @@ class TestConflictingPins:
         tree = DecisionTree(root, 3, 3, 1)
         got, total = productive_deck_count(tree, 1)
         assert Fraction(got, total) == Fraction(1, 15)
-        assert Fraction(got, total) == productive_fraction_brute(tree, 3, 3, 1)
+        assert Fraction(got, total) == productive_fraction_brute(tree, 1)
 
     def test_dense_random_outputs_match_enumeration(self, monkeypatch):
         # an output on every edge makes overlapping, contradicting pins common
@@ -429,7 +483,7 @@ class TestConflictingPins:
                 tree = random_tree(n, R, depth, seed)
                 for t in (1, 2):
                     got, total = productive_deck_count(tree, t)
-                    assert Fraction(got, total) == productive_fraction_brute(tree, n, R, t), \
+                    assert Fraction(got, total) == productive_fraction_brute(tree, t), \
                         (n, R, depth, seed, t)
 
 
@@ -473,7 +527,7 @@ class TestPatternExpansionOracle:
                         got, total = productive_deck_count(tree, t)
                         assert (got, total) == productive_deck_count(full, t), (where, t)
                         if depth <= n // 2 and t <= depth // 2:
-                            assert lemma43_check(tree, n, R, t) == lemma43_check(full, n, R, t)
+                            assert lemma43_check(tree, t) == lemma43_check(full, t)
                         if small:
-                            brute = productive_fraction_brute(full, n, R, t)
+                            brute = productive_fraction_brute(full, t)
                             assert brute == Fraction(got, total), (where, t)
