@@ -490,6 +490,27 @@ class TestCLI:
         assert code == 2 and out == ""
         assert err == "memlab: tree would hold at least 2141491 nodes, cap 2000000\n"
 
+    # the tree cap is the constant DEFAULT_TREE_CAP: the flag that once set
+    # it, before or after the subcommand, is refused and builds no tree, and
+    # the same command without it builds trees a cap of 1 or 21 would refuse
+    @pytest.mark.parametrize("argv,cap", [
+        (["--cap-tree", "1", "xy-check", "--n", "3", "--R", "4", "--trees", "2"], 1),
+        (["xy-check", "--n", "3", "--R", "4", "--trees", "4", "--cap-tree", "21"], 21),
+    ])
+    def test_xy_check_honours_cap_tree(self, capsys, argv, cap):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("usage:") and "tree would hold" not in err
+        i = argv.index("--cap-tree")
+        assert argv[i + 1] == str(cap)
+        code, out = run_cli(argv[:i] + argv[i + 2:])
+        rows = out.splitlines()
+        # a header, the fixed tree, then one row per random tree
+        assert code == 0 and len(rows) == 2 + int(argv[argv.index("--trees") + 1])
+        assert all(row.endswith(",True") for row in rows[1:])
+
     def test_xy_check_runs_past_the_deck_cap(self):
         # n=8, R=8 has 8.2e10 decks, past the 1e7 deck cap; path counting
         # never enumerates them, so the deck cap does not apply
