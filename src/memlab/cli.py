@@ -272,6 +272,11 @@ def adversary_sweep(cfg: SweepConfig) -> tuple[list[str], bool]:
 # ---------------------------------------------------------------------------
 # Single-run and check commands
 
+def _refuse_space_bits(args) -> None:
+    if args.space_bits is not None:
+        raise ValueError("--space-bits conflicts with --strategy perfect, which stores every card")
+
+
 def cmd_play(args) -> int:
     if args.deck:
         with open(args.deck) as fh:
@@ -289,6 +294,7 @@ def cmd_play(args) -> int:
         R = n if args.R is None else args.R
         x = generate_valid_input(GameParams(n, R, args.seed))
     if args.strategy == "perfect":
+        _refuse_space_bits(args)
         budget = SpaceBudget.for_slots(n, 2 * n)
     else:
         if args.space_bits is None:
@@ -315,6 +321,7 @@ def cmd_adversary(args) -> int:
     if strategy == "mixed":
         raise ValueError("--strategy mixed applies to sweep mode only")
     if strategy == "perfect":
+        _refuse_space_bits(args)
         s = 2 * n
     elif args.space_bits is not None:
         s = SpaceBudget(args.space_bits, n).slots

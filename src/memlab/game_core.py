@@ -8,12 +8,21 @@ produces, and the brute-force verification report the test suite leans on.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
+
+# CPython's builtin SHA-256 gives hashlib's digest without loading OpenSSL,
+# which hashlib does on import (about 3.5 MB of resident memory)
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 Deck = tuple[int, ...]
 
@@ -68,7 +77,7 @@ def derive_seed(seed: int, *parts) -> int:
     experiment can be re-run in isolation from its recorded child seed.
     """
     text = f"{seed}:" + "/".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
+    return int.from_bytes(sha256(text.encode()).digest()[:8], "big") >> 1
 
 
 def generate_valid_input(params: GameParams) -> Deck:
@@ -220,6 +229,21 @@ class Transcript:
             self.max_ws = ws_size
         if not self.lean:
             self.events.extend([Event("flip", p, ws_size) for p in positions])
+
+    def add_flip_count(self, k: int, ws_size: int) -> None:
+        """Count k flips, none above working-set size `ws_size`, without
+        naming them: a lean transcript only, since a full one records each
+        flip's position.  Past the cap, the flips that fit are counted and
+        then it raises."""
+        if not self.lean:
+            raise ValueError("a full transcript records each flip's position")
+        if self.cap is not None and self.flips + k > self.cap:
+            self.add_flip_count(self.cap - self.flips, ws_size)
+            raise FlipBudgetExceeded(f"flip cap {self.cap} reached")
+        if k > 0:
+            self.flips += k
+            if ws_size > self.max_ws:
+                self.max_ws = ws_size
 
     def note_ws(self, size: int) -> None:
         if size > self.max_ws:

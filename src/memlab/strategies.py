@@ -7,14 +7,16 @@ drive the same player classes against either a real deck (here) or the
 adaptive adversary (see adversary.py), so a player's choices are a function
 of equality bits and its own state alone.
 
-Hosts own the two examine loops the shipped players are made of: `fill`
-(store each miss, declare each hit) and `scan` (declare each hit until the
-working set empties).  `GameHost` runs them one flip at a time, which the
-adversary and the tree compiler need and which serves as the oracle.
-`DeckHost.scan` over a permutation of the table jumps from hit to hit: only
-the stored cards' partners can hit, so it sorts their ranks in the order and
-records each run of misses between two hits in one step, skipping removed
-cards by an alive mask kept per rank.
+Hosts own the examine loops the shipped players are made of: `fill` (store
+each miss, declare each hit), `scan` (declare each hit until the working set
+empties) and `run_pass`, one multipass round of a fill and a scan.
+`GameHost` runs them one flip at a time, which the adversary and the tree
+compiler need and which serves as the oracle.  `DeckHost` knows each card's
+partner.  With a lean transcript it plays a round over a permutation of the
+table in rank space: a block card hits or is stored by its partner's rank,
+and the scan's flips are counted over an alive mask kept per rank, not
+listed.  A full transcript, which names every flip, gets `DeckHost.scan`,
+which jumps from hit to hit and records each run of misses in one step.
 """
 from __future__ import annotations
 
@@ -71,10 +73,11 @@ class GameHost:
     """Drives one game: owns the table, the working set, and the transcript.
 
     Subclasses answer the equality bits (`_equal_members`) and assign values
-    to declared matches (`_declare_value`).  The two examine loops every
-    shipped player is built from, `fill` and `scan`, live here; a subclass
-    may replace them with a faster loop that plays the same game.  A
-    truncated run's flip cap is the transcript's: a host checks none.
+    to declared matches (`_declare_value`).  The examine loops every
+    shipped player is built from, `fill` and `scan` and the multipass round
+    `run_pass` made of them, live here; a subclass may replace them with a
+    faster loop that plays the same game.  A truncated run's flip cap is
+    the transcript's: a host checks none.
     """
 
     def __init__(self, n: int, slots: int, transcript: Transcript | None = None):
@@ -143,6 +146,18 @@ class GameHost:
         self.working.discard(j)
 
     # -- examine loops ---------------------------------------------------
+    def run_pass(self, order, lo: int, hi: int, index: int) -> None:
+        """One multipass round, numbered `index`: store the live cards of
+        order[lo:hi], declaring each hit among them, then scan order[hi:]
+        until the working set empties.  A block with no live card is skipped."""
+        block = order[lo:hi]
+        if not any(map(self.live, block)):
+            return
+        self.clear_working()
+        self.transcript.add_pass(index)
+        self.fill(block)
+        self.scan(order, hi)
+
     def fill(self, positions) -> None:
         """Examine each live position in turn, declaring a hit against its
         first stored match and storing a miss; stop once the table is clear."""
@@ -186,17 +201,31 @@ class DeckHost(GameHost):
     hit to hit: the hits are the stored cards' partners, taken in the order
     of their ranks, and each run of live misses between two of them is one
     `Transcript.add_flips`, which cuts the run at the transcript's flip cap.
-    The ranks and an alive mask indexed by rank are built once per order (the
-    list object, which must not be reordered in place afterwards) and kept
-    current on every removal.  Any other scan is the generic one.
+    Any other scan is the generic one.
+
+    `run_pass` plays a round with no per-flip step when the transcript is
+    lean, the order a permutation, the block fits the slots and the round
+    cannot reach the flip cap.  A block card whose partner's rank lies
+    earlier in the block hits; any other is stored.  The scan then hits each
+    stored card's partner ranked at or after the block, and flips every live
+    card up to the last such hit, or to the end of the order while a stored
+    card's partner lies before the block.  Its flips are one count over the
+    alive mask; the outputs go out in rank order, as the generic round makes
+    them.  Any other round is the generic one, through `fill` and `scan`.
+
+    The ranks, the partner ranks and an alive mask indexed by rank are built
+    once per order (the list object, which must not be reordered in place
+    afterwards), and every removal keeps the mask current, so rank rounds
+    and generic rounds can alternate within one game.
     """
 
     def __init__(self, x: Deck, slots: int, transcript: Transcript | None = None):
         self.partner = deck_partners(x)
         super().__init__(len(x) // 2, slots, transcript)
         self.x = x
-        self._order = None  # the permutation _rank and _alive describe
+        self._order = None  # the permutation _rank, _prank and _alive describe
         self._rank: list[int] = []  # _rank[p]: the index of p in _order
+        self._prank: list[int] = []  # _prank[r]: the rank of _order[r]'s partner
         self._alive = bytearray()  # _alive[r]: card _order[r] is on the table
 
     def _equal_members(self, pos: int) -> list[int]:
@@ -254,9 +283,56 @@ class DeckHost(GameHost):
         if working:  # a stored card whose partner is behind `start`
             t.add_flips(list(compress(positions[a:], alive[a:])), len(working))
 
+    def run_pass(self, order, lo: int, hi: int, index: int) -> None:
+        t = self.transcript
+        top = 2 * self.n
+        if (not t.lean or not 0 <= lo <= hi or hi - lo > self.slots
+                or t.cap is not None and t.flips + top - lo > t.cap
+                or self._ranks(order) is None):
+            GameHost.run_pass(self, order, lo, hi, index)
+            return
+        alive, prank = self._alive, self._prank
+        live = list(compress(range(lo, hi), alive[lo:hi]))
+        if not live:
+            return
+        self.clear_working()
+        t.add_pass(index)
+        pairs = []  # (rank, partner's rank) of each hit, in the order it is declared
+        ahead = []  # stored cards' partner ranks at or after hi: the scan's hits
+        behind = []  # stored cards whose partner lies before lo: never hit
+        size = peak = 0
+        for r in live:
+            q = prank[r]
+            if lo <= q < r:
+                pairs.append((r, q))
+                size -= 1
+            else:
+                size += 1
+                if size > peak:
+                    peak = size
+                if q >= hi:
+                    ahead.append(q)
+                elif q < lo:
+                    behind.append(order[r])
+        ahead.sort()
+        end = top if behind else ahead[-1] + 1 if ahead else hi  # the scan's end
+        t.add_flip_count(len(live) + alive.count(1, hi, end), peak)
+        pairs.extend((q, prank[q]) for q in ahead)
+        x, removed = self.x, self.removed
+        for r, q in pairs:
+            i, j = order[r], order[q]
+            if i > j:
+                i, j = j, i
+            t.add_output(MatchTriple(i, j, x[i - 1]))
+            removed.add(i)
+            removed.add(j)
+            alive[r] = alive[q] = 0
+        self.working.update(behind)
+
     def _ranks(self, order) -> list[int] | None:
         """The rank array of `order` if it is a permutation of 1..2n, else
-        None; a new permutation gets fresh ranks and alive mask."""
+        None; a new permutation gets fresh ranks, partner ranks and alive
+        mask."""
         if order is self._order:
             return self._rank
         top = 2 * self.n
@@ -265,7 +341,9 @@ class DeckHost(GameHost):
         rank = [0] * (top + 1)
         for r, p in enumerate(order):
             rank[p] = r
+        partner = self.partner
         self._order, self._rank = order, rank
+        self._prank = [rank[partner[p]] for p in order]
         self._alive = bytearray(p not in self.removed for p in order)
         return rank
 
@@ -297,13 +375,7 @@ class MultiPass:
         for b in range(blocks):
             if host.done():
                 break
-            block = order[b * s:(b + 1) * s]
-            if not any(map(host.live, block)):
-                continue
-            host.clear_working()
-            host.transcript.add_pass(b + 1)
-            host.fill(block)
-            host.scan(order, (b + 1) * s)
+            host.run_pass(order, b * s, (b + 1) * s, b + 1)
 
 
 class FullMemory:

@@ -220,6 +220,24 @@ class TestTranscript:
             t.add_flips([1], 9)
         assert (t.flips, t.max_ws, len(t.events)) == (4, 3, 0 if lean else 4)
 
+    def test_flip_count_keeps_the_cap_rule(self):
+        t = Transcript(lean=True, cap=5)
+        t.add_flip_count(2, 1)
+        t.add_flip_count(0, 9)  # no flip, no working-set size
+        assert (t.flips, t.max_ws) == (2, 1)
+        with pytest.raises(FlipBudgetExceeded, match="flip cap 5 reached"):
+            t.add_flip_count(4, 3)
+        assert (t.flips, t.max_ws, t.events) == (5, 3, [])
+        with pytest.raises(FlipBudgetExceeded):
+            t.add_flip_count(1, 7)
+        assert (t.flips, t.max_ws) == (5, 3)
+
+    def test_flip_count_refuses_a_full_transcript(self):
+        t = Transcript()
+        with pytest.raises(ValueError, match="records each flip's position"):
+            t.add_flip_count(3, 1)
+        assert (t.flips, t.max_ws, t.events) == (0, 0, [])
+
     def test_uncapped_and_exact_cap_runs_finish(self):
         for cap in (None, 3):
             t = Transcript(cap=cap)
@@ -295,6 +313,14 @@ class TestSeeds:
         assert derive_seed(0, "deck", 8, 0) == derive_seed(0, "deck", 8, 0)
         assert derive_seed(0, "deck", 8, 0) != derive_seed(0, "deck", 8, 1)
         assert derive_seed(1, "deck", 8, 0) != derive_seed(0, "deck", 8, 0)
+
+    @pytest.mark.parametrize("seed,parts", [(0, ()), (7, ("deck", 8, 0)), (2**70, ("x", -3)),
+                                            (1003, ("tradeoff", 256, 9))])
+    def test_builtin_sha256_gives_the_hashlib_seed(self, seed, parts):
+        import hashlib
+        text = f"{seed}:" + "/".join(str(p) for p in parts)
+        want = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
+        assert derive_seed(seed, *parts) == want
 
     def test_63_bit_range(self):
         for k in range(50):

@@ -268,6 +268,14 @@ class TestCLI:
             assert code == 2 and out == ""
             assert err.startswith("memlab: ") and "deck file" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["play", "adversary"])
+    def test_perfect_refuses_space_bits(self, capsys, command):
+        code, out = run_cli([command, "--strategy", "perfect", "--n", "8", "--space-bits", "4"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == ("memlab: --space-bits conflicts with --strategy perfect, "
+                       "which stores every card\n")
+
     def test_play_header_only_deck_file_exits_2(self, tmp_path, capsys):
         deck_file = tmp_path / "decks.txt"
         deck_file.write_text("2 2\n")
@@ -629,6 +637,7 @@ run("report", "t.csv", "a.csv", "l.csv", "x.csv")
 run("replay", "--file", "t.csv", "--line", "1")
 run("replay", "--file", "a.csv", "--line", "2")
 assert "numpy" not in sys.modules and "concurrent.futures.process" not in sys.modules
+assert "_hashlib" not in sys.modules
 run("lemma-y", "--n", "10", "--t", "1", "--trials", "20")
 assert "numpy" in sys.modules and "concurrent.futures.process" not in sys.modules
 print("cold start ok")
@@ -636,9 +645,9 @@ print("cold start ok")
 
 
 def test_serial_commands_load_neither_numpy_nor_the_pool(tmp_path):
-    """Only the Monte Carlo samplers load numpy and only a parallel sweep
-    loads the process pool; one fresh interpreter runs every other command
-    with --jobs 1, then a lemma-y cell."""
+    """Only the Monte Carlo samplers load numpy (which loads OpenSSL's
+    `_hashlib`) and only a parallel sweep loads the process pool; one fresh
+    interpreter runs every other command with --jobs 1, then a lemma-y cell."""
     proc = _child(["-c", _COLD_START], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("cold start ok\n")
@@ -653,6 +662,13 @@ _GOLDEN = {
     ("tradeoff", "--n-list", "8,16,32", "--s-list", "pow2", "--seeds", "3",
      "--strategy", "rmultipass"):
         "8699cf6f8d42d928cef17f0ea8b8a18434b5fc7ab75489294ed0358f8598155b",
+    # the benchmark's two largest pair counts, where most rounds scan far past their block
+    ("tradeoff", "--n-list", "64,256", "--s-list", "pow2", "--seeds", "2",
+     "--strategy", "multipass"):
+        "beaf90e139399e38cb3d1a552e503eaf4ca6a435c6c6ab676d8612d8e9ce0e8a",
+    ("tradeoff", "--n-list", "64,256", "--s-list", "pow2", "--seeds", "2",
+     "--strategy", "rmultipass"):
+        "bb0a9ea6d1beb0abc11439b1c083b2ddd7d00a0ab5521d2bf8b68c5dc4f3ea40",
     ("play", "--strategy", "multipass", "--n", "16", "--space-bits", "20"):
         "18d06b5fb66c0c7522ceb3570701c41a8a46fcdbf3099954289a057ef86d5b8d",
     ("play", "--strategy", "rmultipass", "--n", "16", "--space-bits", "20"):
@@ -667,9 +683,17 @@ _GOLDEN = {
 }
 
 
+def _golden_ids() -> list[str]:
+    """command-strategy, with the n-list added where an earlier entry took that id."""
+    ids: list[str] = []
+    for a in _GOLDEN:
+        name = f"{a[0]}-{a[a.index('--strategy') + 1]}"
+        ids.append(name if name not in ids else f"{name}-n{a[a.index('--n-list') + 1]}")
+    return ids
+
+
 class TestGoldenBytes:
-    @pytest.mark.parametrize("args", list(_GOLDEN),
-                             ids=lambda a: f"{a[0]}-{a[a.index('--strategy') + 1]}")
+    @pytest.mark.parametrize("args", list(_GOLDEN), ids=_golden_ids())
     def test_out_bytes_pinned(self, tmp_path, args):
         out = tmp_path / "out.csv"
         code, _ = run_cli(["--jobs", "1", "--seed", "7", "--out", str(out), *args])

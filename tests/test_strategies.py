@@ -250,8 +250,9 @@ class TestDeckHostValidation:
 
 class _StepHost(DeckHost):
     """DeckHost with the generic flip-by-flip loops: the oracle for
-    DeckHost.fill and DeckHost.scan."""
+    DeckHost.run_pass, DeckHost.fill and DeckHost.scan."""
 
+    run_pass = GameHost.run_pass
     fill = GameHost.fill
     scan = GameHost.scan
 
@@ -394,6 +395,70 @@ class TestDeckHostScanOracle:
         caps = range(T + 1) if n <= 6 else [data.draw(st.integers(0, T), label="cap")]
         for cap in caps:
             assert _assert_same_game(x, slots, lean, cap, play)["flips"] == min(cap, T)
+
+    @given(st.integers(1, 8), st.integers(0, 10**6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_rounds_agree(self, n, seed, data):
+        # run_pass rounds at any lo and hi over two permutations or any list,
+        # on a host whose fill may have removed and stored cards first
+        x = generate_valid_input(GameParams(n, n + seed % 3, seed))
+        top = 2 * n
+        slots = data.draw(st.integers(1, top), label="slots")
+        orders = [data.draw(st.permutations(range(1, top + 1)), label="order")
+                  for _ in range(2)]
+        orders.append(data.draw(st.lists(st.integers(-1, top + 2), max_size=3 * n),
+                                label="list"))
+        prefill = data.draw(st.lists(st.integers(1, top), max_size=slots, unique=True),
+                            label="prefill")
+        bound = st.integers(-1, top + 2)
+        rounds = data.draw(st.lists(st.tuples(st.sampled_from(range(3)), bound, bound),
+                                    min_size=1, max_size=5), label="rounds")
+        lean = data.draw(st.booleans(), label="lean")
+
+        def play(host):
+            host.fill(prefill)
+            for index, (k, lo, hi) in enumerate(rounds, start=1):
+                host.run_pass(orders[k], lo, hi, index)
+
+        T = _assert_same_game(x, slots, lean, None, play)["flips"]
+        caps = range(T + 2) if n <= 4 else [data.draw(st.integers(0, T + 1), label="cap")]
+        for cap in caps:
+            assert _assert_same_game(x, slots, lean, cap, play)["flips"] == min(cap, T)
+
+    def test_lean_multipass_games_play_every_round_in_rank_space(self, monkeypatch):
+        def generic(*args):
+            raise AssertionError("left the rank round")
+
+        monkeypatch.setattr(GameHost, "run_pass", generic)
+        for cls in (GameHost, DeckHost):
+            monkeypatch.setattr(cls, "fill", generic)
+            monkeypatch.setattr(cls, "scan", generic)
+        for k in range(10):
+            x = generate_valid_input(GameParams(8, 8, k))
+            for s in (1, 2, 3, 16):
+                for order in (None, randomized_order(8, k)):
+                    t = multi_pass_play(x, s, order=order, lean=True)
+                    assert set(t.outputs) == matches_of(x)
+
+    def test_lean_game_capped_above_its_flips_falls_back_and_agrees(self, monkeypatch):
+        # a round that might reach the cap goes to the generic loops
+        entered = []
+        generic = GameHost.run_pass
+
+        def counted(host, order, lo, hi, index):
+            entered.append(index)
+            generic(host, order, lo, hi, index)
+
+        monkeypatch.setattr(GameHost, "run_pass", counted)
+        for k in range(10):
+            x = generate_valid_input(GameParams(8, 8, k))
+            for order in (None, randomized_order(8, k)):
+                T = multi_pass_play(x, 2, order=order, lean=True).flips
+                assert not entered
+                got = _assert_same_game(x, 2, True, T + 1, MultiPass(order=order).play)
+                assert got["err"] is None and got["flips"] == T
+                assert entered
+                entered.clear()
 
     @pytest.mark.parametrize("s", [1, 2, 3, 16])
     def test_multipass_scans_take_the_rank_path(self, monkeypatch, s):
