@@ -216,20 +216,6 @@ class Transcript:
         if not self.lean:
             self.events.append(Event("flip", pos, ws_size))
 
-    def add_flips(self, positions: list[int], ws_size: int) -> None:
-        """add_flip for each position in turn, all at one working-set size;
-        past the cap, the prefix that fits is recorded and then it raises."""
-        if self.cap is not None and self.flips + len(positions) > self.cap:
-            self.add_flips(positions[:self.cap - self.flips], ws_size)
-            raise FlipBudgetExceeded(f"flip cap {self.cap} reached")
-        if not positions:
-            return
-        self.flips += len(positions)
-        if ws_size > self.max_ws:
-            self.max_ws = ws_size
-        if not self.lean:
-            self.events.extend([Event("flip", p, ws_size) for p in positions])
-
     def add_flip_count(self, k: int, ws_size: int) -> None:
         """Count k flips, none above working-set size `ws_size`, without
         naming them: a lean transcript only, since a full one records each

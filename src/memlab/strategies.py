@@ -12,11 +12,12 @@ each miss, declare each hit), `scan` (declare each hit until the working set
 empties) and `run_pass`, one multipass round of a fill and a scan.
 `GameHost` runs them one flip at a time, which the adversary and the tree
 compiler need and which serves as the oracle.  `DeckHost` knows each card's
-partner.  With a lean transcript it plays a round over a permutation of the
-table in rank space: a block card hits or is stored by its partner's rank,
-and the scan's flips are counted over an alive mask kept per rank, not
-listed.  A full transcript, which names every flip, gets `DeckHost.scan`,
-which jumps from hit to hit and records each run of misses in one step.
+partner and has one fast loop, the lean rank round: with a lean transcript
+it plays a round over a permutation of the table in rank space, where a
+block card hits or is stored by its partner's rank and the scan's flips are
+counted over an alive mask kept per rank, not listed.  Full transcripts,
+which name every flip, and rounds that could reach a flip cap take the
+generic loops.
 """
 from __future__ import annotations
 
@@ -75,9 +76,10 @@ class GameHost:
     Subclasses answer the equality bits (`_equal_members`) and assign values
     to declared matches (`_declare_value`).  The examine loops every
     shipped player is built from, `fill` and `scan` and the multipass round
-    `run_pass` made of them, live here; a subclass may replace them with a
-    faster loop that plays the same game.  A truncated run's flip cap is
-    the transcript's: a host checks none.
+    `run_pass` made of them, live here, one flip at a time; `DeckHost`
+    replaces only `run_pass`, and only for the rounds it can play in rank
+    space.  A truncated run's flip cap is the transcript's: a host checks
+    none.
     """
 
     def __init__(self, n: int, slots: int, transcript: Transcript | None = None):
@@ -195,23 +197,18 @@ class GameHost:
 class DeckHost(GameHost):
     """Host backed by a real deck; equality bits come from the card values.
 
-    Only a stored card or its partner (the other card of its value) can hit,
-    so `fill` decides hit or miss from the partner alone.  `scan` over a
-    permutation of 1..2n, with no stored card at or after `start`, jumps from
-    hit to hit: the hits are the stored cards' partners, taken in the order
-    of their ranks, and each run of live misses between two of them is one
-    `Transcript.add_flips`, which cuts the run at the transcript's flip cap.
-    Any other scan is the generic one.
-
-    `run_pass` plays a round with no per-flip step when the transcript is
-    lean, the order a permutation, the block fits the slots and the round
-    cannot reach the flip cap.  A block card whose partner's rank lies
-    earlier in the block hits; any other is stored.  The scan then hits each
-    stored card's partner ranked at or after the block, and flips every live
-    card up to the last such hit, or to the end of the order while a stored
-    card's partner lies before the block.  Its flips are one count over the
-    alive mask; the outputs go out in rank order, as the generic round makes
-    them.  Any other round is the generic one, through `fill` and `scan`.
+    Only a stored card or its partner (the other card of its value) can hit.
+    The one fast loop is the lean rank round: `run_pass` plays a round with
+    no per-flip step when the transcript is lean, the order a permutation,
+    the block fits the slots and the round cannot reach the flip cap.  A
+    block card whose partner's rank lies earlier in the block hits; any
+    other is stored.  The scan then hits each stored card's partner ranked
+    at or after the block, and flips every live card up to the last such
+    hit, or to the end of the order while a stored card's partner lies
+    before the block.  Its flips are one count over the alive mask; the
+    outputs go out in rank order, as the generic round makes them.  Any
+    other round, like any `fill` or `scan` called alone, is the generic one:
+    full transcripts and rounds that could reach the cap take it.
 
     The ranks, the partner ranks and an alive mask indexed by rank are built
     once per order (the list object, which must not be reordered in place
@@ -240,48 +237,6 @@ class DeckHost(GameHost):
         GameHost._remove(self, i, j)
         if self._order is not None:
             self._alive[self._rank[i]] = self._alive[self._rank[j]] = 0
-
-    def fill(self, positions) -> None:
-        working, removed, partner, t = self.working, self.removed, self.partner, self.transcript
-        top = 2 * self.n
-        for p in positions:
-            if len(removed) == top:
-                break
-            if p in removed:
-                continue
-            if not 0 < p <= top or p in working:
-                # an out-of-range position or a stored card: the generic step
-                GameHost.fill(self, (p,))
-                continue
-            t.add_flip(p, len(working))
-            q = partner[p]
-            if q in working:
-                self.declare(q, p)
-            elif len(working) < self.slots:
-                working.add(p)
-                t.note_ws(len(working))
-            else:
-                raise ProtocolError(f"working set overflow: {len(working) + 1} > "
-                                    f"{self.slots} slots")
-
-    def scan(self, positions, start: int = 0) -> None:
-        working, t = self.working, self.transcript
-        rank = self._ranks(positions)
-        if rank is None or not all(rank[w] < start for w in working):
-            GameHost.scan(self, positions, start)
-            return
-        partner, alive = self.partner, self._alive
-        hits = sorted(r for r in (rank[partner[w]] for w in working) if r >= start)
-        a = start
-        for h in hits:
-            # the misses up to the hit and the hit itself, at one working-set size
-            h += 1
-            t.add_flips(list(compress(positions[a:h], alive[a:h])), len(working))
-            q = positions[h - 1]
-            self.declare(partner[q], q)
-            a = h
-        if working:  # a stored card whose partner is behind `start`
-            t.add_flips(list(compress(positions[a:], alive[a:])), len(working))
 
     def run_pass(self, order, lo: int, hi: int, index: int) -> None:
         t = self.transcript

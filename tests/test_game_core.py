@@ -201,24 +201,8 @@ class TestTranscript:
         with pytest.raises(FlipBudgetExceeded, match="flip cap 0 reached"):
             t.add_flip(1, 0)
         with pytest.raises(FlipBudgetExceeded):
-            t.add_flips([1, 2], 1)
+            t.add_flip(2, 1)
         assert (t.flips, t.max_ws, t.events) == (0, 0, [])
-
-    @pytest.mark.parametrize("lean", [False, True])
-    def test_flip_run_past_the_cap_records_the_prefix_that_fits(self, lean):
-        t = Transcript(lean=lean, cap=4)
-        t.add_flip(7, 1)
-        t.add_flips([2, 5], 2)
-        with pytest.raises(FlipBudgetExceeded, match="flip cap 4 reached"):
-            t.add_flips([6, 8, 9], 3)
-        assert (t.flips, t.max_ws) == (4, 3)
-        assert [(e.a, e.b) for e in t.events] == ([] if lean else
-                                                  [(7, 1), (2, 2), (5, 2), (6, 3)])
-        # at the cap: an empty run is no flip, any other run records nothing
-        t.add_flips([], 9)
-        with pytest.raises(FlipBudgetExceeded):
-            t.add_flips([1], 9)
-        assert (t.flips, t.max_ws, len(t.events)) == (4, 3, 0 if lean else 4)
 
     def test_flip_count_keeps_the_cap_rule(self):
         t = Transcript(lean=True, cap=5)
@@ -241,7 +225,8 @@ class TestTranscript:
     def test_uncapped_and_exact_cap_runs_finish(self):
         for cap in (None, 3):
             t = Transcript(cap=cap)
-            t.add_flips([1, 2], 1)
+            t.add_flip(1, 1)
+            t.add_flip(2, 1)
             t.add_flip(3, 2)
             assert (t.flips, t.max_ws) == (3, 2)
 

@@ -675,6 +675,11 @@ _GOLDEN = {
         "d8d2c6738b85814f57b1991d1f07b094e8240a788023621f4fae9c43131142f4",
     ("play", "--strategy", "perfect", "--n", "16"):
         "132d5b61497bab85573c63e171eff716d7d0a4831060c0d2c143722dadd9253d",
+    # s = 1 full-transcript games, whose scans cross the longest runs of misses
+    ("play", "--strategy", "multipass", "--n", "256", "--space-bits", "9"):
+        "a863dc52bae46d239bddd142c0c7ececb8172a8b81fa251b0d1684f62e4d0bc7",
+    ("play", "--strategy", "rmultipass", "--n", "256", "--space-bits", "9"):
+        "78e5cbc2879217ef6e1dbe0aa6de96130939afde42468734e89644d27bbcc87a",
     ("adversary", "--n", "16", "--space-bits", "20", "--strategy", "multipass"):
         "3bfabea430062603a4cf20e7196b0c97b0e0c2216c97a76e98817b093e310e10",
     # the mixed rotation draws every shipped player
@@ -684,11 +689,12 @@ _GOLDEN = {
 
 
 def _golden_ids() -> list[str]:
-    """command-strategy, with the n-list added where an earlier entry took that id."""
+    """command-strategy, with the n-list (or n) added where an earlier entry took that id."""
     ids: list[str] = []
     for a in _GOLDEN:
         name = f"{a[0]}-{a[a.index('--strategy') + 1]}"
-        ids.append(name if name not in ids else f"{name}-n{a[a.index('--n-list') + 1]}")
+        n = a[a.index("--n-list" if "--n-list" in a else "--n") + 1]
+        ids.append(name if name not in ids else f"{name}-n{n}")
     return ids
 
 
