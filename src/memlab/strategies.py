@@ -9,15 +9,15 @@ of equality bits and its own state alone.
 
 Hosts own the examine loops the shipped players are made of: `fill` (store
 each miss, declare each hit), `scan` (declare each hit until the working set
-empties) and `run_pass`, one multipass round of a fill and a scan.
-`GameHost` runs them one flip at a time, which the adversary and the tree
-compiler need and which serves as the oracle.  `DeckHost` knows each card's
-partner and has one fast loop, the lean rank round: with a lean transcript
-it plays a round over a permutation of the table in rank space, where a
-block card hits or is stored by its partner's rank and the scan's flips are
-counted over an alive mask kept per rank, not listed.  Full transcripts,
-which name every flip, and rounds that could reach a flip cap take the
-generic loops.
+empties) and `run_passes`, the whole multipass game, one round of a fill and
+a scan per block.  `GameHost` runs them one flip at a time, which the
+adversary and the tree compiler need and which serves as the oracle.
+`DeckHost` knows each card's partner and has one fast loop: a lean game that
+cannot reach its flip cap is played in rank space from its first round to
+its last, where a block card hits or is stored by its partner's rank and the
+scan's flips are counted over an alive mask kept per rank, not listed.
+Every other game, full transcripts (which name every flip) and games that
+could reach the cap, takes the generic rounds.
 """
 from __future__ import annotations
 
@@ -75,9 +75,9 @@ class GameHost:
 
     Subclasses answer the equality bits (`_equal_members`) and assign values
     to declared matches (`_declare_value`).  The examine loops every
-    shipped player is built from, `fill` and `scan` and the multipass round
-    `run_pass` made of them, live here, one flip at a time; `DeckHost`
-    replaces only `run_pass`, and only for the rounds it can play in rank
+    shipped player is built from, `fill` and `scan` and the multipass game
+    `run_passes` made of them, live here, one flip at a time; `DeckHost`
+    replaces only `run_passes`, and only for the games it can play in rank
     space.  A truncated run's flip cap is the transcript's: a host checks
     none.
     """
@@ -148,17 +148,23 @@ class GameHost:
         self.working.discard(j)
 
     # -- examine loops ---------------------------------------------------
-    def run_pass(self, order, lo: int, hi: int, index: int) -> None:
-        """One multipass round, numbered `index`: store the live cards of
-        order[lo:hi], declaring each hit among them, then scan order[hi:]
-        until the working set empties.  A block with no live card is skipped."""
-        block = order[lo:hi]
-        if not any(map(self.live, block)):
-            return
-        self.clear_working()
-        self.transcript.add_pass(index)
-        self.fill(block)
-        self.scan(order, hi)
+    def run_passes(self, order, s: int) -> None:
+        """The multipass game over `order`, a permutation of 1..2n, in blocks
+        of s: round k stores the live cards of the k-th block, declaring each
+        hit among them, then scans the rest of the order until the working
+        set empties.  A block with no live card is skipped, and the game
+        stops once the table is clear."""
+        for index, lo in enumerate(range(0, 2 * self.n, s), start=1):
+            if self.done():
+                break
+            hi = lo + s
+            block = order[lo:hi]
+            if not any(map(self.live, block)):
+                continue
+            self.clear_working()
+            self.transcript.add_pass(index)
+            self.fill(block)
+            self.scan(order, hi)
 
     def fill(self, positions) -> None:
         """Examine each live position in turn, declaring a hit against its
@@ -198,32 +204,25 @@ class DeckHost(GameHost):
     """Host backed by a real deck; equality bits come from the card values.
 
     Only a stored card or its partner (the other card of its value) can hit.
-    The one fast loop is the lean rank round: `run_pass` plays a round with
-    no per-flip step when the transcript is lean, the order a permutation,
-    the block fits the slots and the round cannot reach the flip cap.  A
-    block card whose partner's rank lies earlier in the block hits; any
-    other is stored.  The scan then hits each stored card's partner ranked
-    at or after the block, and flips every live card up to the last such
-    hit, or to the end of the order while a stored card's partner lies
-    before the block.  Its flips are one count over the alive mask; the
-    outputs go out in rank order, as the generic round makes them.  Any
-    other round, like any `fill` or `scan` called alone, is the generic one:
-    full transcripts and rounds that could reach the cap take it.
-
-    The ranks, the partner ranks and an alive mask indexed by rank are built
-    once per order (the list object, which must not be reordered in place
-    afterwards), and every removal keeps the mask current, so rank rounds
-    and generic rounds can alternate within one game.
+    The one fast loop is the lean rank game: `run_passes` decides once per
+    game, and plays every round with no per-flip step when the transcript is
+    lean, the block fits the slots and the game cannot reach the flip cap
+    (at most ceil(2n/s) * 2n flips).  It builds the ranks, the partner ranks
+    and an alive mask indexed by rank, then in each round a block card whose
+    partner's rank lies earlier in the block hits and any other is stored.
+    The scan hits each stored card's partner, which is ranked after the
+    block, and flips every live card up to the last such hit: each round
+    takes all its block's cards off the table, so no partner of a live card
+    lies before the block.  The scan's flips are one count over the alive
+    mask; the outputs go out in rank order, as the generic round makes them.
+    Every other game, like any `fill` or `scan` called alone, is the generic
+    one: full transcripts and games that could reach the cap take it.
     """
 
     def __init__(self, x: Deck, slots: int, transcript: Transcript | None = None):
         self.partner = deck_partners(x)
         super().__init__(len(x) // 2, slots, transcript)
         self.x = x
-        self._order = None  # the permutation _rank, _prank and _alive describe
-        self._rank: list[int] = []  # _rank[p]: the index of p in _order
-        self._prank: list[int] = []  # _prank[r]: the rank of _order[r]'s partner
-        self._alive = bytearray()  # _alive[r]: card _order[r] is on the table
 
     def _equal_members(self, pos: int) -> list[int]:
         w = self.working
@@ -233,74 +232,54 @@ class DeckHost(GameHost):
         v = self.x[i - 1]
         return MatchTriple(i, j, v), self.x[j - 1] == v
 
-    def _remove(self, i: int, j: int) -> None:
-        GameHost._remove(self, i, j)
-        if self._order is not None:
-            self._alive[self._rank[i]] = self._alive[self._rank[j]] = 0
-
-    def run_pass(self, order, lo: int, hi: int, index: int) -> None:
+    def run_passes(self, order, s: int) -> None:
         t = self.transcript
         top = 2 * self.n
-        if (not t.lean or not 0 <= lo <= hi or hi - lo > self.slots
-                or t.cap is not None and t.flips + top - lo > t.cap
-                or self._ranks(order) is None):
-            GameHost.run_pass(self, order, lo, hi, index)
+        if (not t.lean or s > self.slots
+                or t.cap is not None and t.flips + -(-top // s) * top > t.cap):
+            GameHost.run_passes(self, order, s)
             return
-        alive, prank = self._alive, self._prank
-        live = list(compress(range(lo, hi), alive[lo:hi]))
-        if not live:
-            return
-        self.clear_working()
-        t.add_pass(index)
-        pairs = []  # (rank, partner's rank) of each hit, in the order it is declared
-        ahead = []  # stored cards' partner ranks at or after hi: the scan's hits
-        behind = []  # stored cards whose partner lies before lo: never hit
-        size = peak = 0
-        for r in live:
-            q = prank[r]
-            if lo <= q < r:
-                pairs.append((r, q))
-                size -= 1
-            else:
-                size += 1
-                if size > peak:
-                    peak = size
-                if q >= hi:
-                    ahead.append(q)
-                elif q < lo:
-                    behind.append(order[r])
-        ahead.sort()
-        end = top if behind else ahead[-1] + 1 if ahead else hi  # the scan's end
-        t.add_flip_count(len(live) + alive.count(1, hi, end), peak)
-        pairs.extend((q, prank[q]) for q in ahead)
-        x, removed = self.x, self.removed
-        for r, q in pairs:
-            i, j = order[r], order[q]
-            if i > j:
-                i, j = j, i
-            t.add_output(MatchTriple(i, j, x[i - 1]))
-            removed.add(i)
-            removed.add(j)
-            alive[r] = alive[q] = 0
-        self.working.update(behind)
-
-    def _ranks(self, order) -> list[int] | None:
-        """The rank array of `order` if it is a permutation of 1..2n, else
-        None; a new permutation gets fresh ranks, partner ranks and alive
-        mask."""
-        if order is self._order:
-            return self._rank
-        top = 2 * self.n
-        if len(order) != top or set(order) != set(range(1, top + 1)):
-            return None
-        rank = [0] * (top + 1)
+        rank = [0] * (top + 1)  # rank[p]: the index of p in order
         for r, p in enumerate(order):
             rank[p] = r
-        partner = self.partner
-        self._order, self._rank = order, rank
-        self._prank = [rank[partner[p]] for p in order]
-        self._alive = bytearray(p not in self.removed for p in order)
-        return rank
+        x, partner, removed = self.x, self.partner, self.removed
+        prank = [rank[partner[p]] for p in order]  # prank[r]: the rank of order[r]'s partner
+        alive = bytearray(p not in removed for p in order)  # alive[r]: order[r] is on the table
+        for index, lo in enumerate(range(0, top, s), start=1):
+            if len(removed) == top:
+                break
+            hi = lo + s
+            live = list(compress(range(lo, hi), alive[lo:hi]))
+            if not live:
+                continue
+            self.clear_working()
+            t.add_pass(index)
+            pairs = []  # (rank, partner's rank) of each hit, in the order it is declared
+            ahead = []  # stored cards' partner ranks at or after hi: the scan's hits
+            size = peak = 0
+            for r in live:
+                q = prank[r]
+                if q < r:
+                    pairs.append((r, q))
+                    size -= 1
+                else:
+                    size += 1
+                    if size > peak:
+                        peak = size
+                    if q >= hi:
+                        ahead.append(q)
+            ahead.sort()
+            end = ahead[-1] + 1 if ahead else hi  # the scan's end
+            t.add_flip_count(len(live) + alive.count(1, hi, end), peak)
+            pairs.extend((q, prank[q]) for q in ahead)
+            for r, q in pairs:
+                i, j = order[r], order[q]
+                if i > j:
+                    i, j = j, i
+                t.add_output(MatchTriple(i, j, x[i - 1]))
+                removed.add(i)
+                removed.add(j)
+                alive[r] = alive[q] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +295,8 @@ class MultiPass:
     table is skipped.  Total flips never exceed ceil(2n/s) * 2n.
 
     `order` permutes the examination order of the table (identity when None);
-    a seeded permutation gives the randomized-order variant.
+    a seeded permutation gives the randomized-order variant.  An order that
+    is not a permutation of 1..2n is refused before the first flip.
     """
 
     def __init__(self, order: list[int] | None = None):
@@ -324,13 +304,12 @@ class MultiPass:
 
     def play(self, host: GameHost) -> None:
         n2 = 2 * host.n
-        s = min(host.slots, n2)
-        order = self.order if self.order is not None else list(range(1, n2 + 1))
-        blocks = -(-n2 // s)
-        for b in range(blocks):
-            if host.done():
-                break
-            host.run_pass(order, b * s, (b + 1) * s, b + 1)
+        order = self.order
+        if order is None:
+            order = range(1, n2 + 1)
+        elif len(order) != n2 or set(order) != set(range(1, n2 + 1)):
+            raise ValueError(f"order is not a permutation of 1..{n2}")
+        host.run_passes(order, min(host.slots, n2))
 
 
 class FullMemory:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlab import (GameParams, MatchTriple, SpaceBudget, Transcript, enumerate_valid_inputs,
-                    generate_valid_input, matches_of, multi_pass_play,
+from memlab import (GameParams, MatchTriple, SpaceBudget, Transcript, adversarial_play,
+                    enumerate_valid_inputs, generate_valid_input, matches_of, multi_pass_play,
                     multi_pass_time_bound, perfect_memory_play, space_audit,
                     verify_transcript)
 from memlab.analysis import monte_carlo_wrap
@@ -80,6 +80,20 @@ class TestMultiPass:
         t = multi_pass_play(x, s, lean=True)
         assert set(t.outputs) == matches_of(x)
         assert t.flips <= multi_pass_time_bound(SpaceBudget.for_slots(8, s))
+
+    @pytest.mark.parametrize("order", [[1, 2, 3], [1, 2, 3, 3], [1, 2, 3, 5], [0, 1, 2, 3],
+                                       [1, 2, 3, 4, 1]])
+    def test_order_that_is_no_permutation_refused_before_a_flip(self, order):
+        x = (1, 2, 1, 2)
+        for lean in (False, True):
+            host = DeckHost(x, 2, Transcript(lean=lean))
+            with pytest.raises(ValueError, match="not a permutation of 1..4"):
+                MultiPass(order=order).play(host)
+            assert host.transcript.flips == 0 and not host.transcript.outputs
+            with pytest.raises(ValueError, match="not a permutation"):
+                multi_pass_play(x, 2, order=order, lean=lean)
+        with pytest.raises(ValueError, match="not a permutation"):
+            adversarial_play(MultiPass(order=order), 2, 2)
 
 
 class TestTimeBound:
@@ -249,10 +263,10 @@ class TestDeckHostValidation:
 
 
 class _StepHost(DeckHost):
-    """DeckHost with the generic flip-by-flip round: the oracle for
-    DeckHost.run_pass."""
+    """DeckHost with the generic flip-by-flip game: the oracle for
+    DeckHost.run_passes."""
 
-    run_pass = GameHost.run_pass
+    run_passes = GameHost.run_passes
 
 
 def _outcome(host_cls, x, slots, lean, cap, play):
@@ -310,9 +324,9 @@ class TestDeclareRemoved:
 
 
 class TestDeckHostScanOracle:
-    """DeckHost.run_pass, which plays a lean round in rank space, against the
-    generic one-flip-at-a-time GameHost.run_pass; the hand-built tables pin
-    the generic fill and scan on a DeckHost."""
+    """DeckHost.run_passes, which plays a lean game in rank space, against
+    the generic one-flip-at-a-time GameHost.run_passes; the hand-built tables
+    pin the generic fill and scan on a DeckHost."""
 
     @given(st.integers(1, 24), st.integers(0, 10**6), st.data())
     @settings(max_examples=300, deadline=None)
@@ -332,27 +346,22 @@ class TestDeckHostScanOracle:
 
     @given(st.integers(1, 8), st.integers(0, 10**6), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_arbitrary_rounds_agree(self, n, seed, data):
-        # run_pass rounds at any lo and hi over two permutations or any list,
-        # on a host whose fill may have removed and stored cards first
+    def test_games_after_a_fill_agree(self, n, seed, data):
+        # a run_passes game over any permutation in blocks of any s, also one
+        # that overflows the slots, on a host whose fill may have removed and
+        # stored cards
         x = generate_valid_input(GameParams(n, n + seed % 3, seed))
         top = 2 * n
         slots = data.draw(st.integers(1, top), label="slots")
-        orders = [data.draw(st.permutations(range(1, top + 1)), label="order")
-                  for _ in range(2)]
-        orders.append(data.draw(st.lists(st.integers(-1, top + 2), max_size=3 * n),
-                                label="list"))
+        s = data.draw(st.integers(1, top), label="s")
+        order = data.draw(st.permutations(range(1, top + 1)), label="order")
         prefill = data.draw(st.lists(st.integers(1, top), max_size=slots, unique=True),
                             label="prefill")
-        bound = st.integers(-1, top + 2)
-        rounds = data.draw(st.lists(st.tuples(st.sampled_from(range(3)), bound, bound),
-                                    min_size=1, max_size=5), label="rounds")
         lean = data.draw(st.booleans(), label="lean")
 
         def play(host):
             host.fill(prefill)
-            for index, (k, lo, hi) in enumerate(rounds, start=1):
-                host.run_pass(orders[k], lo, hi, index)
+            host.run_passes(order, s)
 
         T = _assert_same_game(x, slots, lean, None, play)["flips"]
         caps = range(T + 2) if n <= 4 else [data.draw(st.integers(0, T + 1), label="cap")]
@@ -361,9 +370,9 @@ class TestDeckHostScanOracle:
 
     def test_lean_multipass_games_play_every_round_in_rank_space(self, monkeypatch):
         def generic(*args):
-            raise AssertionError("left the rank round")
+            raise AssertionError("left the rank game")
 
-        for name in ("run_pass", "fill", "scan"):
+        for name in ("run_passes", "fill", "scan"):
             monkeypatch.setattr(GameHost, name, generic)
         for k in range(10):
             x = generate_valid_input(GameParams(8, 8, k))
@@ -373,15 +382,15 @@ class TestDeckHostScanOracle:
                     assert set(t.outputs) == matches_of(x)
 
     def test_lean_game_capped_above_its_flips_falls_back_and_agrees(self, monkeypatch):
-        # a round that might reach the cap goes to the generic loops
+        # a game that might reach the cap goes to the generic rounds
         entered = []
-        generic = GameHost.run_pass
+        generic = GameHost.run_passes
 
-        def counted(host, order, lo, hi, index):
-            entered.append(index)
-            generic(host, order, lo, hi, index)
+        def counted(host, order, s):
+            entered.append(s)
+            generic(host, order, s)
 
-        monkeypatch.setattr(GameHost, "run_pass", counted)
+        monkeypatch.setattr(GameHost, "run_passes", counted)
         for k in range(10):
             x = generate_valid_input(GameParams(8, 8, k))
             for order in (None, randomized_order(8, k)):
@@ -391,6 +400,31 @@ class TestDeckHostScanOracle:
                 assert got["err"] is None and got["flips"] == T
                 assert entered
                 entered.clear()
+
+    def test_cap_at_the_flip_bound_keeps_the_rank_game(self, monkeypatch):
+        # a lean game capped at ceil(2n/s) * 2n cannot reach its cap and never
+        # enters the generic loops; one flip less and it falls back
+        entered = []
+
+        def counted(name, generic):
+            def run(host, *args):
+                entered.append(name)
+                generic(host, *args)
+            return run
+
+        for name in ("run_passes", "fill", "scan"):
+            monkeypatch.setattr(GameHost, name, counted(name, getattr(GameHost, name)))
+        for k in range(10):
+            x = generate_valid_input(GameParams(8, 8, k))
+            for s in (1, 2, 3, 16):
+                bound = multi_pass_time_bound(SpaceBudget.for_slots(8, s))
+                for order in (None, randomized_order(8, k)):
+                    play = MultiPass(order=order).play
+                    for cap, generic in ((bound, False), (bound - 1, True)):
+                        want = _outcome(_StepHost, x, s, True, cap, play)
+                        entered.clear()
+                        assert _outcome(DeckHost, x, s, True, cap, play) == want
+                        assert entered[:1] == (["run_passes"] if generic else [])
 
     # deck (1, 2, 3, 1, 2, 3) with 2 slots
     @pytest.mark.parametrize("block,err,flips,removed", [
