@@ -15,10 +15,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import TYPE_CHECKING
 
-from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, Deck, FlipBudgetExceeded, Transcript,
-                        check_cells)
+from . import game_core
+from .game_core import CapExceeded, Deck, FlipBudgetExceeded, Transcript, check_cells
 from .strategies import DeckHost
 
 if TYPE_CHECKING:
@@ -262,10 +263,14 @@ def unique_pairs_expected(n: int) -> UniquePairsExpectation:
     )
 
 
-def unique_pairs_expected_enumerated(n: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
-    """Exact E[#outputs] over all n^(2n) inputs by full enumeration."""
-    import itertools
+def unique_pairs_expected_enumerated(n: int) -> Fraction:
+    """Exact E[#outputs] over all n^(2n) inputs, refused past
+    `game_core.DEFAULT_ENUM_CAP` of them.
 
+    The inputs are summed by value-count vector: (2n)!/prod(c_v!) inputs
+    have counts c, and each has #{v : c_v = 2} outputs, as `unique_pairs`
+    counts them one input at a time."""
+    cap = game_core.DEFAULT_ENUM_CAP
     # n^(2n) is built one factor at a time and refused once past the cap
     total_inputs = 1
     for _ in range(2 * n):
@@ -274,9 +279,12 @@ def unique_pairs_expected_enumerated(n: int, cap: int = DEFAULT_ENUM_CAP) -> Fra
         total_inputs *= n
     if total_inputs > cap:
         raise CapExceeded(f"{n}^{2 * n} inputs for n={n} exceeds cap {cap}")
+    # stars and bars: n - 1 bars among 3n - 1 slots split 2n draws into n counts
     total = 0
-    for xs in itertools.product(range(1, n + 1), repeat=2 * n):
-        total += len(unique_pairs(xs))
+    for bars in combinations(range(3 * n - 1), n - 1):
+        counts = [b - a - 1 for a, b in zip((-1, *bars), (*bars, 3 * n - 1))]
+        total += (math.factorial(2 * n) // math.prod(map(math.factorial, counts))
+                  * counts.count(2))
     return Fraction(total, total_inputs)
 
 

@@ -24,8 +24,8 @@ from .game_core import (CapExceeded, GameParams, check_cells, derive_seed, gener
                         write_transcript_csv, Transcript)
 from .strategies import (PLAYERS, DeckHost, MultiPass, SpaceBudget, make_strategy,
                          multi_pass_play, multi_pass_time_bound, randomized_order)
-from .trees import (build_guessing_tree, compile_prefix_tree, fixed_position_tree,
-                    lemma43_check, random_tree, xy_equiv_check)
+from .trees import (build_guessing_tree, check_lemma43, compile_prefix_tree,
+                    fixed_position_tree, lemma43_check, random_tree, xy_equiv_check)
 
 PLAY_HEADER = "n,S,s,T,passes,correct"
 TRADEOFF_HEADER = "kind,n,S,s,seed,strategy,T,passes,correct,st_product,c_ratio,ok"
@@ -369,6 +369,7 @@ def cmd_xy_check(args) -> int:
     n, R = args.n, args.R
     if args.trees < 0:
         raise ValueError(f"need --trees >= 0, got {args.trees}")
+    check_cells(args.trees + 1, f"an xy-check of {args.trees} random trees")
     rows = [_xy_row(n, R, min(2, 2 * n), 0, "fixed")]
     for k in range(args.trees):
         depth = 1 + k % min(4, 2 * n)
@@ -378,6 +379,7 @@ def cmd_xy_check(args) -> int:
 
 
 def _lemma43_row(n: int, R: int, r: int, t: int, tree_kind: str) -> str:
+    check_lemma43(n, r, t)
     if tree_kind.startswith("compiled_s"):
         slots = int(tree_kind.removeprefix("compiled_s"))
         tree = compile_prefix_tree(MultiPass, n, R, r, slots=slots)

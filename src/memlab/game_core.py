@@ -94,18 +94,18 @@ def count_valid_inputs(n: int, R: int) -> int:
     return math.comb(R, n) * math.factorial(2 * n) // 2**n
 
 
-def enumerate_valid_inputs(n: int, R: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Deck]:
+def enumerate_valid_inputs(n: int, R: int) -> Iterator[Deck]:
     """Every valid deck exactly once, in canonical order.
 
     Order: value subsets ascending lexicographically, then the distinct
     arrangements of each subset's multiset in lexicographic order.  Refuses
-    up front when the universe exceeds `cap`.
+    up front when the universe exceeds `DEFAULT_ENUM_CAP`.
     """
     if R < n:
         raise ValueError(f"need R >= n, got R={R} < n={n}")
     total = count_valid_inputs(n, R)
-    if total > cap:
-        raise CapExceeded(f"{total} decks for n={n}, R={R} exceeds cap {cap}")
+    if total > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"{total} decks for n={n}, R={R} exceeds cap {DEFAULT_ENUM_CAP}")
     return _enumerate_decks(n, R)
 
 

@@ -22,10 +22,11 @@ deck universe.
 
 Every builder (fixed, random, guessing, compiled player) is a per-node `step`
 function unfolded by `_unfold`, which owns the size refusals (R >= n, which
-`DecisionTree` also demands, depth <= 2n, a cap on the nodes of the tree it
-would build), the branching and the padding rule.  The fixed, guessing and
-compiled trees branch on equality patterns; `random_tree` stays R-way because
-its random outputs are not symmetric under relabeling.
+`DecisionTree` also demands, depth <= 2n, and at most the constant
+`DEFAULT_TREE_CAP` nodes in the tree it would build), the branching and the
+padding rule.  The fixed, guessing and compiled trees branch on equality
+patterns; `random_tree` stays R-way because its random outputs are not
+symmetric under relabeling.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .game_core import (DEFAULT_ENUM_CAP, CapExceeded, Deck, MatchTriple, Transcript,
-                        count_valid_inputs, enumerate_valid_inputs, validate_deck)
+from .game_core import (CapExceeded, Deck, MatchTriple, Transcript, count_valid_inputs,
+                        enumerate_valid_inputs, validate_deck)
 from .strategies import GameHost, ProtocolError, SpaceBudget
 from .analysis import y_exact_distribution
 
@@ -171,10 +172,10 @@ def _run(tree: DecisionTree, x: Deck) -> PathStats:
 # ---------------------------------------------------------------------------
 # Exact distribution checks
 
-def x_exact_distribution(tree: DecisionTree, cap: int = DEFAULT_ENUM_CAP) -> list[Fraction]:
+def x_exact_distribution(tree: DecisionTree) -> list[Fraction]:
     """Law of the equal-pairs count over a uniform valid deck, by enumeration:
     the slow oracle for `path_distribution`."""
-    decks = enumerate_valid_inputs(tree.n, tree.R, cap)
+    decks = enumerate_valid_inputs(tree.n, tree.R)
     tally = Counter(_run(tree, x).equal_pairs for x in decks)
     total = tally.total()
     return [Fraction(tally.get(u, 0), total) for u in range(tree.depth // 2 + 1)]
@@ -346,15 +347,21 @@ def _check_partial_matchings(tree: DecisionTree) -> None:
         walk(tree.root, frozenset())
 
 
+def check_lemma43(n: int, r: int, t: int) -> None:
+    """Refuse a cell outside Lemma 4.3's preconditions, r <= n/2 and
+    1 <= t <= r/2; a command checks them before it builds the tree."""
+    if r > n // 2:
+        raise ValueError(f"need depth <= n/2, got r={r}, n={n}")
+    if t < 1 or t > r // 2:
+        raise ValueError(f"need 1 <= t <= r/2, got t={t}, r={r}")
+
+
 def lemma43_check(tree: DecisionTree, t: int) -> ProductivityResult:
     """Exact fraction of decks on which the tree emits >= 2t correct outputs,
     against the shallow-tree productivity bound (n-r-t)^-t + e^-t.  The
     outputs along each path must form a partial matching."""
     n, r = tree.n, tree.depth
-    if r > n // 2:
-        raise ValueError(f"need depth <= n/2, got r={r}, n={n}")
-    if t < 1 or t > r // 2:
-        raise ValueError(f"need 1 <= t <= r/2, got t={t}, r={r}")
+    check_lemma43(n, r, t)
     _check_partial_matchings(tree)
     productive, total = productive_deck_count(tree, t)
     expect = count_valid_inputs(n, tree.R)
@@ -365,10 +372,9 @@ def lemma43_check(tree: DecisionTree, t: int) -> ProductivityResult:
     return ProductivityResult(fraction, bound, fraction <= Fraction(bound))
 
 
-def productive_fraction_brute(tree: DecisionTree, t: int,
-                              cap: int = DEFAULT_ENUM_CAP) -> Fraction:
+def productive_fraction_brute(tree: DecisionTree, t: int) -> Fraction:
     """Deck-enumeration oracle for the productive fraction (small n only)."""
-    decks = enumerate_valid_inputs(tree.n, tree.R, cap)
+    decks = enumerate_valid_inputs(tree.n, tree.R)
     tally = Counter(_run(tree, x).correct_outputs >= 2 * t for x in decks)
     return Fraction(tally[True], tally.total())
 
@@ -380,9 +386,10 @@ def productive_fraction_brute(tree: DecisionTree, t: int,
 _OUT_PROB = 0.4
 
 
-def _node_count(R: int, depth: int, pattern: bool, cap: int) -> int:
+def _node_count(R: int, depth: int, pattern: bool) -> int:
     """Nodes, leaves included, of the depth-`depth` tree `_unfold` builds,
-    summed level by level; once the sum passes `cap` it is returned as is.
+    summed level by level; once the sum passes `DEFAULT_TREE_CAP` it is
+    returned as is.
 
     An R-way level has R times the nodes of the one above.  A pattern level
     is kept by distinct values read: a node whose path read K values has K
@@ -391,7 +398,7 @@ def _node_count(R: int, depth: int, pattern: bool, cap: int) -> int:
     level = [1]  # level[K]: nodes whose path read K distinct values (R-way: all)
     for _ in range(depth + 1):
         total += sum(level)
-        if total > cap:
+        if total > DEFAULT_TREE_CAP:
             break
         if pattern:
             level = [K * a + b for K, (a, b) in enumerate(zip(level + [0], [0] + level))][:R + 1]
@@ -400,8 +407,7 @@ def _node_count(R: int, depth: int, pattern: bool, cap: int) -> int:
     return total
 
 
-def _unfold(n: int, R: int, depth: int, cap: int, step: Callable,
-            pattern: bool) -> DecisionTree:
+def _unfold(n: int, R: int, depth: int, step: Callable, pattern: bool) -> DecisionTree:
     """Unfold `step` into a uniform-depth tree, the one recursion behind
     every builder.
 
@@ -410,9 +416,9 @@ def _unfold(n: int, R: int, depth: int, cap: int, step: Callable,
     labels when `pattern`) and the positions they were read at, and returns
     (outputs on the edge into this node, next position to read or None).
     None pads the path with the lowest unread position.  The root has no
-    incoming edge, so it may not output.  `cap` bounds the nodes of the tree
-    this builds, leaves included, and a tree past it is refused before any
-    node is built.
+    incoming edge, so it may not output.  The constant `DEFAULT_TREE_CAP`
+    bounds the nodes of the tree this builds, leaves included, and a tree
+    past it is refused before any node is built.
     """
     if n < 1 or depth < 0:
         raise ValueError(f"need n >= 1 and depth >= 0, got n={n}, depth={depth}")
@@ -420,9 +426,9 @@ def _unfold(n: int, R: int, depth: int, cap: int, step: Callable,
         raise ValueError(f"depth {depth} exceeds the {2 * n} distinct positions")
     if R < n:
         raise ValueError(f"need R >= n, got R={R} < n={n}")
-    nodes = _node_count(R, depth, pattern, cap)
-    if nodes > cap:
-        raise CapExceeded(f"tree would hold at least {nodes} nodes, cap {cap}")
+    nodes = _node_count(R, depth, pattern)
+    if nodes > DEFAULT_TREE_CAP:
+        raise CapExceeded(f"tree would hold at least {nodes} nodes, cap {DEFAULT_TREE_CAP}")
 
     def rec(vals: tuple[int, ...], positions: tuple[int, ...]):
         outs, pos = step(vals, positions)
@@ -441,14 +447,12 @@ def _unfold(n: int, R: int, depth: int, cap: int, step: Callable,
     return DecisionTree(rec((), ())[0], n, R, depth, pattern)
 
 
-def fixed_position_tree(n: int, R: int, depth: int,
-                        cap: int = DEFAULT_TREE_CAP) -> DecisionTree:
+def fixed_position_tree(n: int, R: int, depth: int) -> DecisionTree:
     """Oblivious tree reading positions 1..depth with no outputs."""
-    return _unfold(n, R, depth, cap, lambda vals, positions: ((), None), pattern=True)
+    return _unfold(n, R, depth, lambda vals, positions: ((), None), pattern=True)
 
 
-def random_tree(n: int, R: int, depth: int, seed: int,
-                cap: int = DEFAULT_TREE_CAP) -> DecisionTree:
+def random_tree(n: int, R: int, depth: int, seed: int) -> DecisionTree:
     """Random well-formed tree: random fresh position per node, sparse random
     output annotations that never repeat along a path."""
     rng = random.Random(seed)
@@ -470,11 +474,10 @@ def random_tree(n: int, R: int, depth: int, seed: int,
             return outs, None
         return outs, rng.choice([p for p in range(1, 2 * n + 1) if p not in positions])
 
-    return _unfold(n, R, depth, cap, step, pattern=False)
+    return _unfold(n, R, depth, step, pattern=False)
 
 
-def build_guessing_tree(n: int, R: int, depth: int, t: int,
-                        cap: int = DEFAULT_TREE_CAP) -> DecisionTree:
+def build_guessing_tree(n: int, R: int, depth: int, t: int) -> DecisionTree:
     """Adversarially productive tree: reads positions 1..depth, declares every
     equal pair among its reads, and speculates t+1 extra matches on each final
     edge (half-open singles, in first-read order, paired with unread positions
@@ -511,7 +514,7 @@ def build_guessing_tree(n: int, R: int, depth: int, t: int,
             outs.extend(speculative(vals))
         return tuple(outs), None
 
-    return _unfold(n, R, depth, cap, step, pattern=True)
+    return _unfold(n, R, depth, step, pattern=True)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +556,7 @@ class _ReplayHost(GameHost):
 
 
 def compile_prefix_tree(make_player: Callable, n: int, R: int, depth: int,
-                        slots: int | None = None,
-                        cap: int = DEFAULT_TREE_CAP) -> DecisionTree:
+                        slots: int | None = None) -> DecisionTree:
     """Unfold a deterministic player's first `depth` distinct reads into a tree.
 
     Each node replays the player on the values along its path.  Redundant
@@ -576,4 +578,4 @@ def compile_prefix_tree(make_player: Callable, n: int, R: int, depth: int,
             raise ValueError("player is not deterministic: read order changed")
         return (() if host.mark is None else tuple(host.transcript.outputs[host.mark:])), nxt
 
-    return _unfold(n, R, depth, cap, step, pattern=True)
+    return _unfold(n, R, depth, step, pattern=True)

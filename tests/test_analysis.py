@@ -14,6 +14,7 @@ from memlab import (GameParams, YExperiment, binomial_tail_exact,
                     unique_pairs_mc, y_exact_distribution, y_expectation,
                     y_sample_many, y_sample_size, y_tail_bound,
                     y_tail_estimate, y_tail_exact)
+from memlab import game_core
 from memlab.game_core import MAX_CELLS, CapExceeded
 from memlab.strategies import MultiPass, randomized_order
 
@@ -299,21 +300,34 @@ class TestUniquePairs:
         with pytest.raises(CapExceeded, match=r"1000\^2000 inputs"):
             unique_pairs_expected_enumerated(1000)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_count_vector_sum_equals_the_input_walk(self, n):
+        walk = sum(len(unique_pairs(xs))
+                   for xs in itertools.product(range(1, n + 1), repeat=2 * n))
+        assert unique_pairs_expected_enumerated(n) == Fraction(walk, n ** (2 * n))
+
+    def test_n5_is_the_linearity_closed_form(self):
+        # C(2n, 2) position pairs, each unique with chance (n-1)^(2n-2)/n^(2n-1)
+        assert unique_pairs_expected_enumerated(5) == Fraction(math.comb(10, 2) * 4**8, 5**9)
+
     @pytest.mark.parametrize("cap", [729, 728])
-    def test_cap_boundary_is_exact(self, cap):
+    def test_cap_boundary_is_exact(self, monkeypatch, cap):
         # 3^6 = 729 inputs: enumerated at cap 729, refused at 728
+        truth = unique_pairs_expected_enumerated(3)
+        monkeypatch.setattr(game_core, "DEFAULT_ENUM_CAP", cap)
         if cap >= 3 ** 6:
-            assert unique_pairs_expected_enumerated(3, cap) == unique_pairs_expected_enumerated(3)
+            assert unique_pairs_expected_enumerated(3) == truth
         else:
             with pytest.raises(CapExceeded, match=r"3\^6 inputs for n=3 exceeds cap 728"):
-                unique_pairs_expected_enumerated(3, cap)
+                unique_pairs_expected_enumerated(3)
 
-    def test_cap_refusal_never_builds_the_power(self):
+    def test_cap_refusal_never_builds_the_power(self, monkeypatch):
         # 100000^200000 has a million digits; the refusal compares the cap
         # only with numbers near it
+        monkeypatch.setattr(game_core, "DEFAULT_ENUM_CAP", _WaryCap(10**7))
         with pytest.raises(CapExceeded, match=r"100000\^200000 inputs for n=100000 exceeds "
                                               r"cap 10000000$"):
-            unique_pairs_expected_enumerated(10**5, _WaryCap(10**7))
+            unique_pairs_expected_enumerated(10**5)
 
     def test_mc_close_to_exact_at_n3(self):
         truth = float(unique_pairs_expected_enumerated(3))

@@ -338,6 +338,29 @@ class TestCLI:
         code, _ = run_cli(["--jobs", "1"] + args)
         assert code == 0 and seen == [rows]
 
+    def test_xy_check_checks_its_row_count_against_the_cap(self, monkeypatch, capsys):
+        # the fixed tree's row and one per random tree, checked before any
+        # tree is built
+        seen = []
+        check = cli.check_cells
+
+        def recorded(cells, what):
+            seen.append(cells)
+            check(cells, what)
+        monkeypatch.setattr(cli, "check_cells", recorded)
+        code, _ = run_cli(["xy-check", "--n", "3", "--R", "4", "--trees", "5"])
+        assert code == 0 and seen == [6]
+
+        def no_tree(*args):
+            raise AssertionError("built a tree past the row cap")
+        monkeypatch.setattr(cli, "fixed_position_tree", no_tree)
+        monkeypatch.setattr(cli, "random_tree", no_tree)
+        code, out = run_cli(["xy-check", "--n", "3", "--R", "4", "--trees", "10000000"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == "" and seen[-1] == 10**7 + 1
+        assert err == ("memlab: an xy-check of 10000000 random trees would take 10000001 "
+                       "array cells, over the cap of 10000000\n")
+
     def test_env_seed_override(self):
         _, a = run_cli(["play", "--n", "4", "--space-bits", "6"], env_seed=4)
         _, b = run_cli(["play", "--n", "4", "--space-bits", "6", "--seed", "4"])
@@ -573,6 +596,25 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.startswith("memlab: tree would hold at least ") and "cap 2000000" in err
+
+    # r=10 would compile a 142,418-node tree and r=15 one past the tree cap; the
+    # lemma's preconditions refuse both cells from their columns alone
+    @pytest.mark.parametrize("argv,msg", [
+        (["--n", "16", "--R", "16", "--r", "10", "--t", "1"], "need depth <= n/2, got r=10, n=16"),
+        (["--n", "20", "--R", "20", "--r", "15", "--t", "1"], "need depth <= n/2, got r=15, n=20"),
+        (["--n", "16", "--R", "16", "--r", "4", "--t", "3"], "need 1 <= t <= r/2, got t=3, r=4"),
+        (["--n", "16", "--R", "16", "--r", "4", "--t", "0", "--tree", "guessing"],
+         "need 1 <= t <= r/2, got t=0, r=4"),
+    ])
+    def test_lemma43_checks_the_lemma_before_building(self, capsys, monkeypatch, argv, msg):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("built a tree for a cell outside the lemma")
+
+        monkeypatch.setattr(cli, "compile_prefix_tree", no_tree)
+        monkeypatch.setattr(cli, "build_guessing_tree", no_tree)
+        code, out = run_cli(["lemma43"] + argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == "" and err == f"memlab: {msg}\n"
 
 
 def _child(args, **kw):

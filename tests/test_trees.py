@@ -8,8 +8,9 @@ from memlab import (CapExceeded, GameParams, MatchTriple,
                     count_valid_inputs, derive_seed, enumerate_valid_inputs, generate_valid_input,
                     matches_of, multi_pass_play, y_exact_distribution, y_sample_size,
                     y_tail_exact)
+from memlab import trees
 from memlab.strategies import MultiPass, ProtocolError, randomized_order
-from memlab.trees import (DEFAULT_TREE_CAP, DecisionTree, TreeNode, _node_count, _unfold,
+from memlab.trees import (DecisionTree, TreeNode, _node_count, _unfold,
                           build_guessing_tree, compile_prefix_tree, fixed_position_tree,
                           lemma43_check, path_distribution, productive_deck_count,
                           productive_fraction_brute, random_tree, tree_run,
@@ -272,11 +273,13 @@ class TestCompile:
         tree = compile_prefix_tree(MultiPass, 2, 2, 0, slots=4)
         assert tree.root is None and tree.depth == 0
 
-    def test_tree_cap_refusal(self):
+    def test_tree_cap_refusal(self, monkeypatch):
         # 1, 1, 2, 5 and 15 equality patterns of 0..4 reads: 24 nodes
-        assert compile_prefix_tree(MultiPass, 8, 8, 4, slots=2, cap=24).depth == 4
+        monkeypatch.setattr(trees, "DEFAULT_TREE_CAP", 24)
+        assert compile_prefix_tree(MultiPass, 8, 8, 4, slots=2).depth == 4
+        monkeypatch.setattr(trees, "DEFAULT_TREE_CAP", 23)
         with pytest.raises(CapExceeded, match="tree would hold at least 24 nodes, cap 23"):
-            compile_prefix_tree(MultiPass, 8, 8, 4, slots=2, cap=23)
+            compile_prefix_tree(MultiPass, 8, 8, 4, slots=2)
 
     def test_player_whose_read_order_changes_refused(self):
         replays = itertools.count()
@@ -301,7 +304,7 @@ class TestCompile:
             return (MatchTriple(1, 2, 1),), None
 
         with pytest.raises(ValueError, match="output before its first read"):
-            _unfold(2, 2, 1, DEFAULT_TREE_CAP, step, pattern=False)
+            _unfold(2, 2, 1, step, pattern=False)
 
 
 def _size(tree):
@@ -322,32 +325,36 @@ class TestNodeCap:
     ])
     def test_pattern_count_is_the_built_tree(self, n, R, depth, nodes):
         tree = fixed_position_tree(n, R, depth)
-        assert _node_count(R, depth, True, DEFAULT_TREE_CAP) == _size(tree) == nodes
+        assert _node_count(R, depth, True) == _size(tree) == nodes
 
     @pytest.mark.parametrize("n,R,depth,nodes", [(3, 4, 2, 21), (2, 2, 3, 15), (1, 1, 2, 3),
                                                  (3, 3, 0, 1)])
     def test_r_way_count_is_the_built_tree(self, n, R, depth, nodes):
         tree = random_tree(n, R, depth, seed=depth)
-        assert _node_count(R, depth, False, DEFAULT_TREE_CAP) == _size(tree) == nodes
+        assert _node_count(R, depth, False) == _size(tree) == nodes
 
     @pytest.mark.parametrize("build,nodes", [
-        (lambda cap: fixed_position_tree(8, 8, 4, cap=cap), 24),
-        (lambda cap: build_guessing_tree(8, 16, 5, 2, cap=cap), 76),
-        (lambda cap: compile_prefix_tree(MultiPass, 4, 4, 3, slots=2, cap=cap), 9),
-        (lambda cap: random_tree(3, 4, 2, seed=1, cap=cap), 21),
+        (lambda: fixed_position_tree(8, 8, 4), 24),
+        (lambda: build_guessing_tree(8, 16, 5, 2), 76),
+        (lambda: compile_prefix_tree(MultiPass, 4, 4, 3, slots=2), 9),
+        (lambda: random_tree(3, 4, 2, seed=1), 21),
     ])
-    def test_cap_boundary_is_exact(self, build, nodes):
-        assert _size(build(nodes)) == nodes
+    def test_cap_boundary_is_exact(self, monkeypatch, build, nodes):
+        monkeypatch.setattr(trees, "DEFAULT_TREE_CAP", nodes)
+        assert _size(build()) == nodes
+        monkeypatch.setattr(trees, "DEFAULT_TREE_CAP", nodes - 1)
         with pytest.raises(CapExceeded, match=f"at least {nodes} nodes, cap {nodes - 1}$"):
-            build(nodes - 1)
+            build()
 
-    def test_count_stops_at_the_cap(self):
+    def test_count_stops_at_the_cap(self, monkeypatch):
         # Bell(0) + ... + Bell(12) passes 2e6 at level 12 of a depth-15 tree
-        assert _node_count(30, 15, True, DEFAULT_TREE_CAP) == 5034585
-        assert _node_count(10**6, 15, False, 10) == 1 + 10**6
+        assert _node_count(30, 15, True) == 5034585
+        monkeypatch.setattr(trees, "DEFAULT_TREE_CAP", 10)
+        assert _node_count(10**6, 15, False) == 1 + 10**6
         # a cap the running sum meets at an inner level still refuses
+        monkeypatch.setattr(trees, "DEFAULT_TREE_CAP", 2)
         with pytest.raises(CapExceeded, match="at least 4 nodes, cap 2$"):
-            fixed_position_tree(8, 8, 4, cap=2)
+            fixed_position_tree(8, 8, 4)
 
 
 class TestGuessingTree:
@@ -436,7 +443,7 @@ class TestProductivityBound:
         def step(vals, positions):
             return (inner if len(vals) == 1 else leaf if len(vals) == 2 else ()), None
 
-        tree = _unfold(4, 4, 2, DEFAULT_TREE_CAP, step, pattern=False)
+        tree = _unfold(4, 4, 2, step, pattern=False)
         with pytest.raises(ValueError, match="not a partial matching"):
             lemma43_check(tree, 1)
 
