@@ -15,10 +15,13 @@ and may annotate edges with declared matches.  A tree branches one of two ways:
 Trees are checked two ways, each reading n and R from the tree.  One runs
 decks down their paths: `_run` is the one deck walk, behind `tree_run`, which
 refuses a deck that does not fit the tree, and the deck-enumeration oracles
-`x_exact_distribution` and `productive_fraction_brute`.  The other counts,
-path by path, the decks consistent with each leaf, which yields the
-equal-pairs law and the productive-input fraction without enumerating the
-deck universe.
+`x_exact_distribution` and `productive_fraction_brute`.  The other counts
+the decks consistent with each leaf without enumerating the deck universe:
+`_iter_leaves` is the one leaf walk, an iterative preorder walk that keeps
+each path's census of completed and half pairs current and yields only the
+leaves some deck reaches.  Grouping its leaves by census gives the
+equal-pairs law; reading each leaf's outputs against its reads gives the
+productive-input fraction.
 
 Every builder (fixed, random, guessing, compiled player) is a per-node `step`
 function unfolded by `_unfold`, which owns the size refusals (R >= n, which
@@ -96,10 +99,12 @@ class DecisionTree:
             queried.add(node.pos)
             for v in range(1, width + 1):
                 branch_outs = node.outs[v - 1]
-                fresh = set(branch_outs)
-                if len(fresh) != len(branch_outs) or fresh & outs:
-                    raise ValueError("output repeated along a path")
                 child = node.kids[v - 1]
+                below = outs
+                if branch_outs:
+                    below = outs.union(branch_outs)
+                    if len(below) != len(outs) + len(branch_outs):
+                        raise ValueError("output repeated along a path")
                 for o in branch_outs:
                     if not (1 <= o.i < o.j <= 2 * self.n and 1 <= o.v <= self.R):
                         raise ValueError(f"malformed output {o}")
@@ -112,7 +117,7 @@ class DecisionTree:
                     if level + 1 != self.depth:
                         raise ValueError("non-uniform depth")
                 else:
-                    walk(child, level + 1, queried, outs | fresh, max(k, v))
+                    walk(child, level + 1, queried, below, max(k, v))
             queried.discard(node.pos)
 
         walk(self.root, 0, set(), set(), 0)
@@ -184,11 +189,19 @@ def x_exact_distribution(tree: DecisionTree) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # Path-by-path counting
 
-def _iter_leaves(tree: DecisionTree) -> Iterator[tuple[dict[int, int], Counter, list[MatchTriple],
-                                                      int, int, int]]:
-    """Every leaf that some deck reaches, as (read value by position, read
-    count by value, outputs along the path, completed pairs u among the
-    reads, decks consistent with the reads, R-way leaves it stands for).
+def _iter_leaves(tree: DecisionTree) -> Iterator[tuple[dict[int, int], Counter,
+                                                      list[MatchTriple], int, int]]:
+    """Every leaf that some deck reaches, in preorder, as (read value by
+    position, read count by value, outputs along the path, completed pairs u
+    and half pairs d among the reads).
+
+    One iterative walk, a stack of frames, keeps the path's reads, census
+    and outputs current as it enters and leaves each branch, so a leaf costs
+    O(1) beyond its outputs.  The three containers are live: the walk
+    changes them once it moves on, so a caller copies what it keeps.  No
+    deck reads a value three times or more than n distinct values, so the
+    walk enters no branch that would, and the subtree below it holds no leaf
+    to yield.
 
     A pattern leaf with u complete and d half pairs stands for the
     perm(R, u + d) relabelings of its values, each reached by as many decks
@@ -197,38 +210,47 @@ def _iter_leaves(tree: DecisionTree) -> Iterator[tuple[dict[int, int], Counter, 
     qvals: dict[int, int] = {}
     counts: Counter = Counter()
     outputs: list[MatchTriple] = []
-
-    def rec(node: TreeNode) -> Iterator[None]:
-        pos = node.pos
-        for v in range(1, len(node.kids) + 1):
-            qvals[pos] = v
-            counts[v] += 1
-            outs = node.outs[v - 1]
-            outputs.extend(outs)
-            child = node.kids[v - 1]
-            if child is None:
-                yield
+    u = 0  # values read twice; the r reads on a path hold r - 2u half pairs
+    if tree.root is None:  # a depth-0 tree is one leaf with no reads
+        yield qvals, counts, outputs, u, 0
+        return
+    n, depth = tree.n, tree.depth
+    # a frame: [node, branch last entered, reads above hold < n distinct values]
+    frames = [[tree.root, 0, True]]
+    while frames:
+        frame = frames[-1]
+        node, v, room = frame
+        outs = node.outs
+        if v:  # leave branch v
+            if counts[v] == 2:
+                counts[v] = 1
+                u -= 1
             else:
-                yield from rec(child)
-            for _ in outs:
-                outputs.pop()
-            # drop a value no longer read, so each leaf's census of counts
-            # costs its depth, not R
-            counts[v] -= 1
-            if not counts[v]:
-                del counts[v]
-            del qvals[pos]
-
-    # a depth-0 tree is one leaf with no reads
-    for _ in rec(tree.root) if tree.root is not None else [None]:
-        if any(c > 2 for c in counts.values()):
+                counts.pop(v)  # Counter's del runs Python code; pop does not
+            if outs[v - 1]:
+                del outputs[-len(outs[v - 1]):]
+        # skip each branch no deck takes: a third read, or an (n+1)-th value
+        width = len(outs)
+        v += 1
+        while v <= width and (counts.get(v) == 2 or not room and v not in counts):
+            v += 1
+        if v > width:
+            frames.pop()
+            qvals.pop(node.pos, None)
             continue
-        u = sum(1 for c in counts.values() if c == 2)
-        d = sum(1 for c in counts.values() if c == 1)
-        base = _consistent_count(tree.n, tree.R, u, d, len(qvals))
-        if base:
-            weight = math.perm(tree.R, u + d) if tree.pattern else 1
-            yield qvals, counts, outputs, u, base, weight
+        frame[1] = v
+        qvals[node.pos] = v
+        if v in counts:
+            counts[v] = 2
+            u += 1
+        else:
+            counts[v] = 1
+        outputs.extend(outs[v - 1])
+        child = node.kids[v - 1]
+        if child is None:
+            yield qvals, counts, outputs, u, depth - 2 * u
+        else:  # the len(frames) reads down to the child hold len(frames) - u values
+            frames.append([child, 0, len(frames) - u < n])
 
 
 def _consistent_count(n: int, R: int, u: int, d: int, r: int) -> int:
@@ -273,7 +295,9 @@ def productive_deck_count(tree: DecisionTree, t: int) -> tuple[int, int]:
     n, R = tree.n, tree.R
     productive = 0
     total = 0
-    for qvals, counts, outputs, _, base, weight in _iter_leaves(tree):
+    for qvals, counts, outputs, u, d in _iter_leaves(tree):
+        base = _consistent_count(n, R, u, d, tree.depth)
+        weight = math.perm(R, u + d) if tree.pattern else 1
         total += base * weight
         det = 0
         events: list[tuple[tuple[int, int], ...]] = []
@@ -301,18 +325,22 @@ def productive_deck_count(tree: DecisionTree, t: int) -> tuple[int, int]:
         for k in range(need, m + 1):
             sk = 0
             for A in combinations(events, k):
-                sk += _pinned_count(n, R, counts, len(qvals), A)
+                sk += _pinned_count(n, R, counts, tree.depth, A)
             got += (-1) ** (k - need) * math.comb(k - 1, need - 1) * sk
         productive += got * weight
     return productive, total
 
 
 def path_distribution(tree: DecisionTree) -> list[Fraction]:
-    """Equal-pairs law by exact path counting (dual route to enumeration)."""
+    """Equal-pairs law by exact path counting (dual route to enumeration):
+    the leaves are grouped by (u, d), and each group is multiplied once by
+    the decks one of its leaves stands for."""
+    n, R = tree.n, tree.R
     tally: Counter = Counter()
-    for _, _, _, u, base, weight in _iter_leaves(tree):
-        tally[u] += base * weight
-    total = count_valid_inputs(tree.n, tree.R)
+    for (u, d), leaves in Counter((u, d) for _, _, _, u, d in _iter_leaves(tree)).items():
+        weight = math.perm(R, u + d) if tree.pattern else 1
+        tally[u] += leaves * weight * _consistent_count(n, R, u, d, tree.depth)
+    total = count_valid_inputs(n, R)
     return [Fraction(tally.get(u, 0), total) for u in range(tree.depth // 2 + 1)]
 
 
@@ -440,8 +468,9 @@ def _unfold(n: int, R: int, depth: int, step: Callable, pattern: bool) -> Decisi
             pos = min(p for p in range(1, 2 * n + 1) if p not in positions)
         width = min(len(set(vals)) + 1, R) if pattern else R
         node = TreeNode(pos, width)
-        for v in range(1, width + 1):
-            node.kids[v - 1], node.outs[v - 1] = rec(vals + (v,), positions + (pos,))
+        positions += (pos,)
+        for v in range(width):
+            node.kids[v], node.outs[v] = rec(vals + (v + 1,), positions)
         return node, outs
 
     return DecisionTree(rec((), ())[0], n, R, depth, pattern)
@@ -456,20 +485,20 @@ def random_tree(n: int, R: int, depth: int, seed: int) -> DecisionTree:
     """Random well-formed tree: random fresh position per node, sparse random
     output annotations that never repeat along a path."""
     rng = random.Random(seed)
-    path_outs = [frozenset()]  # outputs along the current path, by level
+    path_outs = [frozenset()] * (depth + 1)  # outputs down to each level of the path
 
     def step(vals, positions):
         k = len(vals)
         outs: tuple[MatchTriple, ...] = ()
         if k:
-            del path_outs[k:]
+            above = path_outs[k - 1]
             if rng.random() < _OUT_PROB:
                 i = rng.randrange(1, 2 * n)
                 j = rng.randrange(i + 1, 2 * n + 1)
                 cand = MatchTriple(i, j, rng.randrange(1, R + 1))
-                if cand not in path_outs[-1]:
+                if cand not in above:
                     outs = (cand,)
-            path_outs.append(path_outs[-1] | set(outs))
+            path_outs[k] = above.union(outs) if outs else above
         if k == depth:
             return outs, None
         return outs, rng.choice([p for p in range(1, 2 * n + 1) if p not in positions])

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from memlab import (CapExceeded, GameParams, MatchTriple,
                     y_tail_exact)
 from memlab import trees
 from memlab.strategies import MultiPass, ProtocolError, randomized_order
-from memlab.trees import (DecisionTree, TreeNode, _node_count, _unfold,
+from memlab.trees import (DecisionTree, TreeNode, _iter_leaves, _node_count, _unfold,
                           build_guessing_tree, compile_prefix_tree, fixed_position_tree,
                           lemma43_check, path_distribution, productive_deck_count,
                           productive_fraction_brute, random_tree, tree_run,
@@ -231,6 +233,47 @@ class TestXYEquivalence:
             assert path_distribution(tree) == x_exact_distribution(tree), where
 
 
+class TestLeafWalk:
+    """The iterative leaf walk behind path counting: leaf counts by hand, the
+    census it yields at each leaf, and both counts against the oracles."""
+
+    @pytest.mark.parametrize("build,leaves", [
+        # no reads: one leaf
+        (lambda: fixed_position_tree(2, 2, 0), 1),
+        (lambda: random_tree(2, 2, 0, 0), 1),
+        # 8 value strings minus 111 and 222, which no deck reads
+        (lambda: random_tree(2, 2, 3, 0), 6),
+        # label strings 112, 121, 122
+        (lambda: fixed_position_tree(2, 2, 3), 3),
+    ])
+    def test_leaf_counts_by_hand_and_against_the_oracles(self, build, leaves):
+        tree = build()
+        assert sum(1 for _ in _iter_leaves(tree)) == leaves
+        assert path_distribution(tree) == x_exact_distribution(tree)
+        for t in (1, 2):
+            got, total = productive_deck_count(tree, t)
+            assert total == count_valid_inputs(tree.n, tree.R)
+            assert Fraction(got, total) == productive_fraction_brute(tree, t), t
+
+    def test_yielded_census_matches_the_path(self):
+        # u and d are kept current as branches are entered and left; recount
+        # them, and the reads and outputs, from scratch at every leaf
+        for where, tree in [*_xy_trees(), ("guessing", build_guessing_tree(4, 5, 4, 2)),
+                            ("random n=3 R=3", random_tree(3, 3, 6, seed=5))]:
+            for qvals, counts, outputs, u, d in _iter_leaves(tree):
+                assert len(qvals) == tree.depth, where
+                assert counts == Counter(qvals.values()), where
+                assert u == sum(1 for c in counts.values() if c == 2), where
+                assert d == sum(1 for c in counts.values() if c == 1), where
+                assert max(counts.values(), default=0) <= 2 and u + d <= tree.n, where
+                node, path_outs = tree.root, []
+                while node is not None:
+                    b = qvals[node.pos] - 1
+                    path_outs.extend(node.outs[b])
+                    node = node.kids[b]
+                assert outputs == path_outs, where
+
+
 class TestCompile:
     def test_oblivious_prefix_reads_in_order(self):
         tree = compile_prefix_tree(MultiPass, 2, 2, 2, slots=4)
@@ -355,6 +398,25 @@ class TestNodeCap:
         monkeypatch.setattr(trees, "DEFAULT_TREE_CAP", 2)
         with pytest.raises(CapExceeded, match="at least 4 nodes, cap 2$"):
             fixed_position_tree(8, 8, 4)
+
+
+class TestRandomTreeSeeds:
+    def test_each_seed_names_the_same_tree(self):
+        # a digest over every node's position, outputs and children: a change
+        # to the builder must not change which tree a seed names
+        def shape(node):
+            if node is None:
+                return None
+            return (node.pos, tuple(tuple(tuple(o) for o in outs) for outs in node.outs),
+                    tuple(shape(kid) for kid in node.kids))
+
+        h = hashlib.sha256()
+        for n, R in [(1, 1), (2, 3), (3, 4), (4, 5)]:
+            for depth in range(min(4, 2 * n) + 1):
+                for seed in range(40):
+                    h.update(repr(shape(random_tree(n, R, depth, seed).root)).encode())
+        assert h.hexdigest() == ("fb2581f482dd3bd0efc99ef449b85378"
+                                 "4577f27800ced84679af507c5e4b87b2")
 
 
 class TestGuessingTree:
