@@ -6,12 +6,12 @@ from .game_core import (CapExceeded, Deck, FlipBudgetExceeded, GameParams, Match
                         validate_deck, verify_transcript)
 from .strategies import (DeckHost, FullMemory, GameHost, MultiPass, ProtocolError,
                          SpaceBudget, make_strategy, multi_pass_play, multi_pass_time_bound,
-                         perfect_memory_play, randomized_order, space_audit)
+                         randomized_order, space_audit)
 from .adversary import (AdversaryLog, AdversaryResult, InvariantViolation,
                         KnowledgeGraph, StrategyRejected, adversarial_play,
                         involution_audit, kg_answer, kg_from_edges, kg_init,
-                        kg_is_done, realize_input, replay_consistent,
-                        perfect_matchings, useful_edges_brute, vanish_closure)
+                        kg_is_done, perfect_matchings, replay_consistent,
+                        useful_edges_brute, vanish_closure)
 from .analysis import (MonteCarloWrapped, UniquePairsExpectation, YExperiment,
                        binomial_tail_exact, chernoff_tail, monte_carlo_wrap,
                        relent, unique_pairs, unique_pairs_expected,

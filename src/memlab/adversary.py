@@ -97,9 +97,6 @@ class KnowledgeGraph:
     def isolated(self, l: int, r: int) -> bool:
         return r in self.adj[l] and len(self.adj[l]) == 1 and len(self.adj[r]) == 1
 
-    def edge_count(self) -> int:
-        return sum(len(self.adj[l]) for l in range(1, self.n + 1))
-
     def edges(self) -> set[tuple[int, int]]:
         return {(l, r) for l in range(1, self.n + 1) for r in self.adj[l]}
 
@@ -189,21 +186,6 @@ def vanish_closure(g: KnowledgeGraph) -> list[tuple[int, int]]:
     if g.closure_hook is not None:
         g.closure_hook(g, vanished)
     return vanished
-
-
-def realize_input(g: KnowledgeGraph, R: int,
-                  assigned: dict[tuple[int, int], int] | None = None) -> Deck:
-    """A valid deck consistent with a finished graph: one value per matched pair.
-
-    `assigned` pins values already granted to declared pairs; the rest get the
-    smallest unused values.
-    """
-    if not kg_is_done(g):
-        raise ValueError("graph is not a perfect matching yet")
-    if R < g.n:
-        raise ValueError(f"need R >= n, got R={R} < n={g.n}")
-    matching = [(l, next(iter(g.adj[l]))) for l in range(1, g.n + 1)]
-    return deck_from_matching(g.n, R, matching, assigned or {})
 
 
 def deck_from_matching(n: int, R: int, matching, assigned: dict[tuple[int, int], int]) -> Deck:

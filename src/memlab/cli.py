@@ -277,6 +277,15 @@ def _refuse_space_bits(args) -> None:
         raise ValueError("--space-bits conflicts with --strategy perfect, which stores every card")
 
 
+def _refuse_flags(args, names: list[str], mode: str) -> None:
+    """Refuse each named flag that was given where `mode` is not in force:
+    a flag the command would otherwise silently ignore."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value is not False:  # --seeds 0 is given, too
+            raise ValueError(f"--{name.replace('_', '-')} applies to {mode} only")
+
+
 def cmd_play(args) -> int:
     if args.deck:
         with open(args.deck) as fh:
@@ -315,8 +324,10 @@ def cmd_play(args) -> int:
 
 def cmd_adversary(args) -> int:
     if args.config or args.n_list:
+        _refuse_flags(args, ["n", "space_bits", "audit"], "single-game mode")
         return _finish(args.out, adversary_sweep(sweep_config_from(args))[0])
-    n = args.n
+    _refuse_flags(args, ["seeds", "s_list"], "sweep mode")
+    n = 8 if args.n is None else args.n
     strategy = args.strategy or "multipass"
     if strategy == "mixed":
         raise ValueError("--strategy mixed applies to sweep mode only")
@@ -393,7 +404,11 @@ def _lemma43_row(n: int, R: int, r: int, t: int, tree_kind: str) -> str:
 
 
 def cmd_lemma43(args) -> int:
-    kind = f"compiled_s{args.s}" if args.tree == "compiled" else "guessing"
+    if args.tree == "guessing":
+        _refuse_flags(args, ["s"], "--tree compiled")
+        kind = "guessing"
+    else:
+        kind = f"compiled_s{2 if args.s is None else args.s}"
     row = _lemma43_row(args.n, args.R, args.r, args.t, kind)
     return _finish(args.out, [LEMMA43_HEADER, row])
 
@@ -557,7 +572,7 @@ def _parser() -> argparse.ArgumentParser:
     p = add_cmd("adversary", help="adversarial game(s) with audits; "
                                   "--config/--n-list switches to sweep mode")
     _add_sweep_flags(p, "multipass; mixed in sweeps", [*PLAYERS, "mixed"], "mixed")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=int, default=None, help="pair count (default 8)")
     p.add_argument("--space-bits", type=int, default=None)
     p.add_argument("--audit", action="store_true",
                    help="print involution/replay audit details to stderr")
@@ -587,7 +602,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--tree", choices=["compiled", "guessing"], default="compiled")
-    p.add_argument("--s", type=int, default=2, help="slots for the compiled player")
+    p.add_argument("--s", type=int, default=None,
+                   help="slots for the compiled player (default 2)")
     p.set_defaults(func=cmd_lemma43)
 
     p = add_cmd("unique-pairs", help="unique-pairs expectation checks")

@@ -12,7 +12,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 # CPython's builtin SHA-256 gives hashlib's digest without loading OpenSSL,
 # which hashlib does on import (about 3.5 MB of resident memory)
@@ -282,36 +282,9 @@ def write_transcript_csv(t: Transcript, fh: IO[str]) -> None:
         fh.write(f"{k},{e.kind},{e.a},{e.b},{e.c}\n")
 
 
-def read_transcript_csv(fh: IO[str]) -> Transcript:
-    header = fh.readline().strip()
-    if header != "step,event,arg1,arg2,arg3":
-        raise ValueError(f"bad transcript header: {header!r}")
-    t = Transcript()
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        _, kind, a, b, c = line.split(",")
-        a, b, c = int(a), int(b), int(c)
-        if kind == "flip":
-            t.add_flip(a, b)
-        elif kind == "output":
-            t.add_output(MatchTriple(a, b, c))
-        elif kind == "pass":
-            t.add_pass(a)
-        else:
-            raise ValueError(f"unknown event kind {kind!r}")
-    return t
-
-
-def write_deck_file(fh: IO[str], n: int, R: int, decks: Iterable[Deck]) -> None:
-    """Deck text format: header line "n R", then one space-separated deck per line."""
-    fh.write(f"{n} {R}\n")
-    for deck in decks:
-        fh.write(" ".join(str(v) for v in deck) + "\n")
-
-
 def read_deck_file(fh: IO[str]) -> tuple[int, int, list[Deck]]:
+    """Deck text format: header line "n R", then one deck per line as 2n
+    space-separated values in 1..R; blank lines are skipped."""
     header = fh.readline().split()
     if len(header) != 2:
         raise ValueError("deck file must start with a header line: n R")

@@ -361,13 +361,6 @@ def multi_pass_time_bound(budget: SpaceBudget) -> int:
     return -(-n2 // budget.slots) * n2
 
 
-def perfect_memory_play(x: Deck) -> Transcript:
-    """Run the full-memory baseline; flips every position exactly once."""
-    host = DeckHost(x, len(x))
-    FullMemory().play(host)
-    return host.transcript
-
-
 def space_audit(t: Transcript, budget: SpaceBudget) -> bool:
     """True iff the transcript's working-set peak fits the budget."""
     if any(e.b < 0 for e in t.events if e.kind == "flip"):

@@ -21,7 +21,9 @@ the decks consistent with each leaf without enumerating the deck universe:
 each path's census of completed and half pairs current and yields only the
 leaves some deck reaches.  Grouping its leaves by census gives the
 equal-pairs law; reading each leaf's outputs against its reads gives the
-productive-input fraction.
+productive-input fraction.  Validation walks every path once and records
+whether the outputs along each path form a partial matching, naming no
+position twice; `lemma43_check` refuses a tree on which they do not.
 
 Every builder (fixed, random, guessing, compiled player) is a per-node `step`
 function unfolded by `_unfold`, which owns the size refusals (R >= n, which
@@ -62,7 +64,8 @@ class DecisionTree:
     """Validated tree: uniform depth, no position re-queried and no output
     repeated along any path, every branch present at every node (R of them,
     or min(K+1, R) in a pattern tree), and in a pattern tree no inner-edge
-    output naming a value its path has not read."""
+    output naming a value its path has not read.  `partial_matching` records
+    whether the outputs along every path name each position at most once."""
 
     def __init__(self, root: TreeNode | None, n: int, R: int, depth: int,
                  pattern: bool = False):
@@ -77,17 +80,20 @@ class DecisionTree:
         self.R = R
         self.depth = depth
         self.pattern = pattern
-        self.node_count = self._validate()
+        self.node_count, self.partial_matching = self._validate()
 
-    def _validate(self) -> int:
+    def _validate(self) -> tuple[int, bool]:
+        """(node count, whether every path's outputs form a partial matching)."""
         if self.root is None:
-            return 0
+            return 0, True
         count = 0
+        matching = True
 
         def walk(node: TreeNode, level: int, queried: set[int], outs: set[MatchTriple],
-                 k: int) -> None:
-            # k: distinct values read above this node, which sets a pattern node's width
-            nonlocal count
+                 named: set[int], k: int) -> None:
+            # named: positions the outputs above this node name; k: distinct
+            # values read above this node, which sets a pattern node's width
+            nonlocal count, matching
             count += 1
             if not 1 <= node.pos <= 2 * self.n:
                 raise ValueError(f"queried position {node.pos} out of range")
@@ -100,14 +106,19 @@ class DecisionTree:
             for v in range(1, width + 1):
                 branch_outs = node.outs[v - 1]
                 child = node.kids[v - 1]
-                below = outs
+                below, named_below = outs, named
                 if branch_outs:
                     below = outs.union(branch_outs)
                     if len(below) != len(outs) + len(branch_outs):
                         raise ValueError("output repeated along a path")
+                    named_below = set(named)
                 for o in branch_outs:
                     if not (1 <= o.i < o.j <= 2 * self.n and 1 <= o.v <= self.R):
                         raise ValueError(f"malformed output {o}")
+                    if o.i in named_below or o.j in named_below:
+                        matching = False
+                    named_below.add(o.i)
+                    named_below.add(o.j)
                     # a later fresh read could take an unread label, so the
                     # relabeling count of the leaves below would not hold
                     if self.pattern and child is not None and o.v > max(k, v):
@@ -117,11 +128,11 @@ class DecisionTree:
                     if level + 1 != self.depth:
                         raise ValueError("non-uniform depth")
                 else:
-                    walk(child, level + 1, queried, below, max(k, v))
+                    walk(child, level + 1, queried, below, named_below, max(k, v))
             queried.discard(node.pos)
 
-        walk(self.root, 0, set(), set(), 0)
-        return count
+        walk(self.root, 0, set(), set(), set(), 0)
+        return count, matching
 
 
 @dataclass(frozen=True)
@@ -358,23 +369,6 @@ class ProductivityResult:
     ok: bool
 
 
-def _check_partial_matchings(tree: DecisionTree) -> None:
-    """Refuse a tree whose outputs along some path name one position twice,
-    so that every path emits a partial matching."""
-
-    def walk(node: TreeNode, named: frozenset[int]) -> None:
-        for outs, child in zip(node.outs, node.kids):
-            ends = [p for o in outs for p in (o.i, o.j)]
-            if len(set(ends)) != len(ends) or not named.isdisjoint(ends):
-                raise ValueError(f"outputs {outs} name a position twice along a path: "
-                                 "not a partial matching")
-            if child is not None:
-                walk(child, named.union(ends))
-
-    if tree.root is not None:
-        walk(tree.root, frozenset())
-
-
 def check_lemma43(n: int, r: int, t: int) -> None:
     """Refuse a cell outside Lemma 4.3's preconditions, r <= n/2 and
     1 <= t <= r/2; a command checks them before it builds the tree."""
@@ -387,10 +381,12 @@ def check_lemma43(n: int, r: int, t: int) -> None:
 def lemma43_check(tree: DecisionTree, t: int) -> ProductivityResult:
     """Exact fraction of decks on which the tree emits >= 2t correct outputs,
     against the shallow-tree productivity bound (n-r-t)^-t + e^-t.  The
-    outputs along each path must form a partial matching."""
+    outputs along each path must form a partial matching, which the tree's
+    validation records in `tree.partial_matching`."""
     n, r = tree.n, tree.depth
     check_lemma43(n, r, t)
-    _check_partial_matchings(tree)
+    if not tree.partial_matching:
+        raise ValueError("outputs name a position twice along a path: not a partial matching")
     productive, total = productive_deck_count(tree, t)
     expect = count_valid_inputs(n, tree.R)
     if total != expect:

@@ -454,6 +454,30 @@ class TestCLI:
         assert code == 2 and out == ""
         assert err.startswith("memlab: ") and "Traceback" not in err
 
+    _LEMMA43 = ["lemma43", "--n", "8", "--R", "8", "--r", "4", "--t", "1"]
+
+    @pytest.mark.parametrize("args,flag,mode", [
+        (["adversary", "--n", "8", "--seeds", "3"], "--seeds", "sweep mode"),
+        (["adversary", "--n", "8", "--s-list", "1"], "--s-list", "sweep mode"),
+        (["adversary", "--n-list", "8", "--seeds", "1", "--n", "64"],
+         "--n", "single-game mode"),
+        (["adversary", "--n-list", "8", "--seeds", "1", "--space-bits", "6"],
+         "--space-bits", "single-game mode"),
+        (["adversary", "--n-list", "8", "--seeds", "1", "--audit"],
+         "--audit", "single-game mode"),
+        (_LEMMA43 + ["--tree", "guessing", "--s", "16"], "--s", "--tree compiled"),
+    ])
+    def test_flag_the_mode_would_ignore_exits_2(self, capsys, args, flag, mode):
+        code, out = run_cli(args)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"memlab: {flag} applies to {mode} only\n"
+
+    def test_refused_flags_fall_back_to_their_defaults(self):
+        assert run_cli(["adversary"]) == run_cli(["adversary", "--n", "8"])
+        compiled = run_cli(self._LEMMA43 + ["--tree", "compiled"])
+        assert compiled == run_cli(self._LEMMA43 + ["--tree", "compiled", "--s", "2"])
+        assert compiled[1].splitlines()[1].split(",")[4] == "compiled_s2"
+
     @pytest.mark.parametrize("args", [
         ["unique-pairs", "--n", "100000", "--trials", "100000"],
         ["lemma-y", "--n", "100", "--t", "2", "--trials", "100000000"],

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from memlab import (GameParams, MatchTriple, SpaceBudget, Transcript, adversarial_play,
                     enumerate_valid_inputs, generate_valid_input, matches_of, multi_pass_play,
-                    multi_pass_time_bound, perfect_memory_play, space_audit,
+                    multi_pass_time_bound, space_audit,
                     verify_transcript)
 from memlab.analysis import monte_carlo_wrap
 from memlab.strategies import (DeckHost, FlipBudgetExceeded, FullMemory, GameHost, MultiPass,
@@ -102,14 +102,21 @@ class TestTimeBound:
         assert multi_pass_time_bound(SpaceBudget.for_slots(n, s)) == want
 
 
+def _perfect_play(x):
+    """What `play --strategy perfect` runs: the shipped player storing all 2n cards."""
+    host = DeckHost(x, len(x), Transcript())
+    make_strategy("perfect", len(x) // 2).play(host)
+    return host.transcript
+
+
 class TestPerfectMemory:
     def test_singleton(self):
-        t = perfect_memory_play((1, 1))
+        t = _perfect_play((1, 1))
         assert t.flips == 2
         assert list(t.outputs) == [(1, 2, 1)]
 
     def test_greedy_scan_order(self):
-        t = perfect_memory_play((1, 2, 1, 2))
+        t = _perfect_play((1, 2, 1, 2))
         assert [tuple(o) for o in t.outputs] == [(1, 3, 1), (2, 4, 2)]
         assert t.flips <= 6
 
@@ -117,7 +124,7 @@ class TestPerfectMemory:
         for k in range(100):
             n = 3 + k % 6
             x = generate_valid_input(GameParams(n, n, k))
-            t = perfect_memory_play(x)
+            t = _perfect_play(x)
             assert verify_transcript(x, t).ok
             assert t.flips <= 4 * n
             assert t.flips == 2 * n  # single scan flips each card once

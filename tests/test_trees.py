@@ -526,6 +526,78 @@ class TestProductivityBound:
         assert res.fraction == tail
 
 
+def _path_outputs(node):
+    """The outputs along each root-to-leaf path, every branch followed: the
+    oracle for the partial-matching flag that validation records."""
+    if node is None:
+        yield []
+        return
+    for outs, kid in zip(node.outs, node.kids):
+        for below in _path_outputs(kid):
+            yield [*outs, *below]
+
+
+def _names_each_position_once(outputs):
+    ends = [p for o in outputs for p in (o.i, o.j)]
+    return len(ends) == len(set(ends))
+
+
+class TestPartialMatchingFlag:
+    """Validation records whether every path's outputs name each position at
+    most once; lemma43_check refuses a tree on which they do not, while the
+    tree stays valid and its equal-pairs law stays checkable."""
+
+    @pytest.mark.parametrize("inner,leaf,leaf_under,flag", [
+        ((), (MatchTriple(1, 3, 1), MatchTriple(3, 4, 2)), 1, False),  # one edge names 3 twice
+        ((MatchTriple(1, 3, 1),), (MatchTriple(3, 4, 1),), 1, False),  # two edges of a path
+        ((MatchTriple(1, 3, 1),), (MatchTriple(2, 4, 2),), 1, True),
+        ((MatchTriple(1, 3, 1),), (MatchTriple(1, 3, 2),), 2, True),  # on sibling paths only
+    ])
+    def test_hand_built_trees(self, inner, leaf, leaf_under, flag):
+        # n=4, R=4, depth 2: `inner` on the edge into the first read's branch 1,
+        # `leaf` on every leaf edge below its branch `leaf_under`
+        def step(vals, positions):
+            if len(vals) == 1:
+                return (inner if vals[0] == 1 else ()), None
+            return (leaf if len(vals) == 2 and vals[0] == leaf_under else ()), None
+
+        tree = _unfold(4, 4, 2, step, pattern=False)
+        assert tree.partial_matching is flag
+        assert all(map(_names_each_position_once, _path_outputs(tree.root))) is flag
+        assert xy_equiv_check(tree)
+        if flag:
+            assert lemma43_check(tree, 1).fraction == productive_fraction_brute(tree, 1)
+        else:
+            with pytest.raises(ValueError, match="not a partial matching"):
+                lemma43_check(tree, 1)
+
+    def test_random_tree_naming_a_position_twice(self):
+        tree = random_tree(4, 4, 2, seed=1)
+        assert tree.partial_matching is False
+        assert xy_equiv_check(tree)
+        with pytest.raises(ValueError, match="not a partial matching"):
+            lemma43_check(tree, 1)
+
+    def test_random_trees_against_the_path_oracle(self):
+        flags = Counter()
+        for n, R in [(2, 3), (3, 4), (4, 4)]:
+            for depth in range(min(4, 2 * n) + 1):
+                for seed in range(40):
+                    tree = random_tree(n, R, depth, seed)
+                    want = all(map(_names_each_position_once, _path_outputs(tree.root)))
+                    assert tree.partial_matching is want, (n, R, depth, seed)
+                    flags[want] += 1
+        assert flags[True] and flags[False]
+
+    def test_c06_grid_trees_are_partial_matchings(self):
+        for R in (8, 16):
+            for r, t in [(2, 1), (3, 1), (4, 1), (4, 2)]:
+                for tree in (compile_prefix_tree(MultiPass, 8, R, r, slots=2),
+                             compile_prefix_tree(MultiPass, 8, R, r, slots=16),
+                             build_guessing_tree(8, R, r, t)):
+                    assert tree.partial_matching, (R, r, t)
+
+
 class TestConflictingPins:
     """Events whose pins contradict each other: one position pinned to two
     values, or one value pinned onto more than two cards.  Such a set of
