@@ -21,13 +21,14 @@ the decks consistent with each leaf without enumerating the deck universe:
 each path's census of completed and half pairs current and yields only the
 leaves some deck reaches.  Grouping its leaves by census gives the
 equal-pairs law; reading each leaf's outputs against its reads gives the
-productive-input fraction.  Validation walks every path once and records
-whether the outputs along each path form a partial matching, naming no
-position twice; `lemma43_check` refuses a tree on which they do not.
+productive-input fraction.  `lemma43_check` also reads those leaves'
+outputs and refuses a tree on which some deck's path names a position
+twice, so that its outputs are not a partial matching.
 
-Every builder (fixed, random, guessing, compiled player) is a per-node `step`
-function unfolded by `_unfold`, which owns the size refusals (R >= n, which
-`DecisionTree` also demands, depth <= 2n, and at most the constant
+A tree is made only by unfolding a per-node `step` function, and every
+builder (fixed, random, guessing, compiled player) is one.  `DecisionTree`
+unfolds it in one walk that checks each node and edge as it makes them; it
+owns the size refusals (R >= n, depth <= 2n, and at most the constant
 `DEFAULT_TREE_CAP` nodes in the tree it would build), the branching and the
 padding rule.  The fixed, guessing and compiled trees branch on equality
 patterns; `random_tree` stays R-way because its random outputs are not
@@ -40,6 +41,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterator
 
@@ -61,78 +63,81 @@ class TreeNode:
 
 
 class DecisionTree:
-    """Validated tree: uniform depth, no position re-queried and no output
-    repeated along any path, every branch present at every node (R of them,
-    or min(K+1, R) in a pattern tree), and in a pattern tree no inner-edge
-    output naming a value its path has not read.  `partial_matching` records
-    whether the outputs along every path name each position at most once."""
+    """A tree unfolded from a per-node `step` function, the one way to make
+    a tree, and checked as it is built.
 
-    def __init__(self, root: TreeNode | None, n: int, R: int, depth: int,
-                 pattern: bool = False):
-        if depth < 0 or depth > 2 * n:
-            raise ValueError(f"depth must lie in 0..2n, got {depth}")
+    Nodes are made in preorder, branches in value order.  At each node,
+    `step(vals, positions)` gets the values read along the path (pattern
+    labels when `pattern`) and the positions they were read at, and returns
+    (outputs on the edge into this node, next position to read or None).
+    None pads the path with the lowest unread position.  Every path reads
+    `depth` positions, and a node has R branches, or min(K+1, R) in a
+    pattern tree whose path has read K distinct values.
+
+    Refused, before any node is built: n < 1, depth outside 0..2n, R < n,
+    and a tree past the constant `DEFAULT_TREE_CAP` nodes, leaves included.
+    Refused as each node and edge is made: a position out of range or
+    re-queried along a path, a malformed output or one repeated along a
+    path, an output before the first read, and in a pattern tree an output
+    on an inner edge naming a value its path has not read.  `node_count`
+    counts the `TreeNode`s built; a leaf is a None child."""
+
+    def __init__(self, n: int, R: int, depth: int, step: Callable, pattern: bool = False):
+        if n < 1 or depth < 0:
+            raise ValueError(f"need n >= 1 and depth >= 0, got n={n}, depth={depth}")
+        if depth > 2 * n:
+            raise ValueError(f"depth {depth} exceeds the {2 * n} distinct positions")
         if R < n:
             raise ValueError(f"need R >= n, got R={R} < n={n}")
-        if (root is None) != (depth == 0):
-            raise ValueError("empty tree iff depth 0")
-        self.root = root
+        nodes = _node_count(R, depth, pattern)
+        if nodes > DEFAULT_TREE_CAP:
+            raise CapExceeded(f"tree would hold at least {nodes} nodes, cap {DEFAULT_TREE_CAP}")
         self.n = n
         self.R = R
         self.depth = depth
         self.pattern = pattern
-        self.node_count, self.partial_matching = self._validate()
+        self.node_count = 0
 
-    def _validate(self) -> tuple[int, bool]:
-        """(node count, whether every path's outputs form a partial matching)."""
-        if self.root is None:
-            return 0, True
-        count = 0
-        matching = True
-
-        def walk(node: TreeNode, level: int, queried: set[int], outs: set[MatchTriple],
-                 named: set[int], k: int) -> None:
-            # named: positions the outputs above this node name; k: distinct
-            # values read above this node, which sets a pattern node's width
-            nonlocal count, matching
-            count += 1
-            if not 1 <= node.pos <= 2 * self.n:
-                raise ValueError(f"queried position {node.pos} out of range")
-            if node.pos in queried:
-                raise ValueError(f"position {node.pos} re-queried along a path")
-            width = min(k + 1, self.R) if self.pattern else self.R
-            if len(node.kids) != width or len(node.outs) != width:
-                raise ValueError(f"node must carry exactly {width} branches")
-            queried.add(node.pos)
-            for v in range(1, width + 1):
-                branch_outs = node.outs[v - 1]
-                child = node.kids[v - 1]
-                below, named_below = outs, named
-                if branch_outs:
-                    below = outs.union(branch_outs)
-                    if len(below) != len(outs) + len(branch_outs):
-                        raise ValueError("output repeated along a path")
-                    named_below = set(named)
-                for o in branch_outs:
-                    if not (1 <= o.i < o.j <= 2 * self.n and 1 <= o.v <= self.R):
+        def grow(vals: tuple[int, ...], positions: tuple[int, ...], k: int,
+                 above: frozenset[MatchTriple]):
+            # k: the highest value in vals, which in a pattern tree is the
+            # number of distinct values read; above: the outputs on the path
+            # above the edge into this node
+            outs, pos = step(vals, positions)
+            inner = len(vals) < depth
+            if outs:
+                if not vals:
+                    raise ValueError("tree emits output before its first read")
+                for o in outs:
+                    if not (1 <= o.i < o.j <= 2 * n and 1 <= o.v <= R):
                         raise ValueError(f"malformed output {o}")
-                    if o.i in named_below or o.j in named_below:
-                        matching = False
-                    named_below.add(o.i)
-                    named_below.add(o.j)
                     # a later fresh read could take an unread label, so the
                     # relabeling count of the leaves below would not hold
-                    if self.pattern and child is not None and o.v > max(k, v):
+                    if pattern and inner and o.v > k:
                         raise ValueError(f"output {o} on an inner edge names a value "
                                          "not read on its path")
-                if child is None:
-                    if level + 1 != self.depth:
-                        raise ValueError("non-uniform depth")
-                else:
-                    walk(child, level + 1, queried, below, named_below, max(k, v))
-            queried.discard(node.pos)
+                below = above.union(outs)
+                if len(below) != len(above) + len(outs):
+                    raise ValueError("output repeated along a path")
+                above = below
+            if not inner:
+                return None, outs
+            if pos is None:
+                pos = next(p for p in range(1, len(positions) + 2) if p not in positions)
+            elif not 1 <= pos <= 2 * n:
+                raise ValueError(f"queried position {pos} out of range")
+            elif pos in positions:
+                raise ValueError(f"position {pos} re-queried along a path")
+            width = min(k + 1, R) if pattern else R
+            node = TreeNode(pos, width)
+            self.node_count += 1
+            positions += (pos,)
+            for v in range(1, width + 1):
+                node.kids[v - 1], node.outs[v - 1] = grow(vals + (v,), positions,
+                                                          v if v > k else k, above)
+            return node, outs
 
-        walk(self.root, 0, set(), set(), set(), 0)
-        return count, matching
+        self.root = grow((), (), 0, frozenset())[0]
 
 
 @dataclass(frozen=True)
@@ -273,9 +278,10 @@ def _consistent_count(n: int, R: int, u: int, d: int, r: int) -> int:
     return math.comb(R - u - d, f) * math.factorial(2 * n - r) // 2**f
 
 
-def _pinned_count(n: int, R: int, counts: Counter, r: int, events) -> int:
+def _pinned_count(consistent: Callable, counts: Counter, r: int, events) -> int:
     """Consistent decks additionally forcing every (position, value) pin of
-    the given events; 0 when the pins contradict each other or the reads."""
+    the given events, counted by `consistent(u, d, r)`; 0 when the pins
+    contradict each other or the reads."""
     pins: dict[int, int] = {}
     extra: Counter = Counter()
     for ev in events:
@@ -293,7 +299,7 @@ def _pinned_count(n: int, R: int, counts: Counter, r: int, events) -> int:
             return 0
     u = sum(1 for c in merged.values() if c == 2)
     d = sum(1 for c in merged.values() if c == 1)
-    return _consistent_count(n, R, u, d, r + len(pins))
+    return consistent(u, d, r + len(pins))
 
 
 def productive_deck_count(tree: DecisionTree, t: int) -> tuple[int, int]:
@@ -304,10 +310,17 @@ def productive_deck_count(tree: DecisionTree, t: int) -> tuple[int, int]:
     counts completions satisfying enough events.
     """
     n, R = tree.n, tree.R
+
+    # leaves and pinned events share few (u, d, r), and at large n each count
+    # multiplies numbers of thousands of digits
+    @cache
+    def consistent(u: int, d: int, r: int) -> int:
+        return _consistent_count(n, R, u, d, r)
+
     productive = 0
     total = 0
     for qvals, counts, outputs, u, d in _iter_leaves(tree):
-        base = _consistent_count(n, R, u, d, tree.depth)
+        base = consistent(u, d, tree.depth)
         weight = math.perm(R, u + d) if tree.pattern else 1
         total += base * weight
         det = 0
@@ -336,7 +349,7 @@ def productive_deck_count(tree: DecisionTree, t: int) -> tuple[int, int]:
         for k in range(need, m + 1):
             sk = 0
             for A in combinations(events, k):
-                sk += _pinned_count(n, R, counts, tree.depth, A)
+                sk += _pinned_count(consistent, counts, tree.depth, A)
             got += (-1) ** (k - need) * math.comb(k - 1, need - 1) * sk
         productive += got * weight
     return productive, total
@@ -381,12 +394,14 @@ def check_lemma43(n: int, r: int, t: int) -> None:
 def lemma43_check(tree: DecisionTree, t: int) -> ProductivityResult:
     """Exact fraction of decks on which the tree emits >= 2t correct outputs,
     against the shallow-tree productivity bound (n-r-t)^-t + e^-t.  The
-    outputs along each path must form a partial matching, which the tree's
-    validation records in `tree.partial_matching`."""
+    outputs along each path some deck follows must form a partial matching,
+    naming no position twice; a path no deck follows adds no deck to the
+    fraction, so its outputs are not read."""
     n, r = tree.n, tree.depth
     check_lemma43(n, r, t)
-    if not tree.partial_matching:
-        raise ValueError("outputs name a position twice along a path: not a partial matching")
+    for _, _, outputs, _, _ in _iter_leaves(tree):
+        if len({p for o in outputs for p in (o.i, o.j)}) != 2 * len(outputs):
+            raise ValueError("outputs name a position twice along a path: not a partial matching")
     productive, total = productive_deck_count(tree, t)
     expect = count_valid_inputs(n, tree.R)
     if total != expect:
@@ -411,7 +426,7 @@ _OUT_PROB = 0.4
 
 
 def _node_count(R: int, depth: int, pattern: bool) -> int:
-    """Nodes, leaves included, of the depth-`depth` tree `_unfold` builds,
+    """Nodes, leaves included, of the depth-`depth` tree `DecisionTree` builds,
     summed level by level; once the sum passes `DEFAULT_TREE_CAP` it is
     returned as is.
 
@@ -431,50 +446,9 @@ def _node_count(R: int, depth: int, pattern: bool) -> int:
     return total
 
 
-def _unfold(n: int, R: int, depth: int, step: Callable, pattern: bool) -> DecisionTree:
-    """Unfold `step` into a uniform-depth tree, the one recursion behind
-    every builder.
-
-    Nodes are visited in preorder, branches in value order.  At each node,
-    `step(vals, positions)` gets the values read along the path (pattern
-    labels when `pattern`) and the positions they were read at, and returns
-    (outputs on the edge into this node, next position to read or None).
-    None pads the path with the lowest unread position.  The root has no
-    incoming edge, so it may not output.  The constant `DEFAULT_TREE_CAP`
-    bounds the nodes of the tree this builds, leaves included, and a tree
-    past it is refused before any node is built.
-    """
-    if n < 1 or depth < 0:
-        raise ValueError(f"need n >= 1 and depth >= 0, got n={n}, depth={depth}")
-    if depth > 2 * n:
-        raise ValueError(f"depth {depth} exceeds the {2 * n} distinct positions")
-    if R < n:
-        raise ValueError(f"need R >= n, got R={R} < n={n}")
-    nodes = _node_count(R, depth, pattern)
-    if nodes > DEFAULT_TREE_CAP:
-        raise CapExceeded(f"tree would hold at least {nodes} nodes, cap {DEFAULT_TREE_CAP}")
-
-    def rec(vals: tuple[int, ...], positions: tuple[int, ...]):
-        outs, pos = step(vals, positions)
-        if not vals and outs:
-            raise ValueError("tree emits output before its first read")
-        if len(vals) == depth:
-            return None, outs
-        if pos is None:
-            pos = min(p for p in range(1, 2 * n + 1) if p not in positions)
-        width = min(len(set(vals)) + 1, R) if pattern else R
-        node = TreeNode(pos, width)
-        positions += (pos,)
-        for v in range(width):
-            node.kids[v], node.outs[v] = rec(vals + (v + 1,), positions)
-        return node, outs
-
-    return DecisionTree(rec((), ())[0], n, R, depth, pattern)
-
-
 def fixed_position_tree(n: int, R: int, depth: int) -> DecisionTree:
     """Oblivious tree reading positions 1..depth with no outputs."""
-    return _unfold(n, R, depth, lambda vals, positions: ((), None), pattern=True)
+    return DecisionTree(n, R, depth, lambda vals, positions: ((), None), pattern=True)
 
 
 def random_tree(n: int, R: int, depth: int, seed: int) -> DecisionTree:
@@ -499,7 +473,7 @@ def random_tree(n: int, R: int, depth: int, seed: int) -> DecisionTree:
             return outs, None
         return outs, rng.choice([p for p in range(1, 2 * n + 1) if p not in positions])
 
-    return _unfold(n, R, depth, step, pattern=False)
+    return DecisionTree(n, R, depth, step)
 
 
 def build_guessing_tree(n: int, R: int, depth: int, t: int) -> DecisionTree:
@@ -510,21 +484,14 @@ def build_guessing_tree(n: int, R: int, depth: int, t: int) -> DecisionTree:
 
     def speculative(vals: tuple[int, ...]) -> list[MatchTriple]:
         counts = Counter(vals)
-        singles = sorted(v for v, c in counts.items() if c == 1)
-        unread = list(range(depth + 1, 2 * n + 1))
-        unseen = [v for v in range(1, R + 1) if counts[v] == 0]
-        outs: list[MatchTriple] = []
-        want = t + 1
-        for v in singles:
-            if len(outs) == want or not unread:
-                break
-            qp = vals.index(v) + 1
-            p = unread.pop(0)
-            outs.append(MatchTriple(min(qp, p), max(qp, p), v))
-        while len(outs) < want and len(unread) >= 2 and unseen:
-            p1 = unread.pop(0)
-            p2 = unread.pop(0)
-            outs.append(MatchTriple(p1, p2, unseen.pop(0)))
+        singles = sorted(v for v, c in counts.items() if c == 1)[:t + 1]
+        unread = range(depth + 1, 2 * n + 1)  # the tree reads 1..depth
+        # a read position precedes every unread one
+        outs = [MatchTriple(vals.index(v) + 1, p, v) for v, p in zip(singles, unread)]
+        pairs = unread[len(outs):]
+        unseen = range(len(counts) + 1, R + 1)  # the labels read are 1..K
+        for k in range(min(t + 1 - len(outs), len(pairs) // 2, len(unseen))):
+            outs.append(MatchTriple(pairs[2 * k], pairs[2 * k + 1], unseen[k]))
         return outs
 
     def step(vals, positions):
@@ -539,7 +506,7 @@ def build_guessing_tree(n: int, R: int, depth: int, t: int) -> DecisionTree:
             outs.extend(speculative(vals))
         return tuple(outs), None
 
-    return _unfold(n, R, depth, step, pattern=True)
+    return DecisionTree(n, R, depth, step, pattern=True)
 
 
 # ---------------------------------------------------------------------------
@@ -603,4 +570,4 @@ def compile_prefix_tree(make_player: Callable, n: int, R: int, depth: int,
             raise ValueError("player is not deterministic: read order changed")
         return (() if host.mark is None else tuple(host.transcript.outputs[host.mark:])), nxt
 
-    return _unfold(n, R, depth, step, pattern=True)
+    return DecisionTree(n, R, depth, step, pattern=True)

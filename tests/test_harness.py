@@ -609,6 +609,17 @@ class TestCLI:
         code, out = run_cli(["replay", "--file", str(out_file), "--line", "1"])
         assert code == 0 and out.splitlines()[-1] == "replay: identical"
 
+    def test_lemma43_guessing_row_at_n3000(self, tmp_path):
+        # the guessing tree's speculative outputs and the counts of consistent
+        # decks must not cost O(n) per leaf
+        out_file = tmp_path / "l43.csv"
+        code, _ = run_cli(["--out", str(out_file), "lemma43", "--n", "3000", "--R", "3000",
+                           "--r", "8", "--t", "2", "--tree", "guessing"])
+        assert code == 0
+        assert out_file.read_text().splitlines()[1] == (
+            "3000,3000,8,2,guessing,1640447666761,1322840662834541677760505,"
+            "1.2400946787089988e-12,0.13533539509218478,True")
+
     def test_lemma43_past_the_cap_is_refused_before_building(self, capsys, monkeypatch):
         # the pattern tree at r=15 holds over 5e6 nodes; the count stops at
         # the cap and no node is made

@@ -12,7 +12,7 @@ from memlab import (CapExceeded, GameParams, MatchTriple,
                     y_tail_exact)
 from memlab import trees
 from memlab.strategies import MultiPass, ProtocolError, randomized_order
-from memlab.trees import (DecisionTree, TreeNode, _iter_leaves, _node_count, _unfold,
+from memlab.trees import (DecisionTree, _iter_leaves, _node_count, _run,
                           build_guessing_tree, compile_prefix_tree, fixed_position_tree,
                           lemma43_check, path_distribution, productive_deck_count,
                           productive_fraction_brute, random_tree, tree_run,
@@ -21,28 +21,14 @@ from memlab.trees import (DecisionTree, TreeNode, _iter_leaves, _node_count, _un
 
 def _chain(n, R, positions, leaf_outputs=()):
     """Tree querying the given positions on every branch; outputs on the last edges."""
-    root = None
-    for d, pos in enumerate(reversed(positions)):
-        level = len(positions) - 1 - d
+    depth = len(positions)
 
-        def mk(level=level, pos=pos, child=root):
-            node = TreeNode(pos, R)
-            for v in range(R):
-                node.kids[v] = None if child is None else _clone(child)
-                if child is None and level == len(positions) - 1:
-                    node.outs[v] = tuple(leaf_outputs)
-            return node
+    def step(vals, path):
+        if len(vals) == depth:
+            return tuple(leaf_outputs), None
+        return (), positions[len(vals)]
 
-        root = mk()
-    return DecisionTree(root, n, R, len(positions))
-
-
-def _clone(node):
-    new = TreeNode(node.pos, len(node.kids))
-    for v in range(len(node.kids)):
-        new.outs[v] = node.outs[v]
-        new.kids[v] = None if node.kids[v] is None else _clone(node.kids[v])
-    return new
+    return DecisionTree(n, R, depth, step)
 
 
 def _expand(tree):
@@ -50,78 +36,86 @@ def _expand(tree):
     pattern branch of its value's first-read rank, and an output's label k
     names the k-th value read on the path, or past them the unread values
     in ascending order."""
+    assert tree.pattern
     R = tree.R
 
-    def rec(pnode, values):
-        node = TreeNode(pnode.pos, R)
-        for v in range(1, R + 1):
-            path = values + (v,)
-            seen = list(dict.fromkeys(path))
-            deck_value = seen + [w for w in range(1, R + 1) if w not in seen]
+    def step(vals, positions):
+        seen = list(dict.fromkeys(vals))
+        node, outs = tree.root, ()
+        for v in vals:
             b = seen.index(v)
-            node.outs[v - 1] = tuple(MatchTriple(o.i, o.j, deck_value[o.v - 1])
-                                     for o in pnode.outs[b])
-            kid = pnode.kids[b]
-            node.kids[v - 1] = None if kid is None else rec(kid, path)
-        return node
+            node, outs = node.kids[b], node.outs[b]
+        deck_value = seen + [w for w in range(1, R + 1) if w not in seen]
+        return (tuple(MatchTriple(o.i, o.j, deck_value[o.v - 1]) for o in outs),
+                None if node is None else node.pos)
 
-    assert tree.pattern
-    root = None if tree.root is None else rec(tree.root, ())
-    return DecisionTree(root, tree.n, R, tree.depth)
+    return DecisionTree(tree.n, R, tree.depth, step)
+
+
+def _no_step(vals, positions):
+    """A step with no outputs that pads every path."""
+    return (), None
 
 
 class TestValidation:
+    """DecisionTree refuses a step that would build a bad tree, one message
+    for each fault; the cap and the output at the root are refused in
+    TestNodeCap and TestCompile."""
+
+    @pytest.mark.parametrize("n,depth,msg", [
+        (0, 0, "need n >= 1 and depth >= 0, got n=0, depth=0"),
+        (2, -1, "need n >= 1 and depth >= 0, got n=2, depth=-1"),
+        (2, 5, "depth 5 exceeds the 4 distinct positions"),
+    ], ids=["n=0", "depth=-1", "depth=5"])
+    def test_size_rejected(self, n, depth, msg):
+        with pytest.raises(ValueError, match=msg):
+            DecisionTree(n, 2, depth, _no_step)
+
+    @pytest.mark.parametrize("R, depth", [(1, 1), (1, 0)])
+    def test_alphabet_below_n_rejected(self, R, depth):
+        # no valid deck exists, so path_distribution would divide by zero
+        with pytest.raises(ValueError, match="need R >= n"):
+            DecisionTree(2, R, depth, _no_step)
+
+    @pytest.mark.parametrize("pos", [0, 5])
+    def test_position_out_of_range_rejected(self, pos):
+        with pytest.raises(ValueError, match=f"queried position {pos} out of range"):
+            DecisionTree(2, 2, 2, lambda vals, positions: ((), pos if vals else None))
+
     def test_requery_rejected(self):
-        node = TreeNode(1, 2)
-        child = TreeNode(1, 2)
-        node.kids = [child, _clone(child)]
-        with pytest.raises(ValueError, match="re-queried"):
-            DecisionTree(node, 2, 2, 2)
+        with pytest.raises(ValueError, match="position 1 re-queried along a path"):
+            DecisionTree(2, 2, 2, lambda vals, positions: ((), 1))
+
+    @pytest.mark.parametrize("out", [
+        MatchTriple(2, 1, 1), MatchTriple(1, 1, 1), MatchTriple(0, 2, 1), MatchTriple(1, 5, 1),
+        MatchTriple(1, 2, 0), MatchTriple(1, 2, 3),
+    ])
+    def test_malformed_output_rejected(self, out):
+        with pytest.raises(ValueError, match="malformed output"):
+            DecisionTree(2, 2, 1, lambda vals, positions: ((out,) if vals else (), None))
 
     def test_repeated_output_rejected(self):
         out = MatchTriple(1, 2, 1)
-        node = TreeNode(1, 2)
-        child = TreeNode(2, 2)
-        child.outs = [(out,), ()]
-        node.outs = [(out,), ()]
-        node.kids = [child, _clone(child)]
-        with pytest.raises(ValueError, match="repeated"):
-            DecisionTree(node, 2, 2, 2)
-
-    def test_non_uniform_depth_rejected(self):
-        node = TreeNode(1, 2)
-        node.kids = [TreeNode(2, 2), None]
-        with pytest.raises(ValueError, match="depth"):
-            DecisionTree(node, 2, 2, 2)
+        # on the two edges of path (1, 1), then twice on one edge
+        for on in ({(1,): 1, (1, 1): 1}, {(1,): 2}):
+            with pytest.raises(ValueError, match="output repeated along a path"):
+                DecisionTree(2, 2, 2, lambda vals, positions: ((out,) * on.get(vals, 0), None))
 
     def test_pattern_inner_edge_names_unread_value_rejected(self):
         # label 2 is unread after the first read; the next read's fresh
         # branch could take it, so the relabeling weights would not hold
-        root = TreeNode(1, 1)
-        root.kids[0] = TreeNode(2, 2)
-        root.outs[0] = (MatchTriple(3, 4, 2),)
+        def step_on(path):
+            return lambda vals, positions: ((MatchTriple(3, 4, 2),) if vals == path else (), None)
+
         with pytest.raises(ValueError, match="not read on its path"):
-            DecisionTree(root, 2, 2, 2, pattern=True)
+            DecisionTree(2, 2, 2, step_on((1,)), pattern=True)
         # the same output on a leaf edge names the lowest unread value
-        root.outs[0] = ()
-        root.kids[0].outs[0] = (MatchTriple(3, 4, 2),)
-        tree = DecisionTree(root, 2, 2, 2, pattern=True)
+        tree = DecisionTree(2, 2, 2, step_on((1, 1)), pattern=True)
         assert tree_run(tree, (1, 1, 2, 2)).correct_outputs == 1
 
-    def test_pattern_width_enforced(self):
-        root = TreeNode(1, 2)
-        root.kids = [TreeNode(2, 2), TreeNode(2, 2)]
-        with pytest.raises(ValueError, match="exactly 1 branch"):
-            DecisionTree(root, 2, 3, 2, pattern=True)
-
-    @pytest.mark.parametrize("root, R, depth", [(TreeNode(1, 1), 1, 1), (None, 1, 0)])
-    def test_alphabet_below_n_rejected(self, root, R, depth):
-        # no valid deck exists, so path_distribution would divide by zero
-        with pytest.raises(ValueError, match="need R >= n"):
-            DecisionTree(root, 2, R, depth)
-
     def test_depth_zero(self):
-        tree = DecisionTree(None, 2, 2, 0)
+        tree = DecisionTree(2, 2, 0, _no_step)
+        assert tree.root is None and tree.node_count == 0
         stats = tree_run(tree, (1, 2, 1, 2))
         assert stats.queried == () and stats.equal_pairs == 0
 
@@ -347,7 +341,7 @@ class TestCompile:
             return (MatchTriple(1, 2, 1),), None
 
         with pytest.raises(ValueError, match="output before its first read"):
-            _unfold(2, 2, 1, step, pattern=False)
+            DecisionTree(2, 2, 1, step)
 
 
 def _size(tree):
@@ -359,7 +353,7 @@ def _size(tree):
 
 
 class TestNodeCap:
-    """The cap counts the tree `_unfold` builds: R-way levels, or per level
+    """The cap counts the tree `DecisionTree` builds: R-way levels, or per level
     the equality patterns with labels <= R."""
 
     @pytest.mark.parametrize("n,R,depth,nodes", [
@@ -419,7 +413,27 @@ class TestRandomTreeSeeds:
                                  "4577f27800ced84679af507c5e4b87b2")
 
 
+def _shape(node):
+    """Every node's position, outputs and children, nested."""
+    if node is None:
+        return None
+    return (node.pos, tuple(tuple(tuple(o) for o in outs) for outs in node.outs),
+            tuple(_shape(kid) for kid in node.kids))
+
+
 class TestGuessingTree:
+    def test_each_cell_names_the_same_tree(self):
+        # a digest over every cell Lemma 4.3 accepts at n <= 8, R in {n, 2n}:
+        # a change to the builder must not change the tree a cell names
+        h = hashlib.sha256()
+        for n in range(1, 9):
+            for R in sorted({n, 2 * n}):
+                for r in range(1, n // 2 + 1):
+                    for t in range(1, r // 2 + 1):
+                        h.update(repr(_shape(build_guessing_tree(n, R, r, t).root)).encode())
+        assert h.hexdigest() == ("dca4f876ade42a1435cf59519b4f69e4"
+                                 "989f2337bd1c6e418fe5cc7f7b077db5")
+
     def test_structure_and_wellformedness(self):
         tree = build_guessing_tree(8, 8, 4, 2)
         # 1, 1, 2 and 5 equality patterns of 0..3 reads
@@ -505,7 +519,7 @@ class TestProductivityBound:
         def step(vals, positions):
             return (inner if len(vals) == 1 else leaf if len(vals) == 2 else ()), None
 
-        tree = _unfold(4, 4, 2, step, pattern=False)
+        tree = DecisionTree(4, 4, 2, step)
         with pytest.raises(ValueError, match="not a partial matching"):
             lemma43_check(tree, 1)
 
@@ -526,26 +540,22 @@ class TestProductivityBound:
         assert res.fraction == tail
 
 
-def _path_outputs(node):
-    """The outputs along each root-to-leaf path, every branch followed: the
-    oracle for the partial-matching flag that validation records."""
-    if node is None:
-        yield []
-        return
-    for outs, kid in zip(node.outs, node.kids):
-        for below in _path_outputs(kid):
-            yield [*outs, *below]
-
-
 def _names_each_position_once(outputs):
     ends = [p for o in outputs for p in (o.i, o.j)]
     return len(ends) == len(set(ends))
 
 
+def _some_deck_names_a_position_twice(tree):
+    """Deck-walk oracle for lemma43_check's partial-matching test."""
+    return not all(_names_each_position_once(_run(tree, x).outputs)
+                   for x in enumerate_valid_inputs(tree.n, tree.R))
+
+
 class TestPartialMatchingFlag:
-    """Validation records whether every path's outputs name each position at
-    most once; lemma43_check refuses a tree on which they do not, while the
-    tree stays valid and its equal-pairs law stays checkable."""
+    """lemma43_check flags, by refusing, a tree on which some deck's path
+    names a position twice, so that its outputs are not a partial matching;
+    the tree stays valid and its equal-pairs law stays checkable.  A path no
+    deck follows adds nothing to the fraction, so its outputs are not read."""
 
     @pytest.mark.parametrize("inner,leaf,leaf_under,flag", [
         ((), (MatchTriple(1, 3, 1), MatchTriple(3, 4, 2)), 1, False),  # one edge names 3 twice
@@ -561,9 +571,8 @@ class TestPartialMatchingFlag:
                 return (inner if vals[0] == 1 else ()), None
             return (leaf if len(vals) == 2 and vals[0] == leaf_under else ()), None
 
-        tree = _unfold(4, 4, 2, step, pattern=False)
-        assert tree.partial_matching is flag
-        assert all(map(_names_each_position_once, _path_outputs(tree.root))) is flag
+        tree = DecisionTree(4, 4, 2, step)
+        assert _some_deck_names_a_position_twice(tree) is not flag
         assert xy_equiv_check(tree)
         if flag:
             assert lemma43_check(tree, 1).fraction == productive_fraction_brute(tree, 1)
@@ -573,21 +582,45 @@ class TestPartialMatchingFlag:
 
     def test_random_tree_naming_a_position_twice(self):
         tree = random_tree(4, 4, 2, seed=1)
-        assert tree.partial_matching is False
+        assert _some_deck_names_a_position_twice(tree)
         assert xy_equiv_check(tree)
         with pytest.raises(ValueError, match="not a partial matching"):
             lemma43_check(tree, 1)
 
-    def test_random_trees_against_the_path_oracle(self):
+    def test_random_trees_against_the_path_oracle(self, monkeypatch):
+        # n=4, depth 2, t=1 is the one small cell inside the lemma; an output
+        # on every edge makes paths that name a position twice common
         flags = Counter()
-        for n, R in [(2, 3), (3, 4), (4, 4)]:
-            for depth in range(min(4, 2 * n) + 1):
-                for seed in range(40):
-                    tree = random_tree(n, R, depth, seed)
-                    want = all(map(_names_each_position_once, _path_outputs(tree.root)))
-                    assert tree.partial_matching is want, (n, R, depth, seed)
-                    flags[want] += 1
+        for prob in (trees._OUT_PROB, 1.0):
+            monkeypatch.setattr(trees, "_OUT_PROB", prob)
+            for seed in range(30):
+                tree = random_tree(4, 4, 2, seed)
+                want = not _some_deck_names_a_position_twice(tree)
+                try:
+                    lemma43_check(tree, 1)
+                    got = True
+                except ValueError as e:
+                    assert "not a partial matching" in str(e)
+                    got = False
+                assert got is want, (prob, seed)
+                flags[want] += 1
         assert flags[True] and flags[False]
+
+    def test_path_no_deck_follows_is_not_read(self):
+        # n=6, R=6, depth 3: every leaf edge outputs (4,5,1); the one below
+        # the label string 111, a third read of one value, also outputs
+        # (4,6,1), naming 4 twice on a path no deck follows
+        def step(vals, positions):
+            if len(vals) < 3:
+                return (), None
+            return (MatchTriple(4, 5, 1),) + ((MatchTriple(4, 6, 1),) if vals == (1, 1, 1)
+                                              else ()), None
+
+        tree = DecisionTree(6, 6, 3, step, pattern=True)
+        assert not _names_each_position_once(tree.root.kids[0].kids[0].outs[0])
+        clean = DecisionTree(6, 6, 3, lambda vals, positions: (
+            (MatchTriple(4, 5, 1),) if len(vals) == 3 else (), None), pattern=True)
+        assert lemma43_check(tree, 1) == lemma43_check(clean, 1)
 
     def test_c06_grid_trees_are_partial_matchings(self):
         for R in (8, 16):
@@ -595,7 +628,7 @@ class TestPartialMatchingFlag:
                 for tree in (compile_prefix_tree(MultiPass, 8, R, r, slots=2),
                              compile_prefix_tree(MultiPass, 8, R, r, slots=16),
                              build_guessing_tree(8, R, r, t)):
-                    assert tree.partial_matching, (R, r, t)
+                    lemma43_check(tree, t)
 
 
 class TestConflictingPins:
@@ -606,12 +639,15 @@ class TestConflictingPins:
     def test_hand_built_conflicts_count_zero(self):
         # leaf v reads x1 = v; outputs (1,4,v), (1,5,v) pin x4 = x5 = v, which
         # with x1 puts v on three cards, and (2,4,b), (3,4,c) pin x4 to b and c
-        root = TreeNode(1, 3)
-        for v in (1, 2, 3):
+        def step(vals, positions):
+            if not vals:
+                return (), None
+            v = vals[0]
             b, c = (w for w in (1, 2, 3) if w != v)
-            root.outs[v - 1] = (MatchTriple(1, 4, v), MatchTriple(1, 5, v),
-                                MatchTriple(2, 4, b), MatchTriple(3, 4, c))
-        tree = DecisionTree(root, 3, 3, 1)
+            return (MatchTriple(1, 4, v), MatchTriple(1, 5, v),
+                    MatchTriple(2, 4, b), MatchTriple(3, 4, c)), None
+
+        tree = DecisionTree(3, 3, 1, step)
         got, total = productive_deck_count(tree, 1)
         assert Fraction(got, total) == Fraction(1, 15)
         assert Fraction(got, total) == productive_fraction_brute(tree, 1)
