@@ -15,6 +15,13 @@ unmatched edge (l, r) survives exactly when l and mate[r] share a component of
 this digraph.  The filter, the reachability probe and the augmenting-path
 search all walk this one digraph.
 
+Each row adj[v] is one int bitmask: bit u is set iff the edge v-u is
+present.  Neither search direction permutes bits.  Forward searches name each
+left vertex by its mate, so the successors of x are exactly the row adj[x];
+backward searches name left vertices as themselves, and the predecessors of x
+are the row adj[mate[x]].  Each search step is one big-int AND, OR or XOR on
+a row, and bits are taken lowest first.
+
 The filter is decremental and keeps no state but the graph and its matching.
 After a filter every surviving edge lies inside one component C, which no edge
 leaves.  A deleted matched edge is first repaired by an augmenting path from l
@@ -76,7 +83,8 @@ _NO_EVENTS = AnswerEvents()
 class KnowledgeGraph:
     """Bipartite consistency graph between positions 1..n and n+1..2n.
 
-    While driven through kg_answer, every present edge lies in some perfect
+    adj[v] is an int with bit u set iff the edge v-u is present.  While
+    driven through kg_answer, every present edge lies in some perfect
     matching, the edge set only shrinks, and `mate` holds a perfect matching
     that each matched deletion repairs with one augmenting path (kg_from_edges
     builds it the same way, one path per left vertex).  Nothing else is kept
@@ -89,20 +97,20 @@ class KnowledgeGraph:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         self.n = n
-        self.adj: list[set[int]] = [set() for _ in range(2 * n + 1)]
+        self.adj: list[int] = [0] * (2 * n + 1)
         self.mate: list[int] = [0] * (2 * n + 1)
         self.status: dict[tuple[int, int], str] = {}
         self.closure_hook = None
 
     def isolated(self, l: int, r: int) -> bool:
-        return r in self.adj[l] and len(self.adj[l]) == 1 and len(self.adj[r]) == 1
+        return self.adj[l] == 1 << r and self.adj[r] == 1 << l
 
     def edges(self) -> set[tuple[int, int]]:
-        return {(l, r) for l in range(1, self.n + 1) for r in self.adj[l]}
+        return {(l, r) for l in range(1, self.n + 1) for r in _bits(self.adj[l])}
 
     def copy(self) -> "KnowledgeGraph":
         g = KnowledgeGraph(self.n)
-        g.adj = [set(s) for s in self.adj]
+        g.adj = list(self.adj)
         g.mate = list(self.mate)
         g.status = dict(self.status)
         return g
@@ -114,12 +122,9 @@ def kg_init(n: int) -> KnowledgeGraph:
     MAX_CELLS."""
     check_cells(n * n, f"a complete graph on {n} pairs")
     g = KnowledgeGraph(n)
-    for l in range(1, n + 1):
-        g.adj[l] = set(range(n + 1, 2 * n + 1))
-        g.mate[l] = n + l
-        g.mate[n + l] = l
-    for r in range(n + 1, 2 * n + 1):
-        g.adj[r] = set(range(1, n + 1))
+    lefts = (1 << (n + 1)) - 2
+    g.adj = [0] + [lefts << n] * n + [lefts] * n
+    g.mate = [0] + list(range(n + 1, 2 * n + 1)) + list(range(1, n + 1))
     return g
 
 
@@ -133,15 +138,15 @@ def kg_from_edges(n: int, edges) -> KnowledgeGraph:
         if key is None or not (1 <= i <= 2 * n and 1 <= j <= 2 * n):
             raise ValueError(f"not a cross edge: {(i, j)}")
         l, r = key
-        g.adj[l].add(r)
-        g.adj[r].add(l)
+        g.adj[l] |= 1 << r
+        g.adj[r] |= 1 << l
     _match_free_lefts(g)
     return g
 
 
 def kg_is_done(g: KnowledgeGraph) -> bool:
     """True iff the graph is a perfect matching (every vertex has degree 1)."""
-    return all(len(g.adj[v]) == 1 for v in range(1, 2 * g.n + 1))
+    return all(a.bit_count() == 1 for a in g.adj[1:])
 
 
 def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
@@ -162,9 +167,10 @@ def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
     if key is None:
         return False, _NO_EVENTS
     l, r = key
-    if r not in g.adj[l]:
+    row = g.adj[l]
+    if not row >> r & 1:
         return False, _NO_EVENTS
-    if len(g.adj[l]) == 1 and len(g.adj[r]) == 1:
+    if row == 1 << r and g.adj[r] == 1 << l:
         return True, _NO_EVENTS
 
     _delete_edge(g, l, r)
@@ -205,6 +211,19 @@ def deck_from_matching(n: int, R: int, matching, assigned: dict[tuple[int, int],
 # ---------------------------------------------------------------------------
 # Matching + filter internals
 
+def _rights(n: int) -> int:
+    """The mask of the right vertices n+1..2n."""
+    return ((1 << n) - 1) << (n + 1)
+
+
+def _bits(mask: int):
+    """The set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _match_free_lefts(g: KnowledgeGraph) -> None:
     """Complete the matching with one augmenting path per free left vertex."""
     for l in range(1, g.n + 1):
@@ -215,11 +234,10 @@ def _match_free_lefts(g: KnowledgeGraph) -> None:
 def _delete_edge(g: KnowledgeGraph, l: int, r: int) -> None:
     """Delete the present edge (l, r); a matched one is repaired by an
     augmenting path from l, which can only end at r."""
-    g.adj[l].discard(r)
-    g.adj[r].discard(l)
+    g.adj[l] ^= 1 << r
+    g.adj[r] ^= 1 << l
     g.status[(l, r)] = "deleted"
     if g.mate[l] == r:
-        g.mate[l] = 0
         g.mate[r] = 0
         if not _augment(g, l):
             raise InvariantViolation(f"deleting {(l, r)} destroyed the last perfect matching")
@@ -229,65 +247,54 @@ def _augment(g: KnowledgeGraph, root: int) -> bool:
     """Single augmenting-path search; builds and repairs every matching here.
 
     Iterative DFS over the left-vertex digraph from the free left vertex
-    `root`, visiting each right vertex at most once; on reaching a free right
-    vertex the path is flipped.
+    `root`, taking at each left vertex the lowest right vertex not yet
+    visited; on reaching a free right vertex the path is flipped.  Only right
+    vertices' mates are read, so a caller may leave mate[root] stale.
     """
     adj = g.adj
     mate = g.mate
-    seen: set[int] = set()
+    unseen = _rights(g.n)
     path = [root]
     via: list[int] = []
-    its = [iter(adj[root])]
-    while its:
-        for r in its[-1]:
-            if r in seen:
-                continue
-            seen.add(r)
-            m = mate[r]
-            via.append(r)
-            if m == 0:
-                for u, y in zip(path, via):
-                    mate[u], mate[y] = y, u
-                return True
-            path.append(m)
-            its.append(iter(adj[m]))
-            break
-        else:
+    while path:
+        cand = adj[path[-1]] & unseen
+        if not cand:
             path.pop()
-            its.pop()
             if via:
                 via.pop()
+            continue
+        low = cand & -cand
+        unseen ^= low
+        r = low.bit_length() - 1
+        via.append(r)
+        m = mate[r]
+        if not m:
+            for u, y in zip(path, via):
+                mate[u], mate[y] = y, u
+            return True
+        path.append(m)
     return False
 
 
 def _reaches(g: KnowledgeGraph, l: int, r: int) -> bool:
     """Does left `l` reach mate[r] in the left-vertex digraph?
 
-    The predecessors of a left vertex u are adj[mate[u]], so those of mate[r]
-    are adj[r].  A forward search from `l` and a backward search from adj[r]
-    take one vertex each in turn and stop as soon as they meet or either runs
-    out, so the cheaper side bounds the work.
+    A forward search from `l` that names each reached left vertex by its
+    mate, so mate[r] is bit r, and stops as soon as bit r appears.  (l, r)
+    must not be an edge; kg_answer has just deleted it.
     """
     adj = g.adj
     mate = g.mate
-    fwd = {l}
-    bwd = set(adj[r])
-    fstack = [l]
-    bstack = list(bwd)
-    while fstack and bstack:
-        for y in adj[fstack.pop()]:
-            x = mate[y]
-            if x not in fwd:
-                if x in bwd:
-                    return True
-                fwd.add(x)
-                fstack.append(x)
-        for x in adj[mate[bstack.pop()]]:
-            if x not in bwd:
-                if x in fwd:
-                    return True
-                bwd.add(x)
-                bstack.append(x)
+    target = 1 << r
+    todo = adj[l]
+    unseen = _rights(g.n) ^ todo
+    while todo:
+        low = todo & -todo
+        new = adj[mate[low.bit_length() - 1]] & unseen
+        if new & target:
+            return True
+        unseen ^= new
+        todo ^= low | new
     return False
 
 
@@ -298,53 +305,61 @@ def _run_filter(g: KnowledgeGraph, roots) -> list[tuple[int, int]]:
     deleting l -> mate[r] from a filtered graph: a shortest path from mate[r]
     never re-enters mate[r], so it never used that edge, and the reach is
     still the old component, which no edge enters.  Kosaraju: a forward
-    search records a finish order, then backward searches from the
-    latest-finished unnamed vertex each name one component in `comp` by its
-    first vertex.  They name components in topological order, so an edge
-    x -> u between two components is found from u, with x already named
-    elsewhere: that is the edge (x, mate[u]), and it vanishes.  A matched
-    edge is a self-loop, so it never goes.  comp[v] is 0 while v is
-    unreached and -1 while it is reached but not yet named.
+    search, naming each left vertex by its mate, records a finish order; then
+    backward searches from the latest-finished unnamed vertex each take one
+    component out of the mask of unnamed left vertices, through the
+    predecessor rows adj[mate[u]] of its members.  They take components in
+    topological order, so an edge x -> u between two components is found
+    from u, with x in a component taken before: that is the edge
+    (x, mate[u]), and it vanishes.  A matched edge is a self-loop, so it
+    never goes.
     """
     adj = g.adj
     mate = g.mate
-    comp = [0] * (g.n + 1)
+    unseen = _rights(g.n)
+    unnamed = 0
     order: list[int] = []
     for root in roots:
-        if comp[root]:
+        y = mate[root]
+        if not unseen >> y & 1:
             continue
-        comp[root] = -1
-        path = [root]
-        its = [iter(adj[root])]
-        while its:
-            for r in its[-1]:
-                w = mate[r]
-                if not comp[w]:
-                    comp[w] = -1
-                    path.append(w)
-                    its.append(iter(adj[w]))
-                    break
+        unseen ^= 1 << y
+        path = [y]
+        while path:
+            cand = adj[mate[path[-1]]] & unseen
+            if cand:
+                low = cand & -cand
+                unseen ^= low
+                path.append(low.bit_length() - 1)
             else:
-                order.append(path.pop())
-                its.pop()
+                x = mate[path.pop()]
+                order.append(x)
+                unnamed |= 1 << x
+    reach = unnamed
+    named = 0
     vanished = []
+    status = g.status
     for root in reversed(order):
-        if comp[root] >= 0:
+        todo = 1 << root
+        if not unnamed & todo:
             continue
-        comp[root] = root
-        stack = [root]
-        while stack:
-            r = mate[stack.pop()]
-            for x in adj[r]:
-                if comp[x] < 0:
-                    comp[x] = root
-                    stack.append(x)
-                elif comp[x] != root:
+        unnamed ^= todo
+        while todo:
+            low = todo & -todo
+            r = mate[low.bit_length() - 1]
+            preds = adj[r]
+            new = preds & unnamed
+            unnamed ^= new
+            todo ^= low | new
+            cross = preds & named
+            if cross:
+                adj[r] ^= cross
+                bit = 1 << r
+                for x in _bits(cross):
+                    adj[x] ^= bit
+                    status[(x, r)] = "vanished"
                     vanished.append((x, r))
-    for l, r in vanished:
-        adj[l].discard(r)
-        adj[r].discard(l)
-        g.status[(l, r)] = "vanished"
+        named = reach ^ unnamed
     vanished.sort()
     return vanished
 
@@ -362,7 +377,7 @@ def perfect_matchings(g: KnowledgeGraph) -> list[frozenset[tuple[int, int]]]:
         if l > g.n:
             out.append(frozenset(pick))
             return
-        for r in sorted(g.adj[l]):
+        for r in _bits(g.adj[l]):
             if r not in used:
                 used.add(r)
                 pick.append((l, r))
@@ -465,7 +480,7 @@ class AdversaryHost(GameHost):
         """
         g = self.kg.copy()
         key = edge_key(g.n, i, j)
-        if key is not None and key[1] in g.adj[key[0]]:
+        if key is not None and g.adj[key[0]] >> key[1] & 1:
             _delete_edge(g, *key)
         matching = [(l, g.mate[l]) for l in range(1, g.n + 1)]
         return deck_from_matching(g.n, g.n, matching, self.assigned)

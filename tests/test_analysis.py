@@ -182,6 +182,13 @@ class TestYTailBound:
         assert est.ok
         assert est.estimate <= est.bound + 3 * est.sigma
 
+    @pytest.mark.parametrize("t,trials", [(1, 1), (1, 400), (3, 2_000), (8, 50)])
+    def test_sigma_is_the_binomial_standard_error_at_the_bound(self, t, trials):
+        est = y_tail_estimate(YExperiment(n=10, r=6, t=t, trials=trials, seed=3))
+        p = math.exp(-t)
+        assert est.bound == p
+        assert est.sigma == pytest.approx(math.sqrt(p * (1 - p) / trials), rel=1e-12)
+
 
 class TestChernoff:
     def test_relent_at_equality_is_zero(self):
