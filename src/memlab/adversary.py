@@ -32,12 +32,15 @@ deletions: if l still reaches mate[r], nothing vanishes.  Otherwise Kosaraju's
 two searches rescan the forward reach of mate[r], which is still C: a shortest
 path from mate[r] never re-enters mate[r], so it never used the deleted edge.
 
-The audit utilities check the counting identities this discipline guarantees:
-deletions + vanishings == n(n-1) on a finished run, and a pairing of the
-non-matching edges in which at least one member of every pair was deleted
-rather than vanished, giving deletions >= n(n-1)/2.  For any two pairs
-(li, ri) and (lj, rj) of the final matching, the pair is their two cross
-edges (li, rj) and (lj, ri).
+The graph holds only adjacency and the matching; the transcript holds the
+declared values (the k-th declared pair has value k).  The AdversaryLog
+builds the audit trail from each answer's AnswerEvents, and the audit checks
+on it the counting identities this discipline guarantees: deletions +
+vanishings == n(n-1) on a finished run, and a pairing of the non-matching
+edges in which at least one member of every pair was deleted rather than
+vanished, giving deletions >= n(n-1)/2.  For any two pairs (li, ri) and
+(lj, rj) of the final matching, the pair is their two cross edges (li, rj)
+and (lj, ri).
 """
 from __future__ import annotations
 
@@ -88,10 +91,11 @@ class KnowledgeGraph:
     matching, the edge set only shrinks, and `mate` holds a perfect matching
     that each matched deletion repairs with one augmenting path (kg_from_edges
     builds it the same way, one path per left vertex).  Nothing else is kept
-    between queries.
+    between queries: how each removed edge went is reported in kg_answer's
+    AnswerEvents, and only an AdversaryLog records it.
     """
 
-    __slots__ = ("n", "adj", "mate", "status", "closure_hook")
+    __slots__ = ("n", "adj", "mate", "closure_hook")
 
     def __init__(self, n: int):
         if n < 1:
@@ -99,7 +103,6 @@ class KnowledgeGraph:
         self.n = n
         self.adj: list[int] = [0] * (2 * n + 1)
         self.mate: list[int] = [0] * (2 * n + 1)
-        self.status: dict[tuple[int, int], str] = {}
         self.closure_hook = None
 
     def isolated(self, l: int, r: int) -> bool:
@@ -112,7 +115,6 @@ class KnowledgeGraph:
         g = KnowledgeGraph(self.n)
         g.adj = list(self.adj)
         g.mate = list(self.mate)
-        g.status = dict(self.status)
         return g
 
 
@@ -194,17 +196,16 @@ def vanish_closure(g: KnowledgeGraph) -> list[tuple[int, int]]:
     return vanished
 
 
-def deck_from_matching(n: int, R: int, matching, assigned: dict[tuple[int, int], int]) -> Deck:
-    """Deck realizing a perfect matching, honoring pre-assigned pair values."""
+def deck_from_matching(matching, outputs) -> Deck:
+    """Deck over 1..n realizing a perfect matching of n pairs: the k-th
+    declared pair of the transcript's `outputs` keeps its value k, and the
+    other pairs take k+1..n in the order of their left vertices."""
+    n = len(matching)
+    declared = {(o.i, o.j): o.v for o in outputs}
+    fresh = iter(range(len(declared) + 1, n + 1))
     deck = [0] * (2 * n)
-    used = set(assigned.values())
-    fresh = (v for v in range(1, R + 1) if v not in used)
     for l, r in sorted(matching):
-        v = assigned.get((l, r))
-        if v is None:
-            v = next(fresh)
-        deck[l - 1] = v
-        deck[r - 1] = v
+        deck[l - 1] = deck[r - 1] = declared.get((l, r)) or next(fresh)
     return tuple(deck)
 
 
@@ -236,7 +237,6 @@ def _delete_edge(g: KnowledgeGraph, l: int, r: int) -> None:
     augmenting path from l, which can only end at r."""
     g.adj[l] ^= 1 << r
     g.adj[r] ^= 1 << l
-    g.status[(l, r)] = "deleted"
     if g.mate[l] == r:
         g.mate[r] = 0
         if not _augment(g, l):
@@ -338,7 +338,6 @@ def _run_filter(g: KnowledgeGraph, roots) -> list[tuple[int, int]]:
     reach = unnamed
     named = 0
     vanished = []
-    status = g.status
     for root in reversed(order):
         todo = 1 << root
         if not unnamed & todo:
@@ -357,7 +356,6 @@ def _run_filter(g: KnowledgeGraph, roots) -> list[tuple[int, int]]:
                 bit = 1 << r
                 for x in _bits(cross):
                     adj[x] ^= bit
-                    status[(x, r)] = "vanished"
                     vanished.append((x, r))
         named = reach ^ unnamed
     vanished.sort()
@@ -408,12 +406,13 @@ class QueryRecord:
 
 
 class AdversaryLog:
-    """Per-query audit trail: the answers, the deletion and vanish counts, and
-    in `status` how each removed edge went."""
+    """Audit trail built from each answer's AnswerEvents: the answers (when
+    kept), the counts, and in `status` how each removed edge went.  The
+    counters catch an edge reported twice: deletions + vanishings > len(status)."""
 
-    def __init__(self, n: int, status: dict[tuple[int, int], str], keep_records: bool = True):
+    def __init__(self, n: int, keep_records: bool = True):
         self.n = n
-        self.status = status
+        self.status: dict[tuple[int, int], str] = {}
         self.records: list[QueryRecord] = []
         self.queries = 0
         self.deletions = 0
@@ -423,8 +422,12 @@ class AdversaryLog:
     def note(self, i: int, j: int, answer: bool, events: AnswerEvents) -> None:
         self.queries += 1
         if events.deleted is not None:
+            status = self.status
+            status[events.deleted] = "deleted"
+            for e in events.vanished:
+                status[e] = "vanished"
             self.deletions += 1
-        self.vanishings += len(events.vanished)
+            self.vanishings += len(events.vanished)
         if self._keep:
             self.records.append(QueryRecord(i, j, answer))
 
@@ -436,16 +439,15 @@ class AdversaryHost(GameHost):
     a flip reveals at most `slots` answers.  A declaration is accepted only on
     a forced (isolated) edge; anything else raises StrategyRejected carrying a
     valid deck consistent with every answer given so far on which the declared
-    pair is not a match.
+    pair is not a match.  A declared pair leaves the table, so with a fresh
+    transcript the k-th declared pair gets value k, recorded in its outputs.
     """
 
     def __init__(self, kg: KnowledgeGraph, slots: int, transcript: Transcript | None = None,
                  keep_records: bool = True):
         super().__init__(kg.n, slots, transcript)
         self.kg = kg
-        self.log = AdversaryLog(kg.n, kg.status, keep_records=keep_records)
-        self.assigned: dict[tuple[int, int], int] = {}
-        self._next_value = 1
+        self.log = AdversaryLog(kg.n, keep_records=keep_records)
 
     def _equal_members(self, pos: int) -> list[int]:
         hits = []
@@ -463,27 +465,22 @@ class AdversaryHost(GameHost):
     def _declare_value(self, i: int, j: int) -> tuple[MatchTriple, bool]:
         key = edge_key(self.kg.n, i, j)
         if key is None or not self.kg.isolated(*key):
-            raise StrategyRejected((i, j), self._counterexample(i, j))
-        v = self.assigned.get(key)
-        if v is None:
-            v = self._next_value
-            self._next_value += 1
-            self.assigned[key] = v
-        return MatchTriple(i, j, v), True
+            raise StrategyRejected((i, j), self._counterexample(key))
+        return MatchTriple(i, j, len(self.transcript.outputs) + 1), True
 
-    def _counterexample(self, i: int, j: int) -> Deck:
-        """A deck consistent with all answers in which {i,j} is not a match.
+    def _counterexample(self, key: tuple[int, int] | None) -> Deck:
+        """A deck consistent with all answers in which the declared pair (edge
+        `key`, None if same-side) is not a match.
 
         The held matching realizes every answer; an unforced edge is not
         isolated, so some perfect matching avoids it and deleting it from a
         copy keeps one.
         """
         g = self.kg.copy()
-        key = edge_key(g.n, i, j)
         if key is not None and g.adj[key[0]] >> key[1] & 1:
             _delete_edge(g, *key)
         matching = [(l, g.mate[l]) for l in range(1, g.n + 1)]
-        return deck_from_matching(g.n, g.n, matching, self.assigned)
+        return deck_from_matching(matching, self.transcript.outputs)
 
 
 @dataclass
@@ -517,7 +514,7 @@ def adversarial_play(strategy, n: int, slots: int, keep_records: bool = True) ->
     matching = realized = None
     if complete and kg_is_done(g):
         matching = tuple((l, g.mate[l]) for l in range(1, n + 1))
-        realized = deck_from_matching(n, n, matching, host.assigned)
+        realized = deck_from_matching(matching, host.transcript.outputs)
     return AdversaryResult(host.transcript, host.log, matching=matching,
                            realized=realized, complete=complete)
 

@@ -81,7 +81,7 @@ class TestInit:
         g = kg_init(n)
         h = g.copy()
         assert _run_filter(h, range(1, n + 1)) == []
-        assert (h.edges(), h.status) == (g.edges(), g.status)
+        assert h.edges() == g.edges()
 
 
 class TestAnswer:
@@ -450,10 +450,15 @@ class TestInvolution:
         rnd = random.Random(0)
         n = rnd.randint(2, 9)
         g = kg_init(n)
-        log = AdversaryLog(n, g.status)
+        everything = kg_init(n).edges()
+        log = AdversaryLog(n)
         while not kg_is_done(g):
             i, j = rnd.sample(range(1, 2 * n + 1), 2)
             log.note(i, j, *kg_answer(g, i, j))
+            # the audit reads the log's trail alone: it names every removed
+            # edge, and each exactly once
+            assert set(log.status) == everything - g.edges()
+            assert log.deletions + log.vanishings == len(log.status)
         rep = involution_audit(log, [(l, g.mate[l]) for l in range(1, n + 1)])
         assert (n, rep.deletions, rep.vanishings) == (8, 46, 10)
         assert rep.deletions > n * (n - 1) // 2
@@ -473,7 +478,8 @@ class TestInvolution:
                 kind = rnd.choice(("deleted", "vanished", None))
                 if pm[l] != r and kind is not None:
                     status[(l, r)] = kind
-        log = AdversaryLog(n, status)
+        log = AdversaryLog(n)
+        log.status = status
         log.deletions = list(status.values()).count("deleted")
         log.vanishings = len(status) - log.deletions
         rep = involution_audit(log, matching)
@@ -490,7 +496,7 @@ class TestInvolution:
         [(1, 4), (2, 5), (3, 6), (3, 6)],
     ])
     def test_non_bijective_matching_raises(self, matching):
-        log = AdversaryLog(3, {})
+        log = AdversaryLog(3)
         with pytest.raises(ValueError, match="one-to-one"):
             involution_audit(log, matching)
 
@@ -508,7 +514,7 @@ class TestAdversarialPlay:
     def test_host_logs_against_its_own_graph(self):
         g = kg_init(3)
         host = AdversaryHost(g, 2, keep_records=False)
-        assert host.log.n == 3 and host.log.status is g.status
+        assert host.log.n == 3 and host.log.status == {}
         with pytest.raises(ValueError, match="at least one slot"):
             adversarial_play(MultiPass(), 3, 0)
 
@@ -551,7 +557,7 @@ class TestAdversarialPlay:
         assert x[i - 1] != x[j - 1]
         assert all(rec.answer == (x[rec.i - 1] == x[rec.j - 1]) for rec in res.log.records)
         assert all(x[o.i - 1] == x[o.j - 1] == o.v for o in res.transcript.outputs)
-        # the counterexample works on a copy: the graph keeps only the answers' deletions
+        # the counterexample works on a copy: the log holds only the answers' deletions
         assert list(res.log.status.values()).count("deleted") == res.log.deletions
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6),
@@ -631,6 +637,27 @@ class TestAnswerDigest:
             h.update(repr((res.log.queries, res.log.deletions, res.log.vanishings,
                            involution_audit(res.log, res.matching).ok)).encode())
         assert h.hexdigest() == "6f642426ca86c2b073573a8f2c1dcfecc84e79a6fb62ed926f63371116b391f0"
+
+    def test_every_edge_fate_is_pinned(self):
+        # sha256 over each game's removed edges and how each went
+        h = hashlib.sha256()
+        for name, n, s, seed in self.GAMES:
+            res = adversarial_play(make_strategy(name, n, seed), n, s, keep_records=False)
+            h.update(repr(sorted(res.log.status.items())).encode())
+        assert h.hexdigest() == "ef37ab2c30660d916027f6dc0e88ef63695e50d1df068de82cede1728f7e74e3"
+
+    def test_every_declared_value_is_pinned(self):
+        # sha256 over the rejected pair and counterexample of 160 refuted
+        # guesses, then over the realized deck of each game
+        h = hashlib.sha256()
+        for n in range(2, 10):
+            for seed in range(20):
+                res = adversarial_play(FlipThenGuess(seed), n, 2 * n)
+                h.update(repr((res.rejected_pair, res.counterexample)).encode())
+        for name, n, s, seed in self.GAMES:
+            res = adversarial_play(make_strategy(name, n, seed), n, s, keep_records=False)
+            h.update(repr(res.realized).encode())
+        assert h.hexdigest() == "f39cc02116970b848704d89c20afcc39d1ef2460d0a2280c3684ae7b52884867"
 
 
 class TestKgFromEdges:
