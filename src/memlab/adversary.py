@@ -27,10 +27,14 @@ After a filter every surviving edge lies inside one component C, which no edge
 leaves.  A deleted matched edge is first repaired by an augmenting path from l
 to r; with the deleted edge it forms a directed cycle in the old orientation,
 and reversing a cycle keeps every component, so the deletion becomes that of
-the non-matching edge l -> mate[r].  An early-exit probe settles most
-deletions: if l still reaches mate[r], nothing vanishes.  Otherwise Kosaraju's
-two searches rescan the forward reach of mate[r], which is still C: a shortest
-path from mate[r] never re-enters mate[r], so it never used the deleted edge.
+the non-matching edge l -> mate[r].  An early-exit forward probe from l
+settles most deletions: if l still reaches mate[r], nothing vanishes.  A failed
+probe has reached a set F that is exactly l's component in C - e, and a sink:
+nothing leaves F, and every x in F still reaches l, since a shortest path from
+x to l never used the deleted edge, which leaves l.  So every edge from C - F
+into F vanishes, and the other components are those of C - F, which is the
+reach of mate[r] avoiding F.  Kosaraju's two searches rescan only that reach,
+with F handed over as seen, and vanish each scanned row's edges into F.
 
 The graph holds only adjacency and the matching; the transcript holds the
 declared values (the k-th declared pair has value k).  The AdversaryLog
@@ -45,6 +49,7 @@ and (lj, ri).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .game_core import Deck, MatchTriple, Transcript, check_cells
 from .strategies import GameHost
@@ -72,8 +77,7 @@ def edge_key(n: int, i: int, j: int) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class AnswerEvents:
+class AnswerEvents(NamedTuple):
     """Mutations caused by one query: at most one deletion plus its vanish set."""
 
     deleted: tuple[int, int] | None = None
@@ -156,27 +160,50 @@ def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
     vanish_closure, changed since only here), mutating it on a deletion.
 
     Yes exactly when {i,j} is a present isolated edge.  A present non-isolated
-    edge is deleted and the vanish closure runs: a matched edge is first
-    replaced by an augmenting path, then a probe asks whether l still reaches
-    mate[r], and only a failed probe rescans, from mate[r].  Same-side or
-    already-removed pairs answer No without mutation.
+    edge (l, r) is deleted and the vanish closure runs, all in this frame: a
+    matched edge is first replaced by an augmenting path, then a forward probe
+    from l asks whether l still reaches mate[r].  The set F a failed probe
+    reached is a sink, and it is exactly SCC(l): each x in F reaches l by a
+    shortest path, which cannot use the deleted edge since that edge leaves
+    l.  The probe hands F, named by mates, to the filter as its sink.
+    Same-side or already-removed pairs answer No without mutation.
     """
-    if i == j:
-        raise ValueError(f"queried a position against itself: {i}")
-    if not (1 <= i <= 2 * g.n and 1 <= j <= 2 * g.n):
-        raise ValueError(f"positions out of range: {(i, j)}")
-    key = edge_key(g.n, i, j)
-    if key is None:
+    l, r = (i, j) if i < j else (j, i)
+    n = g.n
+    if not 1 <= l <= n < r <= 2 * n:
+        if i == j:
+            raise ValueError(f"queried a position against itself: {i}")
+        if l < 1 or r > 2 * n:
+            raise ValueError(f"positions out of range: {(i, j)}")
         return False, _NO_EVENTS
-    l, r = key
-    row = g.adj[l]
-    if not row >> r & 1:
+    adj = g.adj
+    row = adj[l]
+    bit = 1 << r
+    if not row & bit:
         return False, _NO_EVENTS
-    if row == 1 << r and g.adj[r] == 1 << l:
+    if row == bit and adj[r] == 1 << l:
         return True, _NO_EVENTS
 
-    _delete_edge(g, l, r)
-    vanished = [] if _reaches(g, l, r) else _run_filter(g, [g.mate[r]])
+    adj[l] = row ^ bit
+    adj[r] ^= 1 << l
+    mate = g.mate
+    if mate[l] == r:  # the augmenting path from l can only end at r
+        mate[r] = 0
+        if not _augment(g, l):
+            raise InvariantViolation(f"deleting {(l, r)} destroyed the last perfect matching")
+    rights = ((1 << n) - 1) << (n + 1)
+    todo = adj[l]
+    unseen = rights ^ todo
+    while todo:  # named by mates, so mate[r] is bit r
+        low = todo & -todo
+        new = adj[mate[low.bit_length() - 1]] & unseen
+        if new & bit:
+            vanished = []
+            break
+        unseen ^= new
+        todo ^= low | new
+    else:
+        vanished = _run_filter(g, (mate[r],), rights ^ unseen)
     if g.closure_hook is not None:
         g.closure_hook(g, vanished)
     return False, AnswerEvents((l, r), tuple(vanished))
@@ -232,17 +259,6 @@ def _match_free_lefts(g: KnowledgeGraph) -> None:
             raise InvariantViolation("graph admits no perfect matching")
 
 
-def _delete_edge(g: KnowledgeGraph, l: int, r: int) -> None:
-    """Delete the present edge (l, r); a matched one is repaired by an
-    augmenting path from l, which can only end at r."""
-    g.adj[l] ^= 1 << r
-    g.adj[r] ^= 1 << l
-    if g.mate[l] == r:
-        g.mate[r] = 0
-        if not _augment(g, l):
-            raise InvariantViolation(f"deleting {(l, r)} destroyed the last perfect matching")
-
-
 def _augment(g: KnowledgeGraph, root: int) -> bool:
     """Single augmenting-path search; builds and repairs every matching here.
 
@@ -276,47 +292,28 @@ def _augment(g: KnowledgeGraph, root: int) -> bool:
     return False
 
 
-def _reaches(g: KnowledgeGraph, l: int, r: int) -> bool:
-    """Does left `l` reach mate[r] in the left-vertex digraph?
-
-    A forward search from `l` that names each reached left vertex by its
-    mate, so mate[r] is bit r, and stops as soon as bit r appears.  (l, r)
-    must not be an edge; kg_answer has just deleted it.
-    """
-    adj = g.adj
-    mate = g.mate
-    target = 1 << r
-    todo = adj[l]
-    unseen = _rights(g.n) ^ todo
-    while todo:
-        low = todo & -todo
-        new = adj[mate[low.bit_length() - 1]] & unseen
-        if new & target:
-            return True
-        unseen ^= new
-        todo ^= low | new
-    return False
-
-
-def _run_filter(g: KnowledgeGraph, roots) -> list[tuple[int, int]]:
+def _run_filter(g: KnowledgeGraph, roots, sink: int = 0) -> list[tuple[int, int]]:
     """Useful-edge filter over the forward reach of the left vertices `roots`
-    in the left-vertex digraph; that reach must be closed under predecessors.
-    vanish_closure passes all of 1..n.  kg_answer passes mate[r] after
-    deleting l -> mate[r] from a filtered graph: a shortest path from mate[r]
-    never re-enters mate[r], so it never used that edge, and the reach is
-    still the old component, which no edge enters.  Kosaraju: a forward
-    search, naming each left vertex by its mate, records a finish order; then
+    in the left-vertex digraph, avoiding the left vertices whose mates are the
+    bits of `sink`; that reach must be closed under predecessors.
+
+    vanish_closure passes all of 1..n and no sink.  kg_answer passes mate[r]
+    after deleting l -> mate[r] from a filtered graph, with the failed probe's
+    reach F = SCC(l) as the sink: F is a component that no edge leaves, so
+    every other component of C lies in the reach of mate[r] avoiding F, and
+    every edge into F from there vanishes.  Kosaraju: a forward search,
+    naming each left vertex by its mate, records a finish order; then
     backward searches from the latest-finished unnamed vertex each take one
     component out of the mask of unnamed left vertices, through the
     predecessor rows adj[mate[u]] of its members.  They take components in
     topological order, so an edge x -> u between two components is found
     from u, with x in a component taken before: that is the edge
-    (x, mate[u]), and it vanishes.  A matched edge is a self-loop, so it
-    never goes.
+    (x, mate[u]), and it vanishes, as does u's row into the sink.  A matched
+    edge is a self-loop, so it never goes.
     """
     adj = g.adj
     mate = g.mate
-    unseen = _rights(g.n)
+    unseen = _rights(g.n) ^ sink
     unnamed = 0
     order: list[int] = []
     for root in roots:
@@ -345,7 +342,8 @@ def _run_filter(g: KnowledgeGraph, roots) -> list[tuple[int, int]]:
         unnamed ^= todo
         while todo:
             low = todo & -todo
-            r = mate[low.bit_length() - 1]
+            u = low.bit_length() - 1
+            r = mate[u]
             preds = adj[r]
             new = preds & unnamed
             unnamed ^= new
@@ -357,6 +355,12 @@ def _run_filter(g: KnowledgeGraph, roots) -> list[tuple[int, int]]:
                 for x in _bits(cross):
                     adj[x] ^= bit
                     vanished.append((x, r))
+            into = adj[u] & sink
+            if into:
+                adj[u] ^= into
+                for y in _bits(into):
+                    adj[y] ^= low
+                    vanished.append((u, y))
         named = reach ^ unnamed
     vanished.sort()
     return vanished
@@ -420,16 +424,22 @@ class AdversaryLog:
         self._keep = keep_records
 
     def note(self, i: int, j: int, answer: bool, events: AnswerEvents) -> None:
+        """Log one query whose kg_answer call the caller made."""
         self.queries += 1
         if events.deleted is not None:
-            status = self.status
-            status[events.deleted] = "deleted"
-            for e in events.vanished:
-                status[e] = "vanished"
-            self.deletions += 1
-            self.vanishings += len(events.vanished)
+            self.removed(events)
         if self._keep:
             self.records.append(QueryRecord(i, j, answer))
+
+    def removed(self, events: AnswerEvents) -> None:
+        """Record how each edge a deleting answer removed went; the only
+        writer of `status`."""
+        status = self.status
+        status[events.deleted] = "deleted"
+        for e in events.vanished:
+            status[e] = "vanished"
+        self.deletions += 1
+        self.vanishings += len(events.vanished)
 
 
 class AdversaryHost(GameHost):
@@ -450,16 +460,24 @@ class AdversaryHost(GameHost):
         self.log = AdversaryLog(kg.n, keep_records=keep_records)
 
     def _equal_members(self, pos: int) -> list[int]:
+        """One kg_answer query per other stored position; the log counts the
+        flip's queries once and takes only the answers that remove edges."""
+        kg, log, working = self.kg, self.log, self.working
+        log.queries += len(working) - (pos in working)
+        records = log.records if log._keep else None
         hits = []
-        for j in sorted(self.working):
+        for j in sorted(working):
             if j == pos:  # a stored card re-examined equals itself; no query
                 hits.append(j)
                 continue
             a, b = (pos, j) if pos < j else (j, pos)
-            ans, events = kg_answer(self.kg, a, b)
-            self.log.note(a, b, ans, events)
+            ans, events = kg_answer(kg, a, b)
+            if records is not None:
+                records.append(QueryRecord(a, b, ans))
             if ans:
                 hits.append(j)
+            elif events.deleted is not None:
+                log.removed(events)
         return hits
 
     def _declare_value(self, i: int, j: int) -> tuple[MatchTriple, bool]:
@@ -473,12 +491,12 @@ class AdversaryHost(GameHost):
         `key`, None if same-side) is not a match.
 
         The held matching realizes every answer; an unforced edge is not
-        isolated, so some perfect matching avoids it and deleting it from a
-        copy keeps one.
+        isolated, so some perfect matching avoids it, and kg_answer deleting
+        it from a copy keeps one (its filter never touches the matching).
         """
         g = self.kg.copy()
-        if key is not None and g.adj[key[0]] >> key[1] & 1:
-            _delete_edge(g, *key)
+        if key is not None:
+            kg_answer(g, *key)
         matching = [(l, g.mate[l]) for l in range(1, g.n + 1)]
         return deck_from_matching(matching, self.transcript.outputs)
 

@@ -14,7 +14,8 @@ from memlab import (FlipBudgetExceeded, InvariantViolation, Transcript,
                     perfect_matchings, useful_edges_brute, validate_deck,
                     vanish_closure)
 from memlab.adversary import (AdversaryHost, AnswerEvents, AdversaryLog, InvolutionReport,
-                              KnowledgeGraph, _augment, _run_filter, edge_key)
+                              KnowledgeGraph, StrategyRejected, _augment, _run_filter,
+                              edge_key)
 from memlab.strategies import FullMemory, MultiPass, ProtocolError, make_strategy
 
 
@@ -314,6 +315,86 @@ class TestRandomGraphs:
             assert g.edges() == useful_edges_brute(g), (seed, i, j)
 
 
+def _reach_by_mates(g, l):
+    """Left vertices that l reaches in the left-vertex digraph, as the mask of
+    their mates, by a set-based search that shares no code with the module."""
+    n = g.n
+    seen = {g.mate[l]}
+    stack = [l]
+    while stack:
+        x = stack.pop()
+        for y in range(n + 1, 2 * n + 1):
+            if g.adj[x] >> y & 1 and y not in seen:
+                seen.add(y)
+                stack.append(g.mate[y])
+    return sum(1 << y for y in seen)
+
+
+class TestHandedReach:
+    """A failed probe's reach F = SCC(l), handed to the filter as its sink,
+    against a full filter over all left vertices."""
+
+    @staticmethod
+    def _answer_checked(g, l, r):
+        """kg_answer(g, l, r) on a present non-isolated edge of a filtered g,
+        after repeating its deletion on a copy: when l no longer reaches
+        mate[r], the sink filter and a full filter must vanish the same
+        edges and leave the same rows, which kg_answer must match.  Returns
+        whether the probe failed."""
+        h = g.copy()
+        h.adj[l] ^= 1 << r
+        h.adj[r] ^= 1 << l
+        if h.mate[l] == r:
+            h.mate[r] = 0
+            assert _augment(h, l)
+        sink = _reach_by_mates(h, l)
+        ans, ev = kg_answer(g, l, r)
+        assert ans is False and ev.deleted == (l, r)
+        if sink >> r & 1:
+            assert ev.vanished == ()
+            return False
+        handed, full = h.copy(), h.copy()
+        got = _run_filter(handed, [h.mate[r]], sink)
+        assert got == _run_filter(full, range(1, h.n + 1))
+        assert handed.adj == full.adj and handed.mate == h.mate
+        assert ev.vanished == tuple(got) and g.adj == full.adj
+        return True
+
+    def test_three_way_split(self):
+        # left-vertex digraph under the diagonal matching u <-> 6+u, where
+        # u -> v is the edge (u, 6+v): F = {1, 2}, M = {3, 4} and A = {5, 6}
+        # are cycles joined by A -> M -> F, A -> F and F -> A.  Deleting
+        # 1 -> 5 leaves F a sink; C minus F splits again into M and A.
+        n = 6
+        g = KnowledgeGraph(n)
+        for u, v in [(1, 2), (2, 1), (3, 4), (4, 3), (5, 6), (6, 5),
+                     (5, 3), (3, 1), (6, 2), (1, 5)] + [(u, u) for u in range(1, 7)]:
+            g.adj[u] |= 1 << 6 + v
+            g.adj[6 + v] |= 1 << u
+        g.mate = [0] + list(range(7, 13)) + list(range(1, 7))
+        assert vanish_closure(g) == []
+        assert self._answer_checked(g, 1, 11)
+        assert g.edges() == {(1, 7), (1, 8), (2, 7), (2, 8), (3, 9), (3, 10), (4, 9),
+                             (4, 10), (5, 11), (5, 12), (6, 11), (6, 12)}
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_every_failed_probe_agrees_with_a_full_filter(self, seed):
+        rnd = random.Random(seed)
+        n = rnd.randint(2, 12)
+        rights = rnd.sample(range(n + 1, 2 * n + 1), n)  # a planted perfect matching
+        edges = {(l, rights[l - 1]) for l in range(1, n + 1)}
+        density = rnd.random()
+        edges |= {(l, r) for l in range(1, n + 1) for r in range(n + 1, 2 * n + 1)
+                  if rnd.random() < density}
+        g = kg_from_edges(n, edges)
+        vanish_closure(g)
+        while not kg_is_done(g):
+            l, r = rnd.choice(sorted(g.edges()))
+            if not g.isolated(l, r):
+                self._answer_checked(g, l, r)
+
+
 class TestRealize:
     def test_final_matching_structure(self):
         res = adversarial_play(MultiPass(), 2, 2)
@@ -544,6 +625,20 @@ class TestAdversarialPlay:
         x = res.counterexample
         assert validate_deck(x, R=4) == 4
         assert x[0] != x[4]  # the guessed pair really is refutable
+
+    def test_refuting_a_guess_leaves_the_live_graph_alone(self):
+        # the counterexample asks kg_answer on a copy of the graph
+        g = kg_init(4)
+        host = AdversaryHost(g, 8)
+        host.examine(1)
+        host.store(1)
+        host.examine(5)
+        before = (list(g.adj), list(g.mate))
+        with pytest.raises(StrategyRejected) as rej:
+            host.declare(2, 6)
+        x = rej.value.counterexample
+        assert x[1] != x[5] and x[0] != x[4]
+        assert (g.adj, g.mate) == before
 
     @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=80, deadline=None)
