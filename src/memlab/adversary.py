@@ -36,15 +36,21 @@ into F vanishes, and the other components are those of C - F, which is the
 reach of mate[r] avoiding F.  Kosaraju's two searches rescan only that reach,
 with F handed over as seen, and vanish each scanned row's edges into F.
 
+Every deletion goes through one private core, `_delete`.  kg_answer checks
+a single pair and wraps what `_delete` vanished in an AnswerEvents; the game
+host answers a whole flip in one frame, reading absent edges and forced ones
+off the rows and calling `_delete` only for a deleting "No", so it never
+calls kg_answer (a tracer that wraps kg_answer sees only direct calls).
+
 The graph holds only adjacency and the matching; the transcript holds the
 declared values (the k-th declared pair has value k).  The AdversaryLog
-builds the audit trail from each answer's AnswerEvents, and the audit checks
-on it the counting identities this discipline guarantees: deletions +
-vanishings == n(n-1) on a finished run, and a pairing of the non-matching
-edges in which at least one member of every pair was deleted rather than
-vanished, giving deletions >= n(n-1)/2.  For any two pairs (li, ri) and
-(lj, rj) of the final matching, the pair is their two cross edges (li, rj)
-and (lj, ri).
+builds the audit trail from each deleted edge and its vanish list, and the
+audit checks on it the counting identities this discipline guarantees:
+deletions + vanishings == n(n-1) on a finished run, and a pairing of the
+non-matching edges in which at least one member of every pair was deleted
+rather than vanished, giving deletions >= n(n-1)/2.  For any two pairs
+(li, ri) and (lj, rj) of the final matching, the pair is their two cross
+edges (li, rj) and (lj, ri).
 """
 from __future__ import annotations
 
@@ -91,12 +97,12 @@ class KnowledgeGraph:
     """Bipartite consistency graph between positions 1..n and n+1..2n.
 
     adj[v] is an int with bit u set iff the edge v-u is present.  While
-    driven through kg_answer, every present edge lies in some perfect
-    matching, the edge set only shrinks, and `mate` holds a perfect matching
-    that each matched deletion repairs with one augmenting path (kg_from_edges
-    builds it the same way, one path per left vertex).  Nothing else is kept
-    between queries: how each removed edge went is reported in kg_answer's
-    AnswerEvents, and only an AdversaryLog records it.
+    driven through kg_answer or an AdversaryHost, every present edge lies
+    in some perfect matching, the edge set only shrinks, and `mate` holds a
+    perfect matching that each matched deletion repairs with one augmenting
+    path (kg_from_edges builds it the same way, one path per left vertex).
+    Nothing else is kept between queries: each deletion returns its vanish
+    list, and only an AdversaryLog records how each removed edge went.
     """
 
     __slots__ = ("n", "adj", "mate", "closure_hook")
@@ -157,16 +163,12 @@ def kg_is_done(g: KnowledgeGraph) -> bool:
 
 def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
     """Answer "is x_i = x_j?" on a filtered graph (from kg_init or
-    vanish_closure, changed since only here), mutating it on a deletion.
+    vanish_closure, changed since only by deletions), mutating it on a
+    deletion.
 
-    Yes exactly when {i,j} is a present isolated edge.  A present non-isolated
-    edge (l, r) is deleted and the vanish closure runs, all in this frame: a
-    matched edge is first replaced by an augmenting path, then a forward probe
-    from l asks whether l still reaches mate[r].  The set F a failed probe
-    reached is a sink, and it is exactly SCC(l): each x in F reaches l by a
-    shortest path, which cannot use the deleted edge since that edge leaves
-    l.  The probe hands F, named by mates, to the filter as its sink.
-    Same-side or already-removed pairs answer No without mutation.
+    Yes exactly when {i,j} is a present isolated edge.  A present
+    non-isolated edge (l, r) is deleted by `_delete`, which runs the vanish
+    closure.  Same-side or already-removed pairs answer No without mutation.
     """
     l, r = (i, j) if i < j else (j, i)
     n = g.n
@@ -183,14 +185,32 @@ def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
         return False, _NO_EVENTS
     if row == bit and adj[r] == 1 << l:
         return True, _NO_EVENTS
+    return False, AnswerEvents((l, r), tuple(_delete(g, l, r)))
 
-    adj[l] = row ^ bit
+
+def _delete(g: KnowledgeGraph, l: int, r: int) -> list[tuple[int, int]]:
+    """Delete the present non-isolated edge (l, r), l <= n < r, from a
+    filtered graph and run its vanish closure, all in this frame; returns the
+    sorted vanish list, which it also hands to the graph's closure_hook.
+
+    A matched edge is first replaced by an augmenting path, then a forward
+    probe from l asks whether l still reaches mate[r].  The set F a failed
+    probe reached is a sink, and it is exactly SCC(l): each x in F reaches l
+    by a shortest path, which cannot use the deleted edge since that edge
+    leaves l.  The probe hands F, named by mates, to the filter as its sink.
+    The one deletion path: kg_answer and AdversaryHost._equal_members both
+    call it.
+    """
+    adj = g.adj
+    bit = 1 << r
+    adj[l] ^= bit
     adj[r] ^= 1 << l
     mate = g.mate
     if mate[l] == r:  # the augmenting path from l can only end at r
         mate[r] = 0
         if not _augment(g, l):
             raise InvariantViolation(f"deleting {(l, r)} destroyed the last perfect matching")
+    n = g.n
     rights = ((1 << n) - 1) << (n + 1)
     todo = adj[l]
     unseen = rights ^ todo
@@ -206,7 +226,7 @@ def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
         vanished = _run_filter(g, (mate[r],), rights ^ unseen)
     if g.closure_hook is not None:
         g.closure_hook(g, vanished)
-    return False, AnswerEvents((l, r), tuple(vanished))
+    return vanished
 
 
 def vanish_closure(g: KnowledgeGraph) -> list[tuple[int, int]]:
@@ -297,7 +317,7 @@ def _run_filter(g: KnowledgeGraph, roots, sink: int = 0) -> list[tuple[int, int]
     in the left-vertex digraph, avoiding the left vertices whose mates are the
     bits of `sink`; that reach must be closed under predecessors.
 
-    vanish_closure passes all of 1..n and no sink.  kg_answer passes mate[r]
+    vanish_closure passes all of 1..n and no sink.  _delete passes mate[r]
     after deleting l -> mate[r] from a filtered graph, with the failed probe's
     reach F = SCC(l) as the sink: F is a component that no edge leaves, so
     every other component of C lies in the reach of mate[r] avoiding F, and
@@ -410,9 +430,10 @@ class QueryRecord:
 
 
 class AdversaryLog:
-    """Audit trail built from each answer's AnswerEvents: the answers (when
-    kept), the counts, and in `status` how each removed edge went.  The
-    counters catch an edge reported twice: deletions + vanishings > len(status)."""
+    """Audit trail of the answers (when kept), the counts, and in `status` how
+    each removed edge went, built from each deleted edge and its vanish list.
+    The counters catch an edge reported twice: deletions + vanishings >
+    len(status)."""
 
     def __init__(self, n: int, keep_records: bool = True):
         self.n = n
@@ -427,30 +448,36 @@ class AdversaryLog:
         """Log one query whose kg_answer call the caller made."""
         self.queries += 1
         if events.deleted is not None:
-            self.removed(events)
+            self.removed(events.deleted, events.vanished)
         if self._keep:
             self.records.append(QueryRecord(i, j, answer))
 
-    def removed(self, events: AnswerEvents) -> None:
-        """Record how each edge a deleting answer removed went; the only
-        writer of `status`."""
+    def removed(self, edge: tuple[int, int], vanished) -> None:
+        """Record that a deleting answer removed `edge` and vanished the
+        edges `vanished`; the only writer of `status` and of the counts of
+        deletions and vanishings."""
         status = self.status
-        status[events.deleted] = "deleted"
-        for e in events.vanished:
+        status[edge] = "deleted"
+        for e in vanished:
             status[e] = "vanished"
         self.deletions += 1
-        self.vanishings += len(events.vanished)
+        self.vanishings += len(vanished)
 
 
 class AdversaryHost(GameHost):
     """Game host whose equality bits come from the adaptive adversary.
 
     Examining a card expands into one pairwise query per stored position, so
-    a flip reveals at most `slots` answers.  A declaration is accepted only on
-    a forced (isolated) edge; anything else raises StrategyRejected carrying a
-    valid deck consistent with every answer given so far on which the declared
-    pair is not a match.  A declared pair leaves the table, so with a fresh
-    transcript the k-th declared pair gets value k, recorded in its outputs.
+    a flip reveals at most `slots` answers.  A flip is answered in one frame:
+    a stored card re-examined is a hit with no query, a pair whose edge is
+    absent (same side, or already removed) is a "No" with no mutation, an
+    isolated edge is a "Yes", and any other edge is deleted through the same
+    `_delete` that kg_answer calls, so the host never calls kg_answer.  A
+    declaration is accepted only on a forced (isolated) edge; anything else
+    raises StrategyRejected carrying a valid deck consistent with every
+    answer given so far on which the declared pair is not a match.  A
+    declared pair leaves the table, so with a fresh transcript the k-th
+    declared pair gets value k, recorded in its outputs.
     """
 
     def __init__(self, kg: KnowledgeGraph, slots: int, transcript: Transcript | None = None,
@@ -460,9 +487,11 @@ class AdversaryHost(GameHost):
         self.log = AdversaryLog(kg.n, keep_records=keep_records)
 
     def _equal_members(self, pos: int) -> list[int]:
-        """One kg_answer query per other stored position; the log counts the
-        flip's queries once and takes only the answers that remove edges."""
+        """Answer the queries (pos, j) for each other stored position j, in
+        sorted order; the log counts the flip's queries once and takes only
+        the answers that delete."""
         kg, log, working = self.kg, self.log, self.working
+        adj = kg.adj
         log.queries += len(working) - (pos in working)
         records = log.records if log._keep else None
         hits = []
@@ -470,14 +499,18 @@ class AdversaryHost(GameHost):
             if j == pos:  # a stored card re-examined equals itself; no query
                 hits.append(j)
                 continue
-            a, b = (pos, j) if pos < j else (j, pos)
-            ans, events = kg_answer(kg, a, b)
-            if records is not None:
-                records.append(QueryRecord(a, b, ans))
-            if ans:
+            row = adj[pos]
+            if not row >> j & 1:  # same side, or already removed
+                ans = False
+            elif row == 1 << j and adj[j] == 1 << pos:
+                ans = True
                 hits.append(j)
-            elif events.deleted is not None:
-                log.removed(events)
+            else:
+                ans = False
+                edge = (pos, j) if pos < j else (j, pos)
+                log.removed(edge, _delete(kg, *edge))
+            if records is not None:
+                records.append(QueryRecord(pos, j, ans) if pos < j else QueryRecord(j, pos, ans))
         return hits
 
     def _declare_value(self, i: int, j: int) -> tuple[MatchTriple, bool]:

@@ -14,9 +14,25 @@ from memlab import (FlipBudgetExceeded, InvariantViolation, Transcript,
                     perfect_matchings, useful_edges_brute, validate_deck,
                     vanish_closure)
 from memlab.adversary import (AdversaryHost, AnswerEvents, AdversaryLog, InvolutionReport,
-                              KnowledgeGraph, StrategyRejected, _augment, _run_filter,
-                              edge_key)
-from memlab.strategies import FullMemory, MultiPass, ProtocolError, make_strategy
+                              KnowledgeGraph, QueryRecord, StrategyRejected, _augment,
+                              _run_filter, edge_key)
+from memlab.strategies import PLAYERS, FullMemory, MultiPass, ProtocolError, make_strategy
+
+# the random query streams below finish within 4,218 queries, and the random
+# blind games within 910 flips, on every seed sampled (n <= 24); a filter
+# that strands a vertex never finishes either
+QUERY_BUDGET = 20_000
+
+
+def _until_done(g, seed):
+    """Yield once per query of a stream on g until g is a perfect matching;
+    fail, naming the stream's seed, after QUERY_BUDGET queries."""
+    for _ in range(QUERY_BUDGET):
+        if kg_is_done(g):
+            return
+        yield
+    if not kg_is_done(g):
+        pytest.fail(f"seed {seed}: graph not finished after {QUERY_BUDGET} queries")
 
 
 class GuessNow:
@@ -283,7 +299,7 @@ class TestDecrementalFilter:
         fast = kg_init(n)
         slow = _SetGraph(n, fast.edges())
         assert len(fast.edges()) == n * n  # a stream that starts finished checks nothing
-        while not kg_is_done(fast):
+        for _ in _until_done(fast, seed):
             i, j = rnd.sample(range(1, 2 * n + 1), 2)
             got = kg_answer(fast, i, j)
             assert got == slow.answer(i, j), (seed, i, j)
@@ -309,7 +325,7 @@ class TestRandomGraphs:
         useful = useful_edges_brute(g)
         vanish_closure(g)
         assert g.edges() == useful
-        while not kg_is_done(g):
+        for _ in _until_done(g, seed):
             i, j = rnd.sample(range(1, 2 * n + 1), 2)
             kg_answer(g, i, j)
             assert g.edges() == useful_edges_brute(g), (seed, i, j)
@@ -389,7 +405,7 @@ class TestHandedReach:
                   if rnd.random() < density}
         g = kg_from_edges(n, edges)
         vanish_closure(g)
-        while not kg_is_done(g):
+        for _ in _until_done(g, seed):
             l, r = rnd.choice(sorted(g.edges()))
             if not g.isolated(l, r):
                 self._answer_checked(g, l, r)
@@ -477,14 +493,17 @@ def involution_audit_reference(log: AdversaryLog, matching) -> InvolutionReport:
 class RandomBlindPlayer:
     """Correct by construction: examines a random live card and declares only
     on a hit.  A miss is stored, swapped for a random stored card, or
-    forgotten."""
+    forgotten.  Fails, naming its seed, after QUERY_BUDGET flips."""
 
     def __init__(self, seed: int):
+        self.seed = seed
         self.rnd = random.Random(seed)
 
     def play(self, host) -> None:
         rnd = self.rnd
-        while not host.done():
+        for _ in range(QUERY_BUDGET):
+            if host.done():
+                return
             # the later of two stored cards was examined against the earlier
             # and missed, so stored cards are never partners: some live card
             # lies outside the working set
@@ -500,6 +519,8 @@ class RandomBlindPlayer:
             elif move == 1 and host.working:
                 host.working.discard(rnd.choice(sorted(host.working)))
                 host.store(p)
+        if not host.done():
+            pytest.fail(f"seed {self.seed}: game not finished after {QUERY_BUDGET} flips")
 
 
 class TestInvolution:
@@ -533,7 +554,7 @@ class TestInvolution:
         g = kg_init(n)
         everything = kg_init(n).edges()
         log = AdversaryLog(n)
-        while not kg_is_done(g):
+        for _ in _until_done(g, 0):
             i, j = rnd.sample(range(1, 2 * n + 1), 2)
             log.note(i, j, *kg_answer(g, i, j))
             # the audit reads the log's trail alone: it names every removed
@@ -709,6 +730,120 @@ class TestAdversarialPlay:
                 assert res.log.deletions + res.log.vanishings == n * (n - 1)
 
 
+class _QueryHost(AdversaryHost):
+    """The host answering one query per frame: a kg_answer call for each
+    other stored position, then log.removed on a deletion.  Oracle for
+    AdversaryHost, which answers a whole flip in one frame."""
+
+    def _equal_members(self, pos):
+        kg, log, working = self.kg, self.log, self.working
+        log.queries += len(working) - (pos in working)
+        hits = []
+        for j in sorted(working):
+            if j == pos:
+                hits.append(j)
+                continue
+            a, b = (pos, j) if pos < j else (j, pos)
+            ans, events = kg_answer(kg, a, b)
+            if log._keep:
+                log.records.append(QueryRecord(a, b, ans))
+            if ans:
+                hits.append(j)
+            elif events.deleted is not None:
+                log.removed(events.deleted, events.vanished)
+        return hits
+
+
+def _hosted_play(monkeypatch, host_cls, player, n, s, keep_records=True, hook=None):
+    """adversarial_play on a host of class `host_cls`, whose graph has
+    `hook` as its closure_hook."""
+    class Host(host_cls):
+        def __init__(self, kg, *args, **kwargs):
+            kg.closure_hook = hook
+            super().__init__(kg, *args, **kwargs)
+
+    monkeypatch.setattr(memlab.adversary, "AdversaryHost", Host)
+    return adversarial_play(player, n, s, keep_records=keep_records)
+
+
+def _outcome(res):
+    """Everything a game leaves behind, in the order it was written."""
+    log, t = res.log, res.transcript
+    return (log.records, list(log.status.items()), log.queries, log.deletions,
+            log.vanishings, t.flips, t.outputs, res.complete, res.incorrect, res.matching,
+            res.realized, res.rejected_pair, res.counterexample)
+
+
+_ORACLE_GAMES = [(name, n, s) for n in (1, 2, 3, 5, 8, 13, 24) for name in PLAYERS
+                 for s in sorted({1, 2, n, 2 * n}) if name != "perfect" or s == 2 * n]
+
+
+class TestOneFrameFlip:
+    """AdversaryHost against _QueryHost: the same answers, records, fates,
+    counts, outputs and decks, and the same vanish lists handed to the
+    closure hook."""
+
+    @staticmethod
+    def _both(monkeypatch, make_player, n, s, keep_records, hooked):
+        """Play fresh players on both hosts; returns the one-frame host's result."""
+        seen = []
+        for host_cls in (AdversaryHost, _QueryHost):
+            vanishes = []
+            hook = (lambda g, vanished: vanishes.append(list(vanished))) if hooked else None
+            res = _hosted_play(monkeypatch, host_cls, make_player(), n, s, keep_records, hook)
+            seen.append((_outcome(res), vanishes))
+        assert seen[0] == seen[1], (n, s, keep_records)
+        return res
+
+    @pytest.mark.parametrize("keep_records", [True, False])
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_shipped_players(self, monkeypatch, keep_records, hooked):
+        for name, n, s in _ORACLE_GAMES:
+            res = self._both(monkeypatch, lambda: make_strategy(name, n, n), n, s,
+                             keep_records, hooked)
+            assert res.complete, (name, n, s)
+
+    @pytest.mark.parametrize("keep_records", [True, False])
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_refuted_guesses(self, monkeypatch, keep_records, hooked):
+        for n in (2, 3, 5, 8, 13, 24):
+            for seed in range(4):
+                res = self._both(monkeypatch, lambda: FlipThenGuess(seed), n, 2 * n,
+                                 keep_records, hooked)
+                assert res.incorrect and res.rejected_pair is not None
+
+
+class TestClosureHook:
+    def test_fires_once_per_host_deletion(self, monkeypatch):
+        for name, n, s in [("multipass", 12, 1), ("rmultipass", 12, 5), ("perfect", 12, 24)]:
+            fired = []
+            res = _hosted_play(monkeypatch, AdversaryHost, make_strategy(name, n, 3), n, s,
+                               hook=lambda g, vanished: fired.append(vanished))
+            assert res.complete and res.log.deletions > 0
+            assert len(fired) == res.log.deletions
+            assert sum(map(len, fired)) == res.log.vanishings
+
+    def test_fires_once_per_deleting_answer(self):
+        rnd = random.Random(5)
+        n = 6
+        g = kg_init(n)
+        fired = []
+        g.closure_hook = lambda g, vanished: fired.append(tuple(vanished))
+        kinds = set()
+
+        def ask(i, j):
+            before = len(fired)
+            ans, ev = kg_answer(g, i, j)
+            kinds.add("yes" if ans else "delete" if ev.deleted else "no")
+            assert fired[before:] == ([ev.vanished] if ev.deleted else [])
+
+        for _ in _until_done(g, 5):
+            ask(*rnd.sample(range(1, 2 * n + 1), 2))
+        for l in range(1, n + 1):  # every remaining edge is forced
+            ask(l, g.mate[l])
+        assert kinds == {"yes", "delete", "no"}
+
+
 class TestAnswerDigest:
     """Pins what the adversary says, not which perfect matching it holds."""
 
@@ -717,18 +852,34 @@ class TestAnswerDigest:
              ("perfect", 64, 128, 0), ("perfect", 41, 82, 1)]
 
     def test_every_answer_and_game_count_is_pinned(self, monkeypatch):
-        # sha256 over each kg_answer result (i, j, answer, deleted, vanished)
-        # and each game's (queries, deletions, vanishings, audit ok)
+        # sha256 over each query's (i, j, answer, deleted, vanished), as
+        # kg_answer would return it, and each game's (queries, deletions,
+        # vanishings, audit ok).  The host answers a flip without kg_answer,
+        # so the stream is rebuilt from the kept records and a tap on the one
+        # deletion path: a record names the next deletion exactly when its
+        # pair is that deletion's edge, since a removed edge is never asked
+        # to delete again.
         h = hashlib.sha256()
+        deletions = []
+        delete = memlab.adversary._delete
 
-        def hashed(g, i, j):
-            ans, ev = kg_answer(g, i, j)
-            h.update(repr((i, j, ans, ev.deleted, ev.vanished)).encode())
-            return ans, ev
+        def tapped(g, l, r):
+            vanished = delete(g, l, r)
+            deletions.append(((l, r), tuple(vanished)))
+            return vanished
 
-        monkeypatch.setattr(memlab.adversary, "kg_answer", hashed)
+        monkeypatch.setattr(memlab.adversary, "_delete", tapped)
         for name, n, s, seed in self.GAMES:
-            res = adversarial_play(make_strategy(name, n, seed), n, s, keep_records=False)
+            deletions.clear()
+            res = adversarial_play(make_strategy(name, n, seed), n, s)
+            fates = iter(deletions)
+            fate = next(fates, None)
+            for rec in res.log.records:
+                deleted, vanished = None, ()
+                if fate is not None and fate[0] == (rec.i, rec.j):
+                    (deleted, vanished), fate = fate, next(fates, None)
+                h.update(repr((rec.i, rec.j, rec.answer, deleted, vanished)).encode())
+            assert fate is None  # every deletion answered a recorded query
             h.update(repr((res.log.queries, res.log.deletions, res.log.vanishings,
                            involution_audit(res.log, res.matching).ok)).encode())
         assert h.hexdigest() == "6f642426ca86c2b073573a8f2c1dcfecc84e79a6fb62ed926f63371116b391f0"
