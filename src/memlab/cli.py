@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from .adversary import adversarial_play, involution_audit, replay_consistent
 from .analysis import (unique_pairs_expected, unique_pairs_expected_enumerated,
                        unique_pairs_mc, y_sample_size, y_tail_estimate, YExperiment)
-from .game_core import (CapExceeded, GameParams, check_cells, derive_seed, generate_valid_input,
-                        matches_of, read_deck_file, validate_deck, verify_transcript,
-                        write_transcript_csv, Transcript)
+from .game_core import (CapExceeded, GameParams, check_cells, deck_partners, derive_seed,
+                        generate_valid_input, matches_of, read_deck_file, validate_deck,
+                        verify_transcript, write_transcript_csv, Transcript)
 from .strategies import (PLAYERS, DeckHost, MultiPass, SpaceBudget, make_strategy,
                          multi_pass_play, multi_pass_time_bound, randomized_order)
 from .trees import (build_guessing_tree, check_lemma43, compile_prefix_tree,
@@ -172,14 +172,17 @@ def _map_cells(fn, specs: list, jobs: int) -> list:
 # Tradeoff sweep
 
 def _tradeoff_deck(spec: tuple) -> list[tuple]:
-    """Draw and pair one deck, then play it at each slot count: one record per s."""
+    """Draw and pair one deck, then play it at each slot count on that one
+    pairing: one record per s.  The check pairs the deck once more, apart
+    from the games, in `matches_of`."""
     n, slots, dseed, strategy = spec
     x = generate_valid_input(GameParams(n, n, dseed))
+    partner = deck_partners(x)
     matches = matches_of(x)
     order = randomized_order(n, derive_seed(dseed, "order")) if strategy == "rmultipass" else None
     recs = []
     for s in slots:
-        tr = multi_pass_play(x, s, order=order, lean=True)
+        tr = multi_pass_play(x, s, order=order, lean=True, partner=partner)
         correct = set(tr.outputs) == matches
         in_bound = tr.flips <= multi_pass_time_bound(SpaceBudget.for_slots(n, s))
         recs.append((dseed, tr.flips, tr.passes, correct, in_bound))

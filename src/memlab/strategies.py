@@ -17,7 +17,9 @@ cannot reach its flip cap is played in rank space from its first round to
 its last, where a block card hits or is stored by its partner's rank and the
 scan's flips are counted over an alive mask kept per rank, not listed.
 Every other game, full transcripts (which name every flip) and games that
-could reach the cap, takes the generic rounds.
+could reach the cap, takes the generic rounds.  A caller that plays one
+deck many times pairs it once with `deck_partners(x)` and hands that
+pairing to each game as `partner=`.
 """
 from __future__ import annotations
 
@@ -207,9 +209,12 @@ class DeckHost(GameHost):
     The one fast loop is the lean rank game: `run_passes` decides once per
     game, and plays every round with no per-flip step when the transcript is
     lean, the block fits the slots and the game cannot reach the flip cap
-    (at most ceil(2n/s) * 2n flips).  It builds the ranks, the partner ranks
-    and an alive mask indexed by rank, then in each round a block card whose
-    partner's rank lies earlier in the block hits and any other is stored.
+    (at most ceil(2n/s) * 2n flips).  It sets up an alive mask indexed by
+    rank, all ones but for the cards already off the table, and the partner
+    ranks: for the identity order, `range(1, 2n + 1)`, they are the pairing
+    shifted down by one; any other order builds a rank table first.  Then in
+    each round a block card whose partner's rank lies earlier in the block
+    hits and any other is stored.
     The scan hits each stored card's partner, which is ranked after the
     block, and flips every live card up to the last such hit: each round
     takes all its block's cards off the table, so no partner of a live card
@@ -217,10 +222,20 @@ class DeckHost(GameHost):
     mask; the outputs go out in rank order, as the generic round makes them.
     Every other game, like any `fill` or `scan` called alone, is the generic
     one: full transcripts and games that could reach the cap take it.
+
+    `partner`, when given, must be `deck_partners(x)`, the pairing shared by
+    every game on the deck; it is read, never changed, and one whose length
+    is not len(x) + 1 is refused.  Without it the host pairs the deck.
     """
 
-    def __init__(self, x: Deck, slots: int, transcript: Transcript | None = None):
-        self.partner = deck_partners(x)
+    def __init__(self, x: Deck, slots: int, transcript: Transcript | None = None,
+                 partner: list[int] | None = None):
+        if partner is None:
+            partner = deck_partners(x)
+        elif len(partner) != len(x) + 1:
+            raise ValueError(f"partner has {len(partner)} entries, not {len(x) + 1}: "
+                             "pass deck_partners(x)")
+        self.partner = partner
         super().__init__(len(x) // 2, slots, transcript)
         self.x = x
 
@@ -239,12 +254,20 @@ class DeckHost(GameHost):
                 or t.cap is not None and t.flips + -(-top // s) * top > t.cap):
             GameHost.run_passes(self, order, s)
             return
-        rank = [0] * (top + 1)  # rank[p]: the index of p in order
-        for r, p in enumerate(order):
-            rank[p] = r
         x, partner, removed = self.x, self.partner, self.removed
-        prank = [rank[partner[p]] for p in order]  # prank[r]: the rank of order[r]'s partner
-        alive = bytearray(p not in removed for p in order)  # alive[r]: order[r] is on the table
+        alive = bytearray(b"\x01") * top  # alive[r]: order[r] is on the table
+        # prank[r]: the rank of order[r]'s partner
+        if order == range(1, top + 1):  # the identity: p has rank p - 1
+            prank = [q - 1 for q in partner[1:]]
+            for p in removed:
+                alive[p - 1] = 0
+        else:
+            rank = [0] * (top + 1)  # rank[p]: the index of p in order
+            for r, p in enumerate(order):
+                rank[p] = r
+            prank = [rank[partner[p]] for p in order]
+            for p in removed:
+                alive[rank[p]] = 0
         for index, lo in enumerate(range(0, top, s), start=1):
             if len(removed) == top:
                 break
@@ -347,10 +370,11 @@ def make_strategy(name: str, n: int, seed: int = 0):
 # Entry points
 
 def multi_pass_play(x: Deck, slots: int, order: list[int] | None = None,
-                    lean: bool = False) -> Transcript:
+                    lean: bool = False, partner: list[int] | None = None) -> Transcript:
     """Run the blocked scanner with `slots` stored cards on a deck and return
-    its transcript."""
-    host = DeckHost(x, slots, Transcript(lean=lean))
+    its transcript.  `partner`, when given, must be `deck_partners(x)`: one
+    pairing then serves every game played on the deck (see DeckHost)."""
+    host = DeckHost(x, slots, Transcript(lean=lean), partner)
     MultiPass(order=order).play(host)
     return host.transcript
 

@@ -195,6 +195,46 @@ class TestTradeoffSweep:
             code, text = run_cli(["replay", "--file", str(out), "--line", str(k)])
             assert code == 0 and text.splitlines()[-1] == "replay: identical"
 
+    @pytest.mark.parametrize("strategy", ["multipass", "rmultipass"])
+    def test_every_record_replays_alone(self, tmp_path, strategy):
+        # a sweep plays all of a deck's slot counts on one pairing; replay
+        # plays each row's game alone, on a deck it pairs for that game
+        out = tmp_path / "t.csv"
+        code, _ = run_cli(["--seed", "7", "--jobs", "1", "--out", str(out), "tradeoff",
+                           "--n-list", "8,16,64", "--s-list", "pow2", "--seeds", "3",
+                           "--strategy", strategy])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        records = [k for k, ln in enumerate(lines) if ln.startswith("record,")]
+        assert len(records) == 3 * (5 + 6 + 8)
+        for k in records:
+            code, text = run_cli(["replay", "--file", str(out), "--line", str(k)])
+            assert code == 0 and text.splitlines()[-1] == "replay: identical", lines[k]
+
+    def test_traced_span_sees_every_game(self, tmp_path, monkeypatch):
+        # the benchmark's strategies.play span wraps cli.multi_pass_play, so
+        # each game of a sweep must still go through that global
+        def sweep(name):
+            out = tmp_path / name
+            code, _ = run_cli(["--seed", "7", "--jobs", "1", "--out", str(out), "tradeoff",
+                               "--n-list", "8,16", "--seeds", "3"])
+            assert code == 0
+            return out.read_bytes()
+
+        plain = sweep("plain.csv")
+        calls = []
+        play = cli.multi_pass_play
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return play(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "multi_pass_play", counted)
+        assert sweep("counted.csv") == plain
+        # 3 seeds x (5 slot counts at n=8 + 6 at n=16)
+        assert len(calls) == 3 * (5 + 6)
+        assert calls == ([1, 2, 4, 8, 16] * 3) + ([1, 2, 4, 8, 16, 32] * 3)
+
     def test_worst_time_monotone_in_slots(self):
         lines, ok = tradeoff_sweep(SweepConfig(ns=[8, 16], seeds=10, master_seed=3))
         assert ok

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from memlab import (GameParams, MatchTriple, SpaceBudget, Transcript, adversaria
                     multi_pass_time_bound, space_audit,
                     verify_transcript)
 from memlab.analysis import monte_carlo_wrap
+from memlab.game_core import deck_partners
 from memlab.strategies import (DeckHost, FlipBudgetExceeded, FullMemory, GameHost, MultiPass,
                                ProtocolError, make_strategy, randomized_order)
 
@@ -294,6 +296,67 @@ def _assert_same_game(x, slots, lean, cap, play):
     got = _outcome(DeckHost, x, slots, lean, cap, play)
     assert got == want
     return got
+
+
+class TestSharedPairing:
+    """A DeckHost handed `partner=deck_partners(x)`, as each slot count of a
+    tradeoff deck is, plays the game of a DeckHost that pairs the deck itself
+    and of the flip-by-flip oracle."""
+
+    @given(st.integers(1, 24), st.integers(0, 10**6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_games_on_a_shared_pairing_agree(self, n, seed, data):
+        x = generate_valid_input(GameParams(n, n + seed % 3, seed))
+        top = 2 * n
+        partner = deck_partners(x)
+        shared = partial(DeckHost, partner=partner)
+        order = data.draw(st.sampled_from([None, list(range(1, top + 1)),
+                                           randomized_order(n, seed)]), label="order")
+        lean = data.draw(st.booleans(), label="lean")
+        # a fill first: nothing, the first card's pair (so the game starts
+        # with cards off the table) or a few drawn positions
+        prefill = data.draw(st.one_of(st.just([]), st.just([1, partner[1]]),
+                                      st.lists(st.integers(1, top), max_size=4, unique=True)),
+                            label="prefill")
+        for s in range(1, top + 1):
+            def play(host):
+                host.fill(prefill[:s])
+                MultiPass(order=order).play(host)
+
+            want = _outcome(_StepHost, x, s, lean, None, play)
+            assert _outcome(DeckHost, x, s, lean, None, play) == want
+            assert _outcome(shared, x, s, lean, None, play) == want
+            T = want["flips"]
+            # every cap on small decks, a drawn one on the rest
+            caps = range(T + 1) if n <= 6 else [data.draw(st.integers(0, T), label="cap")]
+            for cap in caps:
+                want = _outcome(_StepHost, x, s, lean, cap, play)
+                assert _outcome(DeckHost, x, s, lean, cap, play) == want
+                assert _outcome(shared, x, s, lean, cap, play) == want
+
+    def test_a_game_after_a_declared_pair_agrees(self):
+        # the alive mask starts with the declared pair off the table
+        x = generate_valid_input(GameParams(8, 8, 3))
+        partner = deck_partners(x)
+        for order in (None, list(range(1, 17)), randomized_order(8, 3)):
+            def play(host):
+                host.fill([1, partner[1]])
+                assert host.removed == {1, partner[1]}
+                MultiPass(order=order).play(host)
+
+            for s in (1, 3, 16):
+                want = _outcome(_StepHost, x, s, True, None, play)
+                assert want["err"] is None and len(want["outputs"]) == 8
+                assert _outcome(partial(DeckHost, partner=partner), x, s, True, None, play) == want
+
+    def test_partner_of_the_wrong_length_is_refused(self):
+        x = (1, 2, 1, 2)
+        assert deck_partners(x) == [0, 3, 4, 1, 2]
+        for bad in ([0, 3, 4, 1], [0, 3, 4, 1, 2, 0], []):
+            with pytest.raises(ValueError, match=f"partner has {len(bad)} entries, not 5"):
+                DeckHost(x, 2, partner=bad)
+            with pytest.raises(ValueError, match="pass deck_partners"):
+                multi_pass_play(x, 2, lean=True, partner=bad)
 
 
 class TestDeclareRemoved:
