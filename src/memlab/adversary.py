@@ -44,13 +44,15 @@ calls kg_answer (a tracer that wraps kg_answer sees only direct calls).
 
 The graph holds only adjacency and the matching; the transcript holds the
 declared values (the k-th declared pair has value k).  The AdversaryLog
-builds the audit trail from each deleted edge and its vanish list, and the
-audit checks on it the counting identities this discipline guarantees:
-deletions + vanishings == n(n-1) on a finished run, and a pairing of the
-non-matching edges in which at least one member of every pair was deleted
-rather than vanished, giving deletions >= n(n-1)/2.  For any two pairs
-(li, ri) and (lj, rj) of the final matching, the pair is their two cross
-edges (li, rj) and (lj, ri).
+keeps each removed edge's fate in two bit rows per left vertex, laid out as
+the graph's: deleted[l] and gone[l] have bit r set iff the edge (l, r) was
+deleted, or removed in any way.  The audit checks on them the counting
+identities this discipline guarantees: deletions + vanishings == n(n-1) on a
+finished run, and a pairing of the non-matching edges in which at least one
+member of every pair was deleted rather than vanished, giving deletions >=
+n(n-1)/2.  For any two pairs (li, ri) and (lj, rj) of the final matching,
+the pair is their two cross edges (li, rj) and (lj, ri), so each test reads
+bit rj of row li and bit ri of row lj.
 """
 from __future__ import annotations
 
@@ -102,7 +104,7 @@ class KnowledgeGraph:
     perfect matching that each matched deletion repairs with one augmenting
     path (kg_from_edges builds it the same way, one path per left vertex).
     Nothing else is kept between queries: each deletion returns its vanish
-    list, and only an AdversaryLog records how each removed edge went.
+    list, and only an AdversaryLog's bit rows record how each removed edge went.
     """
 
     __slots__ = ("n", "adj", "mate", "closure_hook")
@@ -169,6 +171,9 @@ def kg_answer(g: KnowledgeGraph, i: int, j: int) -> tuple[bool, AnswerEvents]:
     Yes exactly when {i,j} is a present isolated edge.  A present
     non-isolated edge (l, r) is deleted by `_delete`, which runs the vanish
     closure.  Same-side or already-removed pairs answer No without mutation.
+    Nothing in the package calls it: it stays for tests and for the
+    benchmark's tracer, which wraps it, until that wrapper is retired
+    (ROADMAP items 6 and 10).
     """
     l, r = (i, j) if i < j else (j, i)
     n = g.n
@@ -198,8 +203,8 @@ def _delete(g: KnowledgeGraph, l: int, r: int) -> list[tuple[int, int]]:
     probe reached is a sink, and it is exactly SCC(l): each x in F reaches l
     by a shortest path, which cannot use the deleted edge since that edge
     leaves l.  The probe hands F, named by mates, to the filter as its sink.
-    The one deletion path: kg_answer and AdversaryHost._equal_members both
-    call it.
+    The one deletion path: kg_answer, AdversaryHost._equal_members and
+    AdversaryHost._counterexample call it.
     """
     adj = g.adj
     bit = 1 << r
@@ -422,44 +427,39 @@ def useful_edges_brute(g: KnowledgeGraph) -> set[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Adversarial game loop
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
     i: int
     j: int
     answer: bool
 
 
 class AdversaryLog:
-    """Audit trail of the answers (when kept), the counts, and in `status` how
-    each removed edge went, built from each deleted edge and its vanish list.
-    The counters catch an edge reported twice: deletions + vanishings >
-    len(status)."""
+    """Audit trail of the answers (when kept), the counts, and each removed
+    edge's fate in bit rows laid out as KnowledgeGraph.adj: bit r of
+    deleted[l] is set iff the edge (l, r) was deleted, and bit r of gone[l]
+    iff it was removed in any way.  The counters catch an edge reported
+    twice: deletions + vanishings > the bits set in gone."""
 
     def __init__(self, n: int, keep_records: bool = True):
         self.n = n
-        self.status: dict[tuple[int, int], str] = {}
+        self.deleted: list[int] = [0] * (n + 1)
+        self.gone: list[int] = [0] * (n + 1)
         self.records: list[QueryRecord] = []
         self.queries = 0
         self.deletions = 0
         self.vanishings = 0
         self._keep = keep_records
 
-    def note(self, i: int, j: int, answer: bool, events: AnswerEvents) -> None:
-        """Log one query whose kg_answer call the caller made."""
-        self.queries += 1
-        if events.deleted is not None:
-            self.removed(events.deleted, events.vanished)
-        if self._keep:
-            self.records.append(QueryRecord(i, j, answer))
-
     def removed(self, edge: tuple[int, int], vanished) -> None:
         """Record that a deleting answer removed `edge` and vanished the
-        edges `vanished`; the only writer of `status` and of the counts of
+        edges `vanished`; the only writer of the rows and of the counts of
         deletions and vanishings."""
-        status = self.status
-        status[edge] = "deleted"
-        for e in vanished:
-            status[e] = "vanished"
+        l, r = edge
+        self.deleted[l] |= 1 << r
+        gone = self.gone
+        gone[l] |= 1 << r
+        for x, y in vanished:
+            gone[x] |= 1 << y
         self.deletions += 1
         self.vanishings += len(vanished)
 
@@ -524,12 +524,12 @@ class AdversaryHost(GameHost):
         `key`, None if same-side) is not a match.
 
         The held matching realizes every answer; an unforced edge is not
-        isolated, so some perfect matching avoids it, and kg_answer deleting
-        it from a copy keeps one (its filter never touches the matching).
+        isolated, so some perfect matching avoids it, and deleting it from a
+        copy, when present, keeps one (the filter never touches the matching).
         """
         g = self.kg.copy()
-        if key is not None:
-            kg_answer(g, *key)
+        if key is not None and g.adj[key[0]] >> key[1] & 1:
+            _delete(g, *key)
         matching = [(l, g.mate[l]) for l in range(1, g.n + 1)]
         return deck_from_matching(matching, self.transcript.outputs)
 
@@ -598,26 +598,23 @@ def involution_audit(log: AdversaryLog, matching) -> InvolutionReport:
 
     Any two matched pairs (li, ri) and (lj, rj) have two cross edges, (li, rj)
     and (lj, ri), and these n(n-1)/2 pairs partition the non-matching edges.
-    The audit checks that both edges of every pair were removed, that at
-    least one of them was deleted rather than vanished, and the removal
-    accounting identities.
+    The audit checks, on the log's gone and deleted rows, that both edges of
+    every pair were removed, that at least one of them was deleted rather
+    than vanished, and the removal accounting identities.
     """
     n = log.n
     pairs = sorted(matching)
     if ([l for l, _ in pairs] != list(range(1, n + 1))
             or sorted(r for _, r in pairs) != list(range(n + 1, 2 * n + 1))):
         raise ValueError("final matching must pair 1..n one-to-one with n+1..2n")
-    status = log.status
+    deleted, gone = log.deleted, log.gone
     failures: list[tuple] = []
     for i, (li, ri) in enumerate(pairs):
         for lj, rj in pairs[i + 1:]:
-            e, fe = (li, rj), (lj, ri)
-            st_e = status.get(e)
-            st_f = status.get(fe)
-            if st_e is None or st_f is None:
-                failures.append(("still-present", e, fe))
-            elif st_e != "deleted" and st_f != "deleted":
-                failures.append(("pair-entirely-vanished", e, fe))
+            if not gone[li] >> rj & gone[lj] >> ri & 1:
+                failures.append(("still-present", (li, rj), (lj, ri)))
+            elif not (deleted[li] >> rj | deleted[lj] >> ri) & 1:
+                failures.append(("pair-entirely-vanished", (li, rj), (lj, ri)))
     accounting_ok = log.deletions + log.vanishings == n * (n - 1)
     lower_bound_ok = log.deletions >= n * (n - 1) // 2
     claim_ok = not failures

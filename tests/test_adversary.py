@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,7 @@ from memlab import (FlipBudgetExceeded, InvariantViolation, Transcript,
                     vanish_closure)
 from memlab.adversary import (AdversaryHost, AnswerEvents, AdversaryLog, InvolutionReport,
                               KnowledgeGraph, QueryRecord, StrategyRejected, _augment,
-                              _run_filter, edge_key)
+                              _bits, _run_filter, edge_key)
 from memlab.strategies import PLAYERS, FullMemory, MultiPass, ProtocolError, make_strategy
 
 # the random query streams below finish within 4,218 queries, and the random
@@ -33,6 +34,38 @@ def _until_done(g, seed):
         yield
     if not kg_is_done(g):
         pytest.fail(f"seed {seed}: graph not finished after {QUERY_BUDGET} queries")
+
+
+def _note(log, i, j, answer, events):
+    """Log one query whose kg_answer call the caller made."""
+    log.queries += 1
+    if events.deleted is not None:
+        log.removed(events.deleted, events.vanished)
+    if log._keep:
+        log.records.append(QueryRecord(i, j, answer))
+
+
+def _status(log):
+    """{(l, r): "deleted" | "vanished"} for every edge the log's rows name."""
+    return {(l, r): "deleted" if log.deleted[l] >> r & 1 else "vanished"
+            for l in range(1, log.n + 1) for r in _bits(log.gone[l])}
+
+
+class _DictLog:
+    """The edge-fate log as a dict of every removed edge's fate; oracle for
+    AdversaryLog's bit rows."""
+
+    def __init__(self):
+        self.status: dict[tuple[int, int], str] = {}
+        self.deletions = 0
+        self.vanishings = 0
+
+    def removed(self, edge, vanished):
+        self.status[edge] = "deleted"
+        for e in vanished:
+            self.status[e] = "vanished"
+        self.deletions += 1
+        self.vanishings += len(vanished)
 
 
 class GuessNow:
@@ -442,9 +475,11 @@ def _phi(n, matching, e):
     return (left_of[r], pm[l])
 
 
-def involution_audit_reference(log: AdversaryLog, matching) -> InvolutionReport:
+def involution_audit_reference(log: AdversaryLog, status, matching) -> InvolutionReport:
     """Oracle for involution_audit: builds the pairing as a map phi and checks,
-    edge by edge, that it is a fixed-point-free involution off the matching."""
+    edge by edge, that it is a fixed-point-free involution off the matching.
+    Each edge's fate is read from `status`, {(l, r): "deleted" | "vanished"},
+    not from the log's rows; only n and the counts come from the log."""
     n = log.n
     pm = {l: r for l, r in matching}
     if len(pm) != n or sorted(pm) != list(range(1, n + 1)):
@@ -469,8 +504,8 @@ def involution_audit_reference(log: AdversaryLog, matching) -> InvolutionReport:
             seen.add(e)
             seen.add(fe)
             pair_count += 1
-            st_e = log.status.get(e)
-            st_f = log.status.get(fe)
+            st_e = status.get(e)
+            st_f = status.get(fe)
             if st_e is None or st_f is None:
                 failures.append(("still-present", e, fe))
             elif st_e != "deleted" and st_f != "deleted":
@@ -556,11 +591,12 @@ class TestInvolution:
         log = AdversaryLog(n)
         for _ in _until_done(g, 0):
             i, j = rnd.sample(range(1, 2 * n + 1), 2)
-            log.note(i, j, *kg_answer(g, i, j))
+            _note(log, i, j, *kg_answer(g, i, j))
             # the audit reads the log's trail alone: it names every removed
             # edge, and each exactly once
-            assert set(log.status) == everything - g.edges()
-            assert log.deletions + log.vanishings == len(log.status)
+            fates = _status(log)
+            assert set(fates) == everything - g.edges()
+            assert log.deletions + log.vanishings == len(fates)
         rep = involution_audit(log, [(l, g.mate[l]) for l in range(1, n + 1)])
         assert (n, rep.deletions, rep.vanishings) == (8, 46, 10)
         assert rep.deletions > n * (n - 1) // 2
@@ -581,11 +617,15 @@ class TestInvolution:
                 if pm[l] != r and kind is not None:
                     status[(l, r)] = kind
         log = AdversaryLog(n)
-        log.status = status
+        for (l, r), kind in status.items():
+            log.gone[l] |= 1 << r
+            if kind == "deleted":
+                log.deleted[l] |= 1 << r
+        assert _status(log) == status
         log.deletions = list(status.values()).count("deleted")
         log.vanishings = len(status) - log.deletions
         rep = involution_audit(log, matching)
-        ref = involution_audit_reference(log, matching)
+        ref = involution_audit_reference(log, status, matching)
         assert rep.pair_count == n * (n - 1) // 2
         assert set(rep.failures) == set(ref.failures)
         assert len(rep.failures) == len(ref.failures)
@@ -611,12 +651,45 @@ class TestInvolution:
             assert rep.deletions + rep.vanishings == n * (n - 1)
             assert rep.deletions >= n * (n - 1) // 2
 
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_agree_with_a_dict_log(self, seed):
+        # both logs take the same removed() stream; the rows must name the
+        # dict's fates after every deletion
+        rnd = random.Random(seed)
+        n = rnd.randint(1, 24)
+        g = kg_init(n)
+        rows, oracle = AdversaryLog(n), _DictLog()
+        for _ in _until_done(g, seed):
+            _, events = kg_answer(g, *rnd.sample(range(1, 2 * n + 1), 2))
+            if events.deleted is not None:
+                rows.removed(events.deleted, events.vanished)
+                oracle.removed(events.deleted, events.vanished)
+                assert _status(rows) == oracle.status, seed
+                assert (rows.deletions, rows.vanishings) == \
+                    (oracle.deletions, oracle.vanishings)
+        assert len(oracle.status) == n * (n - 1)
+
+    def test_audited_game_keeps_no_per_edge_state(self):
+        # an n=128 game's log and audit stay well under the 0.5 MB that one
+        # dict entry per removed edge (16,256 of them) would take
+        n = 128
+        tracemalloc.start()
+        try:
+            res = adversarial_play(make_strategy("perfect", n, 0), n, 2 * n, keep_records=False)
+            rep = involution_audit(res.log, res.matching)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        assert peak < 500_000, peak
+
 
 class TestAdversarialPlay:
     def test_host_logs_against_its_own_graph(self):
         g = kg_init(3)
         host = AdversaryHost(g, 2, keep_records=False)
-        assert host.log.n == 3 and host.log.status == {}
+        assert host.log.n == 3 and host.log.deleted == host.log.gone == [0] * 4
         with pytest.raises(ValueError, match="at least one slot"):
             adversarial_play(MultiPass(), 3, 0)
 
@@ -674,7 +747,7 @@ class TestAdversarialPlay:
         assert all(rec.answer == (x[rec.i - 1] == x[rec.j - 1]) for rec in res.log.records)
         assert all(x[o.i - 1] == x[o.j - 1] == o.v for o in res.transcript.outputs)
         # the counterexample works on a copy: the log holds only the answers' deletions
-        assert list(res.log.status.values()).count("deleted") == res.log.deletions
+        assert sum(row.bit_count() for row in res.log.deleted) == res.log.deletions
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6),
            st.data())
@@ -766,10 +839,26 @@ def _hosted_play(monkeypatch, host_cls, player, n, s, keep_records=True, hook=No
     return adversarial_play(player, n, s, keep_records=keep_records)
 
 
-def _outcome(res):
+_REMOVED = AdversaryLog.removed
+
+
+def _tap_removals(monkeypatch):
+    """Record each AdversaryLog.removed(edge, vanished) call, in order, in
+    the returned list."""
+    calls = []
+
+    def tapped(log, edge, vanished):
+        calls.append((edge, tuple(vanished)))
+        _REMOVED(log, edge, vanished)
+
+    monkeypatch.setattr(AdversaryLog, "removed", tapped)
+    return calls
+
+
+def _outcome(res, removals):
     """Everything a game leaves behind, in the order it was written."""
     log, t = res.log, res.transcript
-    return (log.records, list(log.status.items()), log.queries, log.deletions,
+    return (log.records, removals, log.deleted, log.gone, log.queries, log.deletions,
             log.vanishings, t.flips, t.outputs, res.complete, res.incorrect, res.matching,
             res.realized, res.rejected_pair, res.counterexample)
 
@@ -790,8 +879,9 @@ class TestOneFrameFlip:
         for host_cls in (AdversaryHost, _QueryHost):
             vanishes = []
             hook = (lambda g, vanished: vanishes.append(list(vanished))) if hooked else None
+            removals = _tap_removals(monkeypatch)
             res = _hosted_play(monkeypatch, host_cls, make_player(), n, s, keep_records, hook)
-            seen.append((_outcome(res), vanishes))
+            seen.append((_outcome(res, removals), vanishes))
         assert seen[0] == seen[1], (n, s, keep_records)
         return res
 
@@ -889,7 +979,7 @@ class TestAnswerDigest:
         h = hashlib.sha256()
         for name, n, s, seed in self.GAMES:
             res = adversarial_play(make_strategy(name, n, seed), n, s, keep_records=False)
-            h.update(repr(sorted(res.log.status.items())).encode())
+            h.update(repr(sorted(_status(res.log).items())).encode())
         assert h.hexdigest() == "ef37ab2c30660d916027f6dc0e88ef63695e50d1df068de82cede1728f7e74e3"
 
     def test_every_declared_value_is_pinned(self):
